@@ -1,5 +1,5 @@
 //! Ordering-strategy quality across the suite: how each `ocr-order-v1`
-//! strategy fares on every suite chip, and what the portfolio racer
+//! strategy fares on every suite chip, and what the run-all portfolio
 //! picks (DESIGN.md §12).
 //!
 //! ```text
@@ -44,7 +44,7 @@ fn main() {
         chips.truncate(1);
     }
     let mut rows: Vec<String> = Vec::new();
-    println!("Net-ordering survey: every ocr-order-v1 strategy, then the portfolio racer");
+    println!("Net-ordering survey: every ocr-order-v1 strategy, then the run-all portfolio");
     for chip in &chips {
         let name = &chip.spec.name;
         println!();

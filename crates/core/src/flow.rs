@@ -466,7 +466,7 @@ fn interrupted_result(
 /// Splits the nets into sets A and B under the flow's partition
 /// strategy (the `AreaBudget` strategy takes its priority from the
 /// criticality order). Shared by [`OverCellFlow::run`] and the
-/// portfolio racer, which partitions once and races only Level B.
+/// portfolio, which partitions once and runs only Level B per strategy.
 pub(crate) fn partition_sets(
     partition: &PartitionStrategy,
     layout: &Layout,

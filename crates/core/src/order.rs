@@ -24,7 +24,7 @@
 //!   route while the grid is empty.
 //! * [`SeededShuffle`] — a deterministic xoshiro256++ shuffle of the
 //!   canonical net order; distinct seeds give independent restarts for
-//!   portfolio racing (see [`crate::portfolio`]).
+//!   the run-all portfolio (see [`crate::portfolio`]).
 //!
 //! Every strategy must be a *total* deterministic function of the
 //! layout and net set: equal inputs give equal output on every thread
@@ -237,8 +237,8 @@ impl Xoshiro {
 ///
 /// Accepted names: `longest`, `shortest`, `congestion`, `criticality`,
 /// `shuffle` (seed 1), and `shuffle:SEED`. Returns `None` for anything
-/// else — including `portfolio`, which is a racing mode over strategies
-/// rather than a strategy itself.
+/// else — including `portfolio`, which runs several strategies and
+/// keeps the minimum rather than being a strategy itself.
 pub fn ordering_from_name(name: &str) -> Option<NetOrdering> {
     match name {
         "longest" => Some(NetOrdering::LongestFirst),

@@ -1,15 +1,14 @@
-//! Deterministic parallel racing of net-ordering strategies.
+//! Deterministic run-all portfolio over net-ordering strategies.
 //!
 //! Net order dominates the serial Level B router's rip-up cost, and no
-//! single ordering wins on every chip. The portfolio racer runs `k`
-//! strategies from the `ocr-order-v1` roster concurrently on the
-//! `ocr-exec` pool — each attempt under its own
-//! [`RunControl`](ocr_exec::RunControl) in an
-//! [`ControlGroup`](ocr_exec::ControlGroup) — and returns the single
-//! best result. Level A is ordering-independent, so it runs exactly
-//! once; only Level B is raced.
+//! single ordering wins on every chip. The portfolio runs `k`
+//! strategies from the `ocr-order-v1` roster to completion on the
+//! `ocr-exec` pool, each under its own step-counting
+//! [`RunControl`](ocr_exec::RunControl), and keeps the minimum. Level
+//! A is ordering-independent, so it runs exactly once; only Level B
+//! runs `k` times.
 //!
-//! # The deterministic winner rule
+//! # The winner rule
 //!
 //! The winner is the strategy minimizing, in lexicographic order:
 //!
@@ -23,46 +22,26 @@
 //!
 //! # Why the output is bit-identical at any `OCR_THREADS`
 //!
-//! Racing is inherently timing-dependent: as soon as one attempt
-//! commits a *full* result (zero unrouted nets), the group cancels the
-//! remaining attempts, and which of them got far enough to finish
-//! first varies run to run. Determinism is recovered in two steps:
-//!
-//! * **Content-based classification.** An attempt counts as *settled*
-//!   only if its degradation report contains no `Cancelled` /
-//!   `BudgetExceeded` entries — i.e. its result is exactly what an
-//!   uninterrupted run would have produced. (A run that completes
-//!   within a step budget is byte-identical to an unbounded run: the
-//!   budget only decides *whether* it trips, never what it routes.)
-//! * **Budgeted settlement.** Every attempt the race interrupted is
-//!   re-run from scratch under a step budget equal to the best settled
-//!   candidate's step count. A rerun that completes within the budget
-//!   joins the candidates with its true values; a rerun that trips has
-//!   *provably* more steps than the current best — it cannot win under
-//!   the rule above, so excluding it never changes the winner.
-//!
-//! Either way every execution converges on the same winner, and the
-//! winner's Level B result is itself deterministic, so the merged
-//! design is bit-identical at any thread count. The per-strategy
-//! [`PortfolioReport`] applies the same discipline: a loser's numbers
-//! are reported only when *every* execution would know them (its step
-//! count does not exceed the winner's); otherwise it is reported as
-//! over-budget with no numbers.
+//! Every run completes, and an uninterrupted Level B run is a
+//! deterministic function of its inputs: its routes, unrouted-net
+//! count and step count do not depend on the thread count or on which
+//! worker ran it. `parallel_map` returns the runs in roster order, so
+//! the minimum, the merged design and the per-strategy
+//! [`PortfolioReport`] are the same in every execution.
 
 use crate::ckpt::RunSession;
 use crate::config::LevelBConfig;
-use crate::degrade::DegradeReason;
 use crate::error::RouteError;
 use crate::flow::{assemble_result, partition_sets, run_with_telemetry, FlowResult, OverCellFlow};
 use crate::level_b::{LevelBResult, LevelBRouter};
 use crate::order::{CongestionAware, CriticalityAware, NetOrdering, SeededShuffle};
-use ocr_exec::{ControlGroup, RunControl};
+use ocr_exec::RunControl;
 use ocr_netlist::{Layout, NetId, RowPlacement};
 
 /// The canonical `k`-strategy roster: `longest` (index 0, the paper's
 /// default), `congestion`, `criticality`, then seeded shuffles
 /// `shuffle:1`, `shuffle:2`, … as independent restarts. `k = 0` is
-/// clamped to 1, so `longest` always races.
+/// clamped to 1, so `longest` always runs.
 pub fn portfolio_roster(k: usize) -> Vec<NetOrdering> {
     let k = k.max(1);
     let mut roster = vec![
@@ -79,19 +58,19 @@ pub fn portfolio_roster(k: usize) -> Vec<NetOrdering> {
     roster
 }
 
-/// One strategy's deterministic outcome in a portfolio race.
+/// One strategy's outcome in a portfolio run — the same numbers its
+/// standalone run reports.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StrategyOutcome {
     /// The strategy's `ocr-order-v1` name.
     pub name: String,
-    /// `Some((unrouted_nets, steps))` when the values are known — and
-    /// the same — in every execution; `None` for a loser that needed
-    /// more steps than the winner (its exact numbers are
-    /// timing-dependent).
-    pub settled: Option<(usize, u64)>,
+    /// Nets the strategy left unrouted.
+    pub unrouted: usize,
+    /// Level B steps the strategy charged.
+    pub steps: u64,
 }
 
-/// The deterministic summary of a portfolio race.
+/// The deterministic summary of a portfolio run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortfolioReport {
     /// Per-strategy outcomes, in roster order.
@@ -111,38 +90,13 @@ impl PortfolioReport {
     }
 }
 
-/// A settled candidate: an attempt whose result equals its
-/// uninterrupted run.
-struct Candidate {
-    result: LevelBResult,
-    unrouted: usize,
-    steps: u64,
-}
-
-impl Candidate {
-    /// The winner rule's lexicographic key.
-    fn key(&self, index: usize) -> (usize, u64, usize) {
-        (self.unrouted, self.steps, index)
-    }
-}
-
-/// `true` when the race (not the routing problem) cut this run short.
-fn interrupted(b: &LevelBResult) -> bool {
-    b.degraded.nets.iter().any(|d| {
-        matches!(
-            d.reason,
-            DegradeReason::Cancelled | DegradeReason::BudgetExceeded
-        )
-    })
-}
-
 impl OverCellFlow {
-    /// Races `k` ordering strategies and returns the winning result
+    /// Runs `k` ordering strategies and returns the winning result
     /// with the per-strategy report — see the [module docs](self) for
     /// the winner rule and the determinism argument. The flow's own
     /// `level_b.ordering` is ignored; the roster decides.
     ///
-    /// The racer manages one `RunControl` per attempt internally, so it
+    /// The portfolio manages one `RunControl` per run internally, so it
     /// does not compose with an outer [`RunSession`] (the CLI rejects
     /// `--order portfolio` together with run-control flags).
     ///
@@ -184,98 +138,29 @@ impl OverCellFlow {
         let k = roster.len();
         ocr_obs::count("order.strategies", k as u64);
 
-        // Phase 1 — the race: every strategy under its own unbounded
-        // control; the first full (zero-unrouted) settled result
-        // cancels the rest of the group.
-        let group = ControlGroup::new(k);
-        let first_full = std::sync::Mutex::new(false);
-        let indices: Vec<usize> = (0..k).collect();
-        let attempts = ocr_exec::parallel_map(&indices, |&j| {
-            let control = group.control(j).clone();
-            let out = run_attempt(&a.expanded, &set_b, &base, &roster[j], &control);
-            if let Ok(b) = &out {
-                if b.stats.nets_failed == 0 && !interrupted(b) {
-                    let mut won = first_full.lock().unwrap_or_else(|e| e.into_inner());
-                    if !*won {
-                        *won = true;
-                        let cancelled = group.cancel_except(j);
-                        ocr_obs::count("order.cancelled", cancelled as u64);
-                    }
-                }
-            }
-            out
+        // Every strategy runs to completion; hard errors propagate in
+        // roster order.
+        let runs = ocr_exec::parallel_map(&roster, |ordering| {
+            run_attempt(&a.expanded, &set_b, &base, ordering)
         });
-
-        // Classify: settled attempts become candidates with their true
-        // (execution-independent) values; interrupted ones go to
-        // settlement. Hard errors propagate in roster order.
-        let mut candidates: Vec<Option<Candidate>> = Vec::with_capacity(k);
-        let mut best: Option<usize> = None;
-        for (j, outcome) in attempts.into_iter().enumerate() {
-            let b = outcome?;
-            let candidate = (!interrupted(&b)).then(|| Candidate {
+        let mut outcomes = Vec::with_capacity(k);
+        let mut results = Vec::with_capacity(k);
+        for (ordering, run) in roster.iter().zip(runs) {
+            let (b, steps) = run?;
+            outcomes.push(StrategyOutcome {
+                name: ordering.name(),
                 unrouted: b.stats.nets_failed,
-                steps: group.control(j).steps(),
-                result: b,
+                steps,
             });
-            if let Some(c) = &candidate {
-                if best.is_none_or(|i| c.key(j) < candidates[i].as_ref().expect("best").key(i)) {
-                    best = Some(j);
-                }
-            }
-            candidates.push(candidate);
+            results.push(b);
         }
-
-        // Phase 2 — budgeted settlement: rerun every interrupted
-        // attempt under the best candidate's step budget. Completing at
-        // exactly the budget does not trip, so index tie-breaks agree
-        // with uninterrupted executions; a tripped rerun provably needs
-        // more steps than the budget and cannot win.
-        for j in 0..k {
-            if candidates[j].is_some() {
-                continue;
-            }
-            ocr_obs::count("order.reruns", 1);
-            let budget = best
-                .map(|i| candidates[i].as_ref().expect("best").steps)
-                .expect("an uncancelled attempt always settles in phase 1");
-            let control = RunControl::new().with_step_budget(budget);
-            let b = run_attempt(&a.expanded, &set_b, &base, &roster[j], &control)?;
-            if interrupted(&b) {
-                continue;
-            }
-            let c = Candidate {
-                unrouted: b.stats.nets_failed,
-                steps: control.steps(),
-                result: b,
-            };
-            if best.is_none_or(|i| c.key(j) < candidates[i].as_ref().expect("best").key(i)) {
-                best = Some(j);
-            }
-            candidates[j] = Some(c);
-        }
-
-        let winner = best.expect("at least one attempt settles");
-        let win = candidates[winner].as_ref().expect("winner is settled");
-        let (winner_unrouted, winner_steps) = (win.unrouted, win.steps);
+        let winner = (0..k)
+            .min_by_key(|&j| (outcomes[j].unrouted, outcomes[j].steps, j))
+            .expect("the roster is never empty");
+        let (winner_unrouted, winner_steps) = (outcomes[winner].unrouted, outcomes[winner].steps);
         ocr_obs::count_max("order.winner.index", winner as u64);
         ocr_obs::count_max("order.winner.steps", winner_steps);
         ocr_obs::count_max("order.winner.unrouted", winner_unrouted as u64);
-
-        // Report only what every execution knows: when the race can
-        // cancel (the winner routed everything), a loser's numbers are
-        // published only if its step count is within the winner's.
-        let outcomes = roster
-            .iter()
-            .enumerate()
-            .map(|(j, ordering)| StrategyOutcome {
-                name: ordering.name(),
-                settled: candidates[j]
-                    .as_ref()
-                    .filter(|c| winner_unrouted > 0 || c.steps <= winner_steps || j == winner)
-                    .map(|c| (c.unrouted, c.steps)),
-            })
-            .collect();
         let report = PortfolioReport {
             outcomes,
             winner,
@@ -283,40 +168,31 @@ impl OverCellFlow {
             winner_steps,
         };
 
-        let b = candidates
-            .into_iter()
-            .nth(winner)
-            .flatten()
-            .expect("winner is settled");
-        let degradation = base.salvage.then_some(b.result.degraded);
-        a.design.merge(b.result.design);
-        let result = assemble_result(
-            a,
-            set_a,
-            set_b,
-            Some(b.result.stats),
-            self.options,
-            degradation,
-        );
+        let b = results.swap_remove(winner);
+        let degradation = base.salvage.then_some(b.degraded);
+        a.design.merge(b.design);
+        let result = assemble_result(a, set_a, set_b, Some(b.stats), self.options, degradation);
         Ok((result, report))
     }
 }
 
-/// One Level B attempt from scratch under `control`, with `ordering`
-/// swapped into the base configuration.
+/// One Level B run from scratch with `ordering` swapped into the base
+/// configuration, under a fresh control that only counts steps.
+/// Returns the result and the steps it charged.
 fn run_attempt(
     layout: &Layout,
     set_b: &[NetId],
     base: &LevelBConfig,
     ordering: &NetOrdering,
-    control: &RunControl,
-) -> Result<LevelBResult, RouteError> {
+) -> Result<(LevelBResult, u64), RouteError> {
     let _span = ocr_obs::span("order.attempt");
     let mut config = base.clone();
     config.ordering = ordering.clone();
+    let control = RunControl::new();
     let session = RunSession::with_control(control.clone());
-    ocr_exec::with_control(control, || {
+    let b = ocr_exec::with_control(&control, || {
         let mut router = LevelBRouter::new(layout, set_b, config)?;
         router.route_all_with(Some(&session))
-    })
+    })?;
+    Ok((b, control.steps()))
 }

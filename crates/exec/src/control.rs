@@ -223,69 +223,6 @@ impl RunControl {
     }
 }
 
-/// A set of independent [`RunControl`] tokens for racing concurrent
-/// attempts at the same problem (e.g. an ordering portfolio): each
-/// attempt runs under its own token, and once one commits a winning
-/// result the group cancels every loser in a single call.
-///
-/// Cancellation stays per-token (sticky, first-trip-wins), so a loser
-/// that already tripped on its own budget keeps its original reason and
-/// an attempt that finished before the cancel landed keeps its result;
-/// the group adds no ordering guarantees beyond what each token gives.
-#[derive(Clone, Debug, Default)]
-pub struct ControlGroup {
-    controls: Vec<RunControl>,
-}
-
-impl ControlGroup {
-    /// A group of `n` fresh unbounded controls.
-    pub fn new(n: usize) -> ControlGroup {
-        ControlGroup {
-            controls: (0..n).map(|_| RunControl::new()).collect(),
-        }
-    }
-
-    /// Builds a group from explicitly configured controls.
-    pub fn from_controls(controls: Vec<RunControl>) -> ControlGroup {
-        ControlGroup { controls }
-    }
-
-    /// Number of tokens in the group.
-    pub fn len(&self) -> usize {
-        self.controls.len()
-    }
-
-    /// `true` when the group holds no tokens.
-    pub fn is_empty(&self) -> bool {
-        self.controls.is_empty()
-    }
-
-    /// The `i`-th token (clones share the token's state).
-    pub fn control(&self, i: usize) -> &RunControl {
-        &self.controls[i]
-    }
-
-    /// Cancels every token except `winner`; returns how many tokens
-    /// this call newly tripped (already-tripped losers don't count).
-    pub fn cancel_except(&self, winner: usize) -> usize {
-        let mut newly = 0;
-        for (i, c) in self.controls.iter().enumerate() {
-            if i != winner && !c.is_tripped() {
-                c.cancel();
-                newly += 1;
-            }
-        }
-        newly
-    }
-
-    /// Cancels every token in the group.
-    pub fn cancel_all(&self) {
-        for c in &self.controls {
-            c.cancel();
-        }
-    }
-}
-
 thread_local! {
     /// The control cooperative loops on this thread consult.
     static CURRENT: RefCell<Option<RunControl>> = const { RefCell::new(None) };
@@ -410,47 +347,5 @@ mod tests {
         });
         assert!(current_control().is_none());
         assert!(c.is_tripped(), "ambient clone shares the flag");
-    }
-
-    #[test]
-    fn control_group_cancels_losers_only() {
-        let g = ControlGroup::new(4);
-        assert_eq!(g.len(), 4);
-        assert!(!g.is_empty());
-        let newly = g.cancel_except(2);
-        assert_eq!(newly, 3);
-        for i in 0..4 {
-            assert_eq!(g.control(i).is_tripped(), i != 2, "token {i}");
-        }
-        assert_eq!(g.cancel_except(2), 0, "cancel is idempotent");
-    }
-
-    #[test]
-    fn control_group_preserves_prior_trip_reasons() {
-        let g = ControlGroup::from_controls(vec![
-            RunControl::new(),
-            RunControl::new().with_step_budget(0),
-            RunControl::new(),
-        ]);
-        assert_eq!(g.control(1).charge(1), Some(TripReason::BudgetExceeded));
-        let newly = g.cancel_except(0);
-        assert_eq!(newly, 1, "only the untripped loser is newly cancelled");
-        assert_eq!(
-            g.control(1).tripped(),
-            Some(TripReason::BudgetExceeded),
-            "sticky first-trip-wins survives the group cancel"
-        );
-        assert_eq!(g.control(2).tripped(), Some(TripReason::Cancelled));
-        assert!(!g.control(0).is_tripped());
-        g.cancel_all();
-        assert!(g.control(0).is_tripped());
-    }
-
-    #[test]
-    fn control_group_tokens_share_state_with_clones() {
-        let g = ControlGroup::new(2);
-        let handle = g.control(0).clone();
-        g.cancel_except(1);
-        assert_eq!(handle.tripped(), Some(TripReason::Cancelled));
     }
 }

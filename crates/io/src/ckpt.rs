@@ -72,12 +72,7 @@ pub struct CheckpointDoc {
 /// FNV-1a 64-bit hash of `text` — the chip identity fingerprint
 /// recorded in checkpoint headers.
 pub fn fnv1a_64(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    crate::wire::fnv1a_64_bytes(text.as_bytes())
 }
 
 /// Replaces characters that would corrupt the line-oriented format

@@ -37,7 +37,8 @@ pub const MAX_HEADER_BYTES: usize = 64;
 /// Default cap on a frame's payload length.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
-/// FNV-1a 64 over raw bytes (the checksum of a frame payload).
+/// FNV-1a 64 over raw bytes: the checksum of a frame payload, and the
+/// one implementation behind [`crate::ckpt::fnv1a_64`].
 pub fn fnv1a_64_bytes(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

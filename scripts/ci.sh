@@ -68,10 +68,12 @@ for threads in 1 ""; do (
 ); done
 rm -rf "$RC_DIR"
 
-echo "==> ordering smoke (--order portfolio: deterministic racer, winner vs --order longest)"
-# The portfolio racer must produce byte-identical routes at OCR_THREADS=1
-# and on the default pool, print its deterministic winner line, and
-# `--order longest` must keep working as the explicit default strategy.
+echo "==> ordering smoke (--order portfolio: run all, keep the minimum; winner vs standalone)"
+# The run-all portfolio must produce byte-identical routes at
+# OCR_THREADS=1 and on the default pool, print a numbered row for each
+# of its 4 strategies and its deterministic winner line, and its routes
+# must equal a standalone `--order <winner>` run. `--order longest`
+# must keep working as the explicit default strategy.
 OP_DIR="$(mktemp -d)"
 ./target/release/ocr generate ami33 -o "$OP_DIR/chip.ocr"
 OCR_THREADS=1 ./target/release/ocr route "$OP_DIR/chip.ocr" --order portfolio \
@@ -84,6 +86,15 @@ grep -q "portfolio: winner " "$OP_DIR/pf-seq.out" || {
     echo "ci: ordering smoke expected a portfolio winner line" >&2
     exit 1
 }
+rows="$(grep -c '^  \[[0-9]\] ' "$OP_DIR/pf-seq.out" || true)"
+if [ "$rows" -ne 4 ] || grep -q "lost" "$OP_DIR/pf-seq.out"; then
+    echo "ci: ordering smoke expected 4 numbered strategy rows and no lost row" >&2
+    exit 1
+fi
+winner="$(sed -n 's/^portfolio: winner \([^ ]*\) .*/\1/p' "$OP_DIR/pf-seq.out")"
+./target/release/ocr route "$OP_DIR/chip.ocr" --order "$winner" \
+    --routes "$OP_DIR/winner.txt" >/dev/null
+cmp "$OP_DIR/pf-seq.txt" "$OP_DIR/winner.txt"
 ./target/release/ocr route "$OP_DIR/chip.ocr" --order longest \
     --routes "$OP_DIR/longest.txt" >/dev/null
 rm -rf "$OP_DIR"

@@ -52,16 +52,16 @@ USAGE:
       Route the chip with the selected flow (default: overcell), print
       metrics, optionally write an SVG and the routed geometry.
       --order picks the Level B net-ordering strategy (`ocr-order-v1`;
-      overcell flow only; default: longest). `portfolio[:K]` races K
+      overcell flow only; default: longest). `portfolio[:K]` runs K
       strategies (default 4: longest, congestion, criticality,
-      shuffle:1; K > 4 adds shuffle:2, shuffle:3, …) concurrently on
-      the ocr-exec pool, cancels the losers once a strategy commits a
-      full result, and keeps the winner by a deterministic rule —
-      fewest unrouted nets, then lowest steps, then lowest strategy
-      index — so the routed output is bit-identical at any OCR_THREADS
-      and never worse in unrouted nets than --order longest. The racer
-      manages its own run controls, so portfolio cannot be combined
-      with --max-steps/--deadline-ms/--checkpoint-out/--resume.
+      shuffle:1; K > 4 adds shuffle:2, shuffle:3, …) to completion on
+      the ocr-exec pool, prints every strategy's unrouted nets and
+      steps, and keeps the minimum — fewest unrouted nets, then lowest
+      steps, then lowest strategy index — so the routed output is
+      bit-identical at any OCR_THREADS and never worse in unrouted
+      nets than --order longest. The portfolio manages its own run
+      controls, so it cannot be combined with
+      --max-steps/--deadline-ms/--checkpoint-out/--resume.
       --weights sets the Level B cost function (overcell flow only):
       a preset name (default, dense, length-only) or comma-separated
       overrides of the defaults (w1, w21, w22, w23, w24, radius —
@@ -607,8 +607,8 @@ fn parse_run_session(
     Ok((kind, session, limited))
 }
 
-/// What `--order NAME` asked for: one named strategy, or a `k`-wide
-/// portfolio race.
+/// What `--order NAME` asked for: one named strategy, or a portfolio
+/// of `k` strategies.
 enum OrderChoice {
     Strategy(NetOrdering),
     Portfolio(usize),
@@ -663,9 +663,9 @@ fn route(args: &[String]) -> Result<(), String> {
     }
     let order = flags.value("--order").map(parse_order).transpose()?;
     if let Some(OrderChoice::Portfolio(_)) = order {
-        // The racer manages one RunControl per strategy internally and
-        // settles interrupted attempts itself; an outer budget or a
-        // checkpointed resume has no deterministic meaning for it.
+        // The portfolio runs K strategies, keeps the minimum, and gives
+        // each run its own step-counting RunControl; an outer budget or
+        // a checkpointed resume has no single run to apply to.
         for f in [
             "--max-steps",
             "--deadline-ms",
@@ -714,8 +714,8 @@ fn route(args: &[String]) -> Result<(), String> {
         .salvage(flags.has("--salvage") || session.resume.as_ref().is_some_and(|r| r.salvage));
     let (result, portfolio) = match order {
         Some(OrderChoice::Portfolio(k)) => {
-            // The racer clones `level_b` per strategy, so CLI weights
-            // apply to every raced ordering.
+            // The portfolio clones `level_b` per strategy, so CLI
+            // weights apply to every ordering it runs.
             let flow = OverCellFlow {
                 options,
                 level_b,
@@ -726,15 +726,10 @@ fn route(args: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?;
             (result, Some(report))
         }
-        Some(OrderChoice::Strategy(ordering)) => {
-            level_b.ordering = ordering;
-            let result = kind
-                .build_with_level_b(options, level_b)
-                .run_controlled(&layout, &placement, &session)
-                .map_err(|e| e.to_string())?;
-            (result, None)
-        }
-        None => {
+        strategy => {
+            if let Some(OrderChoice::Strategy(ordering)) = strategy {
+                level_b.ordering = ordering;
+            }
             let result = kind
                 .build_with_level_b(options, level_b)
                 .run_controlled(&layout, &placement, &session)
@@ -747,28 +742,20 @@ fn route(args: &[String]) -> Result<(), String> {
     println!("flow: {kind}");
     if let Some(report) = &portfolio {
         println!(
-            "portfolio: raced {} ordering strategies ({})",
+            "portfolio: ran {} ordering strategies ({})",
             report.outcomes.len(),
             overcell_router::core::ORDER_API
         );
         for (j, o) in report.outcomes.iter().enumerate() {
-            match o.settled {
-                Some((unrouted, steps)) => {
-                    let marker = if j == report.winner {
-                        "  << winner"
-                    } else {
-                        ""
-                    };
-                    println!(
-                        "  [{j}] {:<14} unrouted {unrouted}, steps {steps}{marker}",
-                        o.name
-                    );
-                }
-                None => println!(
-                    "  [{j}] {:<14} lost (needed more steps than the winner)",
-                    o.name
-                ),
-            }
+            let marker = if j == report.winner {
+                "  << winner"
+            } else {
+                ""
+            };
+            println!(
+                "  [{j}] {:<14} unrouted {}, steps {}{marker}",
+                o.name, o.unrouted, o.steps
+            );
         }
         println!(
             "portfolio: winner {} (strategy {}, unrouted {}, steps {})",

@@ -1,18 +1,20 @@
 //! Ordering-strategy contract (DESIGN.md §12): every `ocr-order-v1`
 //! strategy is a pure permutation that keeps the flow oracle-clean, and
-//! the portfolio racer is deterministic —
+//! the run-all portfolio is deterministic —
 //!
 //! * `--order portfolio` output is byte-identical at any `OCR_THREADS`,
+//! * every per-strategy row is that strategy's standalone result, and
+//!   the winner is the `(unrouted, steps, index)` minimum of the rows,
 //! * the portfolio result is exactly the winning strategy's standalone
-//!   result (cancelled losers leave no residue in the design), and
+//!   result (the other runs leave no residue in the design), and
 //! * by the winner rule it is never worse in unrouted-net count than
 //!   `longest`, the paper's default, on any suite chip.
 
 use overcell_router::core::{
-    ordering_from_name, FlowKind, FlowOptions, LongestDistance, NetOrdering, OverCellFlow,
-    PortfolioReport,
+    ordering_from_name, portfolio_roster, FlowKind, FlowOptions, LongestDistance, NetOrdering,
+    OverCellFlow, PortfolioReport, RunSession, StrategyOutcome,
 };
-use overcell_router::exec::with_threads;
+use overcell_router::exec::{with_threads, RunControl};
 use overcell_router::gen::suite;
 use overcell_router::io::write_routes;
 use overcell_router::netlist::validate_routed_design;
@@ -91,22 +93,66 @@ fn every_strategy_stays_oracle_clean_across_the_suite() {
 
 #[test]
 fn portfolio_is_byte_identical_across_thread_counts() {
-    let chip = suite::ami33_like();
-    let (seq_routes, seq_report) = with_threads(1, || race(&chip, 4));
-    let (par_routes, par_report) = with_threads(4, || race(&chip, 4));
-    assert_eq!(
-        seq_routes, par_routes,
-        "portfolio routes must not depend on OCR_THREADS"
-    );
-    assert_eq!(
-        seq_report, par_report,
-        "the per-strategy report must not depend on OCR_THREADS"
-    );
+    for chip in suite::all() {
+        let (seq_routes, seq_report) = with_threads(1, || race(&chip, 4));
+        let (par_routes, par_report) = with_threads(4, || race(&chip, 4));
+        assert_eq!(
+            seq_routes, par_routes,
+            "{}: portfolio routes must not depend on OCR_THREADS",
+            chip.spec.name
+        );
+        assert_eq!(
+            seq_report, par_report,
+            "{}: the per-strategy report must not depend on OCR_THREADS",
+            chip.spec.name
+        );
+    }
+}
+
+#[test]
+fn portfolio_reports_every_strategys_standalone_numbers() {
+    for chip in suite::all() {
+        let standalone: Vec<StrategyOutcome> = portfolio_roster(4)
+            .into_iter()
+            .map(|ordering| {
+                let name = ordering.name();
+                let session = RunSession::with_control(RunControl::new());
+                let result = FlowKind::OverCell
+                    .build_with_ordering(FlowOptions::new().salvage(true), Some(ordering))
+                    .run_controlled(&chip.layout, &chip.placement, &session)
+                    .unwrap_or_else(|e| panic!("{} under {name}: {e}", chip.spec.name));
+                StrategyOutcome {
+                    name,
+                    unrouted: result.stats.as_ref().map_or(0, |s| s.nets_failed),
+                    steps: session.control.steps(),
+                }
+            })
+            .collect();
+        let (_, report) = race(&chip, 4);
+        assert_eq!(
+            report.outcomes, standalone,
+            "{}: every row must be the strategy's standalone result",
+            chip.spec.name
+        );
+        let winner = (0..standalone.len())
+            .min_by_key(|&j| (standalone[j].unrouted, standalone[j].steps, j))
+            .expect("non-empty roster");
+        assert_eq!(
+            (report.winner, report.winner_unrouted, report.winner_steps),
+            (
+                winner,
+                standalone[winner].unrouted,
+                standalone[winner].steps
+            ),
+            "{}: the winner is the (unrouted, steps, index) minimum",
+            chip.spec.name
+        );
+    }
 }
 
 #[test]
 fn portfolio_result_is_the_winners_standalone_run() {
-    // Cancelled losers must leave no occupancy residue: the merged
+    // The other runs must leave no occupancy residue: the merged
     // design is bit-equal to routing with the winning strategy alone.
     let chip = suite::ami33_like();
     let (routes, report) = race(&chip, 4);
@@ -142,7 +188,7 @@ fn portfolio_is_never_worse_than_longest_on_the_suite() {
         assert_eq!(
             report.outcomes.len(),
             4,
-            "{}: four strategies raced",
+            "{}: four strategies ran",
             chip.spec.name
         );
     }
