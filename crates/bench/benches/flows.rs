@@ -3,7 +3,7 @@
 
 use ocr_bench::harness::{BenchmarkId, Criterion};
 use ocr_bench::{criterion_group, criterion_main};
-use ocr_core::{FourLayerChannelFlow, OverCellFlow, TwoLayerChannelFlow};
+use ocr_core::{FlowKind, OverCellFlow};
 use ocr_gen::suite;
 
 fn bench_flows(c: &mut Criterion) {
@@ -26,7 +26,8 @@ fn bench_flows(c: &mut Criterion) {
             &chip,
             |b, chip| {
                 b.iter(|| {
-                    TwoLayerChannelFlow::default()
+                    FlowKind::Channel2
+                        .build()
                         .run(&chip.layout, &chip.placement)
                         .expect("flow")
                 })
@@ -37,7 +38,8 @@ fn bench_flows(c: &mut Criterion) {
             &chip,
             |b, chip| {
                 b.iter(|| {
-                    FourLayerChannelFlow::default()
+                    FlowKind::Channel4
+                        .build()
                         .run(&chip.layout, &chip.placement)
                         .expect("flow")
                 })

@@ -9,7 +9,7 @@
 //! same-direction layer pairs, plus same-layer adjacent-track
 //! parallelism within one pitch).
 
-use ocr_core::{FourLayerChannelFlow, OverCellFlow, ThreeLayerChannelFlow};
+use ocr_core::{FlowKind, OverCellFlow};
 use ocr_gen::suite;
 use ocr_netlist::coupling_report;
 
@@ -30,13 +30,15 @@ fn main() {
             ),
             (
                 "channel-3L",
-                ThreeLayerChannelFlow::default()
+                FlowKind::Channel3
+                    .build()
                     .run(&chip.layout, &chip.placement)
                     .expect("3-layer"),
             ),
             (
                 "channel-4L",
-                FourLayerChannelFlow::default()
+                FlowKind::Channel4
+                    .build()
                     .run(&chip.layout, &chip.placement)
                     .expect("4-layer"),
             ),

@@ -48,7 +48,7 @@ fn main() -> ExitCode {
         let name = chip.spec.name.as_str();
         let route = || -> FlowResult {
             FlowKind::OverCell
-                .build_with(FlowOptions::instrumented())
+                .build_with(FlowOptions::new().telemetry(true))
                 .run(&chip.layout, &chip.placement)
                 .expect("overcell flow")
         };

@@ -112,7 +112,7 @@ fn main() -> ExitCode {
         // on the pool, reported through the ocr-obs telemetry layer.
         let instrumented = ocr_exec::with_threads(threads, || {
             FlowKind::OverCell
-                .build_with(FlowOptions::instrumented())
+                .build_with(FlowOptions::new().telemetry(true))
                 .run(&chip.layout, &chip.placement)
                 .expect("overcell flow")
         });

@@ -20,7 +20,7 @@
 //! optimistic 4-layer channel model, by a double-digit percentage.
 
 use ocr_bench::run_all_flows;
-use ocr_core::ThreeLayerChannelFlow;
+use ocr_core::FlowKind;
 use ocr_gen::suite;
 use ocr_netlist::{validate_routed_design, RouteMetrics};
 
@@ -41,7 +41,8 @@ fn main() {
     let chips = suite::all();
     let rows = ocr_exec::parallel_map(&chips, |chip| {
         let run = run_all_flows(chip, true);
-        let three = ThreeLayerChannelFlow::default()
+        let three = FlowKind::Channel3
+            .build()
             .run(&chip.layout, &chip.placement)
             .expect("three-layer flow");
         (run, three)

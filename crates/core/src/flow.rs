@@ -13,18 +13,22 @@
 //! * [`OverCellFlow`] (`"overcell"`) — the proposed router: net
 //!   partitioning, Level A channel routing on metal1/metal2, then Level
 //!   B over-cell routing on metal3/metal4 over the fixed topology.
-//! * [`TwoLayerChannelFlow`] (`"channel2"`) — the Table 2 baseline:
-//!   every net routed through channels with two layers.
-//! * [`ThreeLayerChannelFlow`] (`"channel3"`) — the HVH comparator.
-//! * [`FourLayerChannelFlow`] (`"channel4"`) — the Table 3 real
-//!   comparator: every net through channels with the four-layer
-//!   layer-pair decomposition.
+//! * [`ChannelFlow`] — the all-channel comparators: every net routed
+//!   through channels by one [`ChannelRouterKind`]. [`FlowKind::Channel2`]
+//!   is the Table 2 two-layer baseline, [`FlowKind::Channel3`] the HVH
+//!   comparator and [`FlowKind::Channel4`] the Table 3 real comparator
+//!   (the four-layer layer-pair decomposition).
 //! * [`run_analytic_four_layer_estimate`] — the paper's own Table 3
 //!   comparator: the two-layer result re-laid-out under the "optimistic
 //!   assumption" of half the tracks at the coarser four-layer pitch.
 //!
 //! Options shared by all flows (the independent oracle and its
 //! strictness) live in [`FlowOptions`] rather than per-flow fields.
+//!
+//! Every flow has one run path: [`Flow::run`] is
+//! [`Flow::run_controlled`] under an unlimited [`RunSession::default`],
+//! so a plain run charges and reports its steps exactly as a
+//! controlled one does.
 
 use crate::ckpt::RunSession;
 use crate::config::LevelBConfig;
@@ -33,9 +37,7 @@ use crate::error::RouteError;
 use crate::level_b::LevelBRouter;
 use crate::partition::{partition_nets, PartitionStrategy};
 use crate::stats::RoutingStats;
-use ocr_channel::{
-    ChannelFrame, ChannelRouterKind, ChipChannelOptions, ChipChannelResult, MultilayerOptions,
-};
+use ocr_channel::{ChannelFrame, ChannelRouterKind, ChipChannelOptions, ChipChannelResult};
 use ocr_exec::TripReason;
 use ocr_geom::Coord;
 use ocr_io::ckpt::{write_checkpoint, CheckpointDoc};
@@ -139,49 +141,26 @@ impl FlowOptions {
         self.salvage = on;
         self
     }
-
-    /// Verification on, default (Level A drawn-layer) rules.
-    pub fn verified() -> Self {
-        FlowOptions::new().verify(true)
-    }
-
-    /// Verification on, strict drawn-width rules on all four layers.
-    pub fn verified_strict() -> Self {
-        FlowOptions::new().verify(true).strict(true)
-    }
-
-    /// Telemetry collection on.
-    pub fn instrumented() -> Self {
-        FlowOptions::new().telemetry(true)
-    }
-
-    /// Graceful degradation on (see [`FlowOptions::salvage`]).
-    pub fn salvaged() -> Self {
-        FlowOptions::new().salvage(true)
-    }
 }
 
 /// A complete routing flow: given a layout and a row placement, produce
 /// a routed design with metrics (and optionally an oracle report).
 ///
-/// All four concrete flows implement this, so drivers hold a
+/// Both concrete flows implement this, so drivers hold a
 /// `Box<dyn Flow>` built from a [`FlowKind`] instead of matching on
 /// concrete types.
 pub trait Flow: Send + Sync {
-    /// The shared options this flow runs with.
-    fn options(&self) -> FlowOptions;
-
-    /// Mutable access to the shared options (for drivers configuring a
-    /// boxed flow).
-    fn options_mut(&mut self) -> &mut FlowOptions;
-
-    /// Runs the flow on a layout and row placement.
+    /// Runs the flow on a layout and row placement: a
+    /// [`Flow::run_controlled`] under [`RunSession::default`], which
+    /// never trips, writes no checkpoint and resumes nothing.
     ///
     /// # Errors
     ///
     /// Propagates the flow's routing errors (channel failures, Level B
     /// setup errors).
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError>;
+    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
+        self.run_controlled(layout, placement, &RunSession::default())
+    }
 
     /// Runs the flow under a [`RunSession`]: the session's
     /// [`RunControl`](ocr_exec::RunControl) is installed as the ambient
@@ -211,14 +190,14 @@ pub trait Flow: Send + Sync {
 pub enum FlowKind {
     /// The proposed over-cell flow ([`OverCellFlow`], `"overcell"`).
     OverCell,
-    /// Two-layer all-channel baseline ([`TwoLayerChannelFlow`],
-    /// `"channel2"`).
+    /// Two-layer all-channel baseline ([`ChannelFlow`] with
+    /// [`ChannelRouterKind::TwoLayer`], `"channel2"`).
     Channel2,
-    /// Three-layer HVH comparator ([`ThreeLayerChannelFlow`],
-    /// `"channel3"`).
+    /// Three-layer HVH comparator ([`ChannelFlow`] with
+    /// [`ChannelRouterKind::ThreeLayer`], `"channel3"`).
     Channel3,
-    /// Four-layer HV+HV comparator ([`FourLayerChannelFlow`],
-    /// `"channel4"`).
+    /// Four-layer HV+HV comparator ([`ChannelFlow`] with
+    /// [`ChannelRouterKind::FourLayer`], `"channel4"`).
     Channel4,
 }
 
@@ -253,9 +232,26 @@ impl FlowKind {
         }
     }
 
+    /// The channel router of an all-channel flow (`None` for the
+    /// over-cell flow), with default options.
+    fn channel_router(self) -> Option<ChannelRouterKind> {
+        match self {
+            FlowKind::OverCell => None,
+            FlowKind::Channel2 => Some(ChannelRouterKind::TwoLayer(Default::default())),
+            FlowKind::Channel3 => Some(ChannelRouterKind::ThreeLayer(Default::default())),
+            FlowKind::Channel4 => Some(ChannelRouterKind::FourLayer(Default::default())),
+        }
+    }
+
     /// Builds the flow with default configuration and options.
     pub fn build(self) -> Box<dyn Flow> {
         self.build_with(FlowOptions::default())
+    }
+
+    /// Builds the flow with default configuration and the given shared
+    /// options.
+    pub fn build_with(self, options: FlowOptions) -> Box<dyn Flow> {
+        self.build_with_level_b(options, LevelBConfig::default())
     }
 
     /// Builds the flow with the given shared options and, for the
@@ -268,17 +264,11 @@ impl FlowKind {
         options: FlowOptions,
         ordering: Option<crate::order::NetOrdering>,
     ) -> Box<dyn Flow> {
-        match (self, ordering) {
-            (FlowKind::OverCell, Some(ordering)) => Box::new(OverCellFlow {
-                options,
-                level_b: LevelBConfig {
-                    ordering,
-                    ..LevelBConfig::default()
-                },
-                ..OverCellFlow::default()
-            }),
-            (kind, _) => kind.build_with(options),
+        let mut level_b = LevelBConfig::default();
+        if let Some(ordering) = ordering {
+            level_b.ordering = ordering;
         }
+        self.build_with_level_b(options, level_b)
     }
 
     /// Builds the flow with the given shared options and, for the
@@ -287,35 +277,15 @@ impl FlowKind {
     /// so `level_b` is ignored for them — callers that must reject the
     /// combination validate before building.
     pub fn build_with_level_b(self, options: FlowOptions, level_b: LevelBConfig) -> Box<dyn Flow> {
-        match self {
-            FlowKind::OverCell => Box::new(OverCellFlow {
+        match self.channel_router() {
+            None => Box::new(OverCellFlow {
                 options,
                 level_b,
                 ..OverCellFlow::default()
             }),
-            kind => kind.build_with(options),
-        }
-    }
-
-    /// Builds the flow with default configuration and the given shared
-    /// options.
-    pub fn build_with(self, options: FlowOptions) -> Box<dyn Flow> {
-        match self {
-            FlowKind::OverCell => Box::new(OverCellFlow {
+            Some(router) => Box::new(ChannelFlow {
                 options,
-                ..OverCellFlow::default()
-            }),
-            FlowKind::Channel2 => Box::new(TwoLayerChannelFlow {
-                options,
-                ..TwoLayerChannelFlow::default()
-            }),
-            FlowKind::Channel3 => Box::new(ThreeLayerChannelFlow {
-                options,
-                ..ThreeLayerChannelFlow::default()
-            }),
-            FlowKind::Channel4 => Box::new(FourLayerChannelFlow {
-                options,
-                ..FourLayerChannelFlow::default()
+                ..ChannelFlow::new(router)
             }),
         }
     }
@@ -491,54 +461,6 @@ pub(crate) fn partition_sets(
     }
 }
 
-/// The shared body of the three channel-only flows: partition everything
-/// into set A, route the chip channels with the flow's options, and
-/// assemble. Under a session, a pre-tripped control or an interrupted
-/// channel stage produces the all-failed [`interrupted_result`], and a
-/// completed run leaves a header-only checkpoint behind.
-fn run_channel_flow(
-    options: FlowOptions,
-    layout: &Layout,
-    placement: &RowPlacement,
-    opts: ChipChannelOptions,
-    session: Option<&RunSession>,
-) -> Result<FlowResult, RouteError> {
-    if let Some(s) = session {
-        if s.control.is_tripped() {
-            return interrupted_result(layout, placement, options, s);
-        }
-    }
-    let (set_a, _) = partition_nets(layout, &PartitionStrategy::AllA)?;
-    let a = {
-        let _span = ocr_obs::span("flow.channels");
-        match ocr_channel::route_chip_channels(layout, placement, &set_a, opts) {
-            Ok(a) => a,
-            Err(ocr_channel::ChannelError::Interrupted) if session.is_some() => {
-                return interrupted_result(
-                    layout,
-                    placement,
-                    options,
-                    session.expect("guarded by the match arm"),
-                );
-            }
-            Err(e) => return Err(e.into()),
-        }
-    };
-    if let Some(s) = session {
-        write_header_checkpoint(layout, options, s)?;
-    }
-    // Channel-only flows have no Level B stage to degrade, so a
-    // salvage run reports an empty (complete) degradation.
-    Ok(assemble_result(
-        a,
-        set_a,
-        Vec::new(),
-        None,
-        options,
-        options.salvage.then(Degradation::default),
-    ))
-}
-
 /// The proposed two-level flow.
 #[derive(Clone, Debug)]
 pub struct OverCellFlow {
@@ -564,7 +486,7 @@ impl Default for OverCellFlow {
 }
 
 impl OverCellFlow {
-    /// Runs the flow on a layout and row placement.
+    /// Runs the flow on a layout and row placement — see [`Flow::run`].
     ///
     /// # Errors
     ///
@@ -572,7 +494,7 @@ impl OverCellFlow {
     /// Individual Level B net failures are recorded in the design, not
     /// returned.
     pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || self.run_inner(layout, placement, None))
+        self.run_controlled(layout, placement, &RunSession::default())
     }
 
     /// [`OverCellFlow::run`] under a [`RunSession`] — see
@@ -589,7 +511,7 @@ impl OverCellFlow {
     ) -> Result<FlowResult, RouteError> {
         run_with_telemetry(self.options, || {
             ocr_exec::with_control(&session.control, || {
-                self.run_inner(layout, placement, Some(session))
+                self.run_inner(layout, placement, session)
             })
         })
     }
@@ -598,12 +520,10 @@ impl OverCellFlow {
         &self,
         layout: &Layout,
         placement: &RowPlacement,
-        session: Option<&RunSession>,
+        session: &RunSession,
     ) -> Result<FlowResult, RouteError> {
-        if let Some(s) = session {
-            if s.control.is_tripped() {
-                return interrupted_result(layout, placement, self.options, s);
-            }
+        if session.control.is_tripped() {
+            return interrupted_result(layout, placement, self.options, session);
         }
         let (set_a, set_b) = partition_sets(&self.partition, layout, placement)?;
         // Level A: channels on metal1/metal2; fixes the topology. A
@@ -613,13 +533,8 @@ impl OverCellFlow {
             let _span = ocr_obs::span("flow.level_a");
             match ocr_channel::route_chip_channels(layout, placement, &set_a, self.level_a) {
                 Ok(a) => a,
-                Err(ocr_channel::ChannelError::Interrupted) if session.is_some() => {
-                    return interrupted_result(
-                        layout,
-                        placement,
-                        self.options,
-                        session.expect("guarded by the match arm"),
-                    );
+                Err(ocr_channel::ChannelError::Interrupted) => {
+                    return interrupted_result(layout, placement, self.options, session);
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -635,7 +550,7 @@ impl OverCellFlow {
         };
         // A tripped run always reports its degradation, salvage or not —
         // budget/cancel trips must never look like a complete result.
-        let tripped = session.is_some_and(|s| s.control.is_tripped());
+        let tripped = session.control.is_tripped();
         let degradation = (salvage || tripped).then_some(b.degraded);
         a.design.merge(b.design);
         Ok(assemble_result(
@@ -650,18 +565,6 @@ impl OverCellFlow {
 }
 
 impl Flow for OverCellFlow {
-    fn options(&self) -> FlowOptions {
-        self.options
-    }
-
-    fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
-    }
-
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        OverCellFlow::run(self, layout, placement)
-    }
-
     fn run_controlled(
         &self,
         layout: &Layout,
@@ -672,41 +575,49 @@ impl Flow for OverCellFlow {
     }
 }
 
-/// The two-layer all-channel baseline flow.
-#[derive(Clone, Debug, Default)]
-pub struct TwoLayerChannelFlow {
-    /// Chip-channel options (router kind forced to two-layer).
+/// An all-channel comparator flow: every net routed through the
+/// channels by one channel router — two-layer (the Table 2 baseline),
+/// three-layer HVH (the kind of multi-layer channel router the paper's
+/// related work, Chen & Liu and Bruell & Sun, provided) or four-layer
+/// HV+HV (the Table 3 real comparator).
+#[derive(Clone, Debug)]
+pub struct ChannelFlow {
+    /// Chip-channel options: the channel router and the column pitch
+    /// override.
     pub channel: ChipChannelOptions,
     /// Shared flow options (oracle verification).
     pub options: FlowOptions,
 }
 
-impl TwoLayerChannelFlow {
-    fn channel_opts(&self) -> ChipChannelOptions {
-        let mut opts = self.channel;
-        if let ChannelRouterKind::FourLayer(_) = opts.router {
-            opts.router = ChannelRouterKind::TwoLayer(Default::default());
+impl ChannelFlow {
+    /// A channel flow with the given router, the rules-derived pitch and
+    /// default options.
+    pub fn new(router: ChannelRouterKind) -> Self {
+        ChannelFlow {
+            channel: ChipChannelOptions {
+                router,
+                pitch: None,
+            },
+            options: FlowOptions::default(),
         }
-        opts
     }
 
-    /// Runs the baseline on a layout and placement.
+    /// Runs the comparator on a layout and placement — see
+    /// [`Flow::run`].
     ///
     /// # Errors
     ///
     /// Propagates channel routing errors.
     pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            run_channel_flow(self.options, layout, placement, self.channel_opts(), None)
-        })
+        self.run_controlled(layout, placement, &RunSession::default())
     }
 
-    /// [`TwoLayerChannelFlow::run`] under a [`RunSession`] — see
+    /// [`ChannelFlow::run`] under a [`RunSession`] — see
     /// [`Flow::run_controlled`].
     ///
     /// # Errors
     ///
-    /// As [`TwoLayerChannelFlow::run`], plus [`RouteError::Checkpoint`].
+    /// As [`ChannelFlow::run`], plus [`RouteError::Checkpoint`].
     pub fn run_controlled(
         &self,
         layout: &Layout,
@@ -715,200 +626,58 @@ impl TwoLayerChannelFlow {
     ) -> Result<FlowResult, RouteError> {
         run_with_telemetry(self.options, || {
             ocr_exec::with_control(&session.control, || {
-                run_channel_flow(
-                    self.options,
-                    layout,
-                    placement,
-                    self.channel_opts(),
-                    Some(session),
-                )
+                self.run_inner(layout, placement, session)
             })
         })
     }
-}
 
-impl Flow for TwoLayerChannelFlow {
-    fn options(&self) -> FlowOptions {
-        self.options
-    }
-
-    fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
-    }
-
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        TwoLayerChannelFlow::run(self, layout, placement)
-    }
-
-    fn run_controlled(
+    /// Partitions everything into set A, routes the chip channels and
+    /// assembles. A pre-tripped control or an interrupted channel stage
+    /// produces the all-failed [`interrupted_result`]; a completed run
+    /// leaves a header-only checkpoint behind when the session asks for
+    /// one.
+    fn run_inner(
         &self,
         layout: &Layout,
         placement: &RowPlacement,
         session: &RunSession,
     ) -> Result<FlowResult, RouteError> {
-        TwoLayerChannelFlow::run_controlled(self, layout, placement, session)
-    }
-}
-
-/// The three-layer (HVH) all-channel comparator flow — the kind of
-/// multi-layer channel router the paper's related work (Chen & Liu,
-/// Bruell & Sun) provided.
-#[derive(Clone, Debug, Default)]
-pub struct ThreeLayerChannelFlow {
-    /// Options for the per-channel two-lane left-edge run.
-    pub lea: ocr_channel::LeftEdgeOptions,
-    /// Column pitch override.
-    pub pitch: Option<Coord>,
-    /// Shared flow options (oracle verification).
-    pub options: FlowOptions,
-}
-
-impl ThreeLayerChannelFlow {
-    fn channel_opts(&self) -> ChipChannelOptions {
-        ChipChannelOptions {
-            router: ChannelRouterKind::ThreeLayer(self.lea),
-            pitch: self.pitch,
+        if session.control.is_tripped() {
+            return interrupted_result(layout, placement, self.options, session);
         }
-    }
-
-    /// Runs the comparator on a layout and placement.
-    ///
-    /// # Errors
-    ///
-    /// Propagates channel routing errors.
-    pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            run_channel_flow(self.options, layout, placement, self.channel_opts(), None)
-        })
-    }
-
-    /// [`ThreeLayerChannelFlow::run`] under a [`RunSession`] — see
-    /// [`Flow::run_controlled`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ThreeLayerChannelFlow::run`], plus
-    /// [`RouteError::Checkpoint`].
-    pub fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            ocr_exec::with_control(&session.control, || {
-                run_channel_flow(
-                    self.options,
-                    layout,
-                    placement,
-                    self.channel_opts(),
-                    Some(session),
-                )
-            })
-        })
+        let (set_a, _) = partition_nets(layout, &PartitionStrategy::AllA)?;
+        let a = {
+            let _span = ocr_obs::span("flow.channels");
+            match ocr_channel::route_chip_channels(layout, placement, &set_a, self.channel) {
+                Ok(a) => a,
+                Err(ocr_channel::ChannelError::Interrupted) => {
+                    return interrupted_result(layout, placement, self.options, session);
+                }
+                Err(e) => return Err(e.into()),
+            }
+        };
+        write_header_checkpoint(layout, self.options, session)?;
+        // Channel-only flows have no Level B stage to degrade, so a
+        // salvage run reports an empty (complete) degradation.
+        Ok(assemble_result(
+            a,
+            set_a,
+            Vec::new(),
+            None,
+            self.options,
+            self.options.salvage.then(Degradation::default),
+        ))
     }
 }
 
-impl Flow for ThreeLayerChannelFlow {
-    fn options(&self) -> FlowOptions {
-        self.options
-    }
-
-    fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
-    }
-
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        ThreeLayerChannelFlow::run(self, layout, placement)
-    }
-
+impl Flow for ChannelFlow {
     fn run_controlled(
         &self,
         layout: &Layout,
         placement: &RowPlacement,
         session: &RunSession,
     ) -> Result<FlowResult, RouteError> {
-        ThreeLayerChannelFlow::run_controlled(self, layout, placement, session)
-    }
-}
-
-/// The four-layer all-channel comparator flow.
-#[derive(Clone, Debug, Default)]
-pub struct FourLayerChannelFlow {
-    /// Options for the per-channel layer-pair decomposition.
-    pub multilayer: MultilayerOptions,
-    /// Column pitch override.
-    pub pitch: Option<Coord>,
-    /// Shared flow options (oracle verification).
-    pub options: FlowOptions,
-}
-
-impl FourLayerChannelFlow {
-    fn channel_opts(&self) -> ChipChannelOptions {
-        ChipChannelOptions {
-            router: ChannelRouterKind::FourLayer(self.multilayer),
-            pitch: self.pitch,
-        }
-    }
-
-    /// Runs the comparator on a layout and placement.
-    ///
-    /// # Errors
-    ///
-    /// Propagates channel routing errors.
-    pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            run_channel_flow(self.options, layout, placement, self.channel_opts(), None)
-        })
-    }
-
-    /// [`FourLayerChannelFlow::run`] under a [`RunSession`] — see
-    /// [`Flow::run_controlled`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FourLayerChannelFlow::run`], plus
-    /// [`RouteError::Checkpoint`].
-    pub fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            ocr_exec::with_control(&session.control, || {
-                run_channel_flow(
-                    self.options,
-                    layout,
-                    placement,
-                    self.channel_opts(),
-                    Some(session),
-                )
-            })
-        })
-    }
-}
-
-impl Flow for FourLayerChannelFlow {
-    fn options(&self) -> FlowOptions {
-        self.options
-    }
-
-    fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
-    }
-
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        FourLayerChannelFlow::run(self, layout, placement)
-    }
-
-    fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        FourLayerChannelFlow::run_controlled(self, layout, placement, session)
+        ChannelFlow::run_controlled(self, layout, placement, session)
     }
 }
 
@@ -986,6 +755,14 @@ mod tests {
         }
     }
 
+    /// The two-layer baseline at the fixture's 20-unit pitch.
+    fn two_layer10() -> ChannelFlow {
+        ChannelFlow {
+            channel: opts10(),
+            options: FlowOptions::default(),
+        }
+    }
+
     #[test]
     fn over_cell_flow_routes_everything() {
         let (l, p) = chip();
@@ -1005,11 +782,7 @@ mod tests {
     #[test]
     fn two_layer_baseline_routes_everything() {
         let (l, p) = chip();
-        let flow = TwoLayerChannelFlow {
-            channel: opts10(),
-            ..TwoLayerChannelFlow::default()
-        };
-        let res = flow.run(&l, &p).expect("flow");
+        let res = two_layer10().run(&l, &p).expect("flow");
         assert_eq!(res.metrics.routed_nets, 3);
         let errors = validate_routed_design(&res.layout, &res.design);
         assert!(errors.is_empty(), "{errors:?}");
@@ -1018,10 +791,8 @@ mod tests {
     #[test]
     fn four_layer_baseline_routes_everything() {
         let (l, p) = chip();
-        let flow = FourLayerChannelFlow {
-            pitch: Some(20),
-            ..FourLayerChannelFlow::default()
-        };
+        let mut flow = ChannelFlow::new(ChannelRouterKind::FourLayer(Default::default()));
+        flow.channel.pitch = Some(20);
         let res = flow.run(&l, &p).expect("flow");
         assert_eq!(res.metrics.routed_nets, 3);
         let errors = validate_routed_design(&res.layout, &res.design);
@@ -1037,12 +808,7 @@ mod tests {
         }
         .run(&l, &p)
         .expect("over-cell");
-        let two = TwoLayerChannelFlow {
-            channel: opts10(),
-            ..TwoLayerChannelFlow::default()
-        }
-        .run(&l, &p)
-        .expect("two-layer");
+        let two = two_layer10().run(&l, &p).expect("two-layer");
         assert!(
             over.metrics.layout_area <= two.metrics.layout_area,
             "over-cell {} vs two-layer {}",
@@ -1054,12 +820,7 @@ mod tests {
     #[test]
     fn analytic_estimate_is_bounded() {
         let (l, p) = chip();
-        let two = TwoLayerChannelFlow {
-            channel: opts10(),
-            ..TwoLayerChannelFlow::default()
-        }
-        .run(&l, &p)
-        .expect("two-layer");
+        let two = two_layer10().run(&l, &p).expect("two-layer");
         let est = run_analytic_four_layer_estimate(&two, &l);
         // Lower bound: rows alone. Upper bound: all tracks (unhalved)
         // laid out at the coarse four-layer pitch. Note the estimate may
@@ -1085,7 +846,7 @@ mod tests {
         let (l, p) = chip();
         let res = OverCellFlow {
             level_a: opts10(),
-            options: FlowOptions::verified(),
+            options: FlowOptions::new().verify(true),
             ..OverCellFlow::default()
         }
         .run(&l, &p)
@@ -1093,12 +854,7 @@ mod tests {
         let report = res.verify.expect("verify flag set, report attached");
         assert!(report.is_clean(), "{report}");
 
-        let silent = TwoLayerChannelFlow {
-            channel: opts10(),
-            ..TwoLayerChannelFlow::default()
-        }
-        .run(&l, &p)
-        .expect("flow");
+        let silent = two_layer10().run(&l, &p).expect("flow");
         assert!(silent.verify.is_none());
     }
 
@@ -1114,8 +870,7 @@ mod tests {
         });
         for kind in FlowKind::ALL {
             assert_eq!(FlowKind::from_name(kind.name()), Some(kind));
-            let flow = kind.build_with(FlowOptions::verified());
-            assert_eq!(flow.options(), FlowOptions::verified());
+            let flow = kind.build_with(FlowOptions::new().verify(true));
             let res = flow.run(&l, &p).unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(res.metrics.routed_nets, 3, "{kind}");
             assert!(res.verify.is_some(), "{kind}");

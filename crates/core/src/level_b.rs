@@ -75,7 +75,7 @@ pub struct LevelBRouter<'a> {
     pre_degraded: Vec<NetDegradation>,
     /// The run control of the active `route_all_with` call, consulted by
     /// the search internals to charge deterministic steps.
-    control: Option<RunControl>,
+    control: RunControl,
     /// Reusable MBFS state (PST arenas, free-run cache, frontier
     /// buffers), threaded through every window attempt.
     scratch: SearchScratch,
@@ -186,7 +186,7 @@ impl<'a> LevelBRouter<'a> {
             rip_exclusions: std::collections::HashMap::new(),
             doomed_nets,
             pre_degraded,
-            control: None,
+            control: RunControl::new(),
             scratch: SearchScratch::new(),
             stats: RoutingStats {
                 doomed_terminals,
@@ -216,18 +216,23 @@ impl<'a> LevelBRouter<'a> {
     /// from the grid and declared failed as `Poisoned` — the run keeps
     /// going and the result's [`LevelBResult::degraded`] report mirrors
     /// the failed list exactly.
+    ///
+    /// This is [`LevelBRouter::route_all_with`] under
+    /// [`RunSession::default`]: an unlimited control that never trips,
+    /// no checkpoint and no resume.
     pub fn route_all(&mut self) -> Result<LevelBResult, RouteError> {
-        self.route_all_with(None)
+        self.route_all_with(&RunSession::default())
     }
 
-    /// [`LevelBRouter::route_all`] under an optional [`RunSession`].
+    /// [`LevelBRouter::route_all`] under a [`RunSession`].
     ///
-    /// With a session, the run charges one deterministic step per
-    /// search-window attempt and one per rip-up against the session's
-    /// [`RunControl`], and polls it at every net-commit boundary. When
-    /// the control trips, the in-flight net's attempt is rolled back
-    /// (wiring *and* counters), it returns to the front of the queue,
-    /// and every net still queued is degraded with
+    /// The run charges one deterministic step per search-window attempt
+    /// and one per rip-up against the session's [`RunControl`], polls it
+    /// at every net-commit boundary, and reports the steps it charged as
+    /// the `run.steps` counter. When the control trips, the in-flight
+    /// net's attempt is rolled back (wiring *and* counters), it returns
+    /// to the front of the queue, and every net still queued is
+    /// degraded with
     /// [`DegradeReason::BudgetExceeded`] or [`DegradeReason::Cancelled`]
     /// — the committed subset stays oracle-clean and the report stays
     /// exhaustive.
@@ -243,13 +248,9 @@ impl<'a> LevelBRouter<'a> {
     /// the checkpointed progress instead of starting from the net
     /// ordering, which makes an interrupted-and-resumed run
     /// byte-identical to an uninterrupted one.
-    pub fn route_all_with(
-        &mut self,
-        session: Option<&RunSession>,
-    ) -> Result<LevelBResult, RouteError> {
-        self.control = session.map(|s| s.control.clone());
-        let control = self.control.clone();
-        let steps_before = control.as_ref().map_or(0, |c| c.steps());
+    pub fn route_all_with(&mut self, session: &RunSession) -> Result<LevelBResult, RouteError> {
+        self.control = session.control.clone();
+        let steps_before = self.control.steps();
         // Declare the rip-up counters up front so telemetry exports
         // always carry them, even for runs that never rip.
         for name in [
@@ -259,12 +260,10 @@ impl<'a> LevelBRouter<'a> {
             "level_b.doomed_terminals",
             "level_b.window_expansions",
             "level_b.maze_fallbacks",
+            "run.steps",
+            "run.cancelled",
         ] {
             ocr_obs::count(name, 0);
-        }
-        if control.is_some() {
-            ocr_obs::count("run.steps", 0);
-            ocr_obs::count("run.cancelled", 0);
         }
         let mut design = RoutedDesign::new(self.layout.die, self.layout.nets.len());
         let mut degraded = Degradation::default();
@@ -272,9 +271,7 @@ impl<'a> LevelBRouter<'a> {
             design.set_failed(d.net);
             degraded.nets.push(d);
         }
-        let resume = session
-            .and_then(|s| s.resume.as_ref())
-            .filter(|r| !r.is_fresh());
+        let resume = session.resume.as_ref().filter(|r| !r.is_fresh());
         let mut queue: std::collections::VecDeque<NetId>;
         let mut rips_left;
         let mut retries: std::collections::HashMap<u32, usize>;
@@ -301,7 +298,7 @@ impl<'a> LevelBRouter<'a> {
         while let Some(net) = queue.pop_front() {
             // Net-commit boundary: a tripped control stops the run here
             // with the queue intact (this net included).
-            if control.as_ref().is_some_and(|c| c.is_tripped()) {
+            if self.control.is_tripped() {
                 queue.push_front(net);
                 break;
             }
@@ -343,7 +340,7 @@ impl<'a> LevelBRouter<'a> {
                     }
                     design.set_route(net, route);
                     commits += 1;
-                    if let Some(spec) = session.and_then(|s| s.checkpoint.as_ref()) {
+                    if let Some(spec) = &session.checkpoint {
                         if commits.is_multiple_of(spec.every.max(1)) {
                             self.write_checkpoint_file(
                                 spec, &design, &degraded, &queue, rips_left, &retries,
@@ -370,7 +367,7 @@ impl<'a> LevelBRouter<'a> {
                     let tries = retries.entry(net.0).or_insert(0);
                     if rips_left > 0 && *tries < 4 && !rippable.is_empty() {
                         // One deterministic step per rip-up decision.
-                        if control.as_ref().is_some_and(|c| c.charge(1).is_some()) {
+                        if self.control.charge(1).is_some() {
                             self.stats = snapshot;
                             queue.push_front(net);
                             break;
@@ -417,10 +414,10 @@ impl<'a> LevelBRouter<'a> {
         // The final checkpoint goes out *before* the remaining nets are
         // degraded, so a tripped run's checkpoint still lists them as
         // pending and a resume re-attempts them.
-        if let Some(spec) = session.and_then(|s| s.checkpoint.as_ref()) {
+        if let Some(spec) = &session.checkpoint {
             self.write_checkpoint_file(spec, &design, &degraded, &queue, rips_left, &retries)?;
         }
-        if let Some(reason) = control.as_ref().and_then(|c| c.tripped()) {
+        if let Some(reason) = self.control.tripped() {
             let degrade = match reason {
                 TripReason::BudgetExceeded => DegradeReason::BudgetExceeded,
                 TripReason::Cancelled | TripReason::DeadlineExceeded => DegradeReason::Cancelled,
@@ -431,9 +428,7 @@ impl<'a> LevelBRouter<'a> {
                 design.set_failed(net);
             }
         }
-        if let Some(c) = &control {
-            ocr_obs::count("run.steps", c.steps() - steps_before);
-        }
+        ocr_obs::count("run.steps", self.control.steps() - steps_before);
         self.stats.nets_routed = self
             .nets
             .iter()
@@ -586,7 +581,7 @@ impl<'a> LevelBRouter<'a> {
             flow: spec.flow.clone(),
             chip_hash: spec.chip_hash,
             salvage: self.config.salvage,
-            steps: self.control.as_ref().map_or(0, |c| c.steps()),
+            steps: self.control.steps(),
             rips_left: rips_left as u64,
             stats: stats_to_pairs(&self.stats),
             routed,
@@ -955,10 +950,8 @@ impl<'a> LevelBRouter<'a> {
             // One deterministic step per search-window attempt. On a
             // trip the caller unwinds this net's attempt entirely, so a
             // resumed run re-attempts (and re-charges) it from scratch.
-            if let Some(c) = &self.control {
-                if c.charge(1).is_some() {
-                    return Err(RouteError::Interrupted);
-                }
+            if self.control.charge(1).is_some() {
+                return Err(RouteError::Interrupted);
             }
             // Chaos hook: burn a window-expansion attempt as if the
             // search had failed at this margin.
@@ -1510,7 +1503,7 @@ mod tests {
         )
         .expect("router");
         let session = RunSession::with_control(RunControl::new());
-        let res = r.route_all_with(Some(&session)).expect("route_all");
+        let res = r.route_all_with(&session).expect("route_all");
         assert_eq!(res.stats.nets_failed, 1);
         assert_eq!(
             session.control.steps(),
@@ -1545,7 +1538,7 @@ mod tests {
         )
         .expect("router");
         let session = RunSession::with_control(RunControl::new());
-        let res = r.route_all_with(Some(&session)).expect("route_all");
+        let res = r.route_all_with(&session).expect("route_all");
         assert_eq!(res.stats.nets_failed, 1);
         assert!(
             res.stats.window_expansions > 1,

@@ -67,8 +67,8 @@ pub use cost::{CostWeights, WeightsError};
 pub use degrade::{Degradation, DegradeReason, NetDegradation};
 pub use error::RouteError;
 pub use flow::{
-    run_analytic_four_layer_estimate, Flow, FlowKind, FlowOptions, FlowResult,
-    FourLayerChannelFlow, OverCellFlow, ThreeLayerChannelFlow, TwoLayerChannelFlow,
+    run_analytic_four_layer_estimate, ChannelFlow, Flow, FlowKind, FlowOptions, FlowResult,
+    OverCellFlow,
 };
 pub use level_b::{LevelBResult, LevelBRouter};
 pub use order::{

@@ -192,7 +192,7 @@ fn run_attempt(
     let session = RunSession::with_control(control.clone());
     let b = ocr_exec::with_control(&control, || {
         let mut router = LevelBRouter::new(layout, set_b, config)?;
-        router.route_all_with(Some(&session))
+        router.route_all_with(&session)
     })?;
     Ok((b, control.steps()))
 }

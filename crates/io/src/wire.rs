@@ -455,8 +455,10 @@ pub fn response_payload(response: &Response) -> String {
     }
 }
 
-/// The payload text after its first `n` whitespace-separated tokens.
-fn after_tokens(payload: &str, n: usize) -> Option<&str> {
+/// The payload text after its first `n` whitespace-separated tokens —
+/// free-text tail fields (paths, details) keep their internal spacing.
+/// Shared by the wire and journal payload parsers.
+pub fn after_tokens(payload: &str, n: usize) -> Option<&str> {
     let mut rest = payload.trim_start();
     for _ in 0..n {
         let idx = rest.find(char::is_whitespace)?;

@@ -29,6 +29,7 @@
 use crate::ServeError;
 use ocr_io::job::{JobRecord, JobSpec, STATUS_TOKENS};
 use ocr_io::journal::{frame_record, replay_journal, JOURNAL_MAGIC};
+use ocr_io::wire::after_tokens;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -239,17 +240,6 @@ fn untoken(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// The payload text after its first `n` whitespace-separated tokens —
-/// free-text tail fields (paths, details) keep their internal spacing.
-fn after_tokens(payload: &str, n: usize) -> Option<&str> {
-    let mut rest = payload.trim_start();
-    for _ in 0..n {
-        let idx = rest.find(char::is_whitespace)?;
-        rest = rest[idx..].trim_start();
-    }
-    Some(rest)
 }
 
 fn rebuild(records: &[(usize, String)]) -> (Vec<RecoveredJob>, Vec<String>) {

@@ -8,9 +8,7 @@
 //! cargo run --release --example macro_cell_chip
 //! ```
 
-use overcell_router::core::{
-    run_analytic_four_layer_estimate, FourLayerChannelFlow, OverCellFlow, TwoLayerChannelFlow,
-};
+use overcell_router::core::{run_analytic_four_layer_estimate, FlowKind, OverCellFlow};
 use overcell_router::gen::suite;
 use overcell_router::netlist::{validate_routed_design, RouteMetrics};
 
@@ -25,8 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let over = OverCellFlow::default().run(&chip.layout, &chip.placement)?;
-    let two = TwoLayerChannelFlow::default().run(&chip.layout, &chip.placement)?;
-    let four = FourLayerChannelFlow::default().run(&chip.layout, &chip.placement)?;
+    let two = FlowKind::Channel2
+        .build()
+        .run(&chip.layout, &chip.placement)?;
+    let four = FlowKind::Channel4
+        .build()
+        .run(&chip.layout, &chip.placement)?;
 
     for (name, flow) in [
         ("over-cell 4L", &over),

@@ -299,4 +299,11 @@ for f in crates/io/src/*.rs; do
     fi
 done
 
+echo "==> perfbench (self-tests + exact work-count gate against perfbench/counts.txt)"
+# The benchmark is a package of its own on the workspace crates: this
+# catches a core API change that breaks it, and --check fails on any
+# changed expanded-vertex, maze-cell or quality count.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+cargo run -q --release --manifest-path perfbench/Cargo.toml -- --check
+
 echo "==> ci: all green"

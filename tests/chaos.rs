@@ -29,7 +29,7 @@ fn salvage_mode_is_byte_identical_on_clean_chips() {
     for kind in FlowKind::ALL {
         for threads in [1, 4] {
             let plain = routes_text(kind, FlowOptions::default(), threads);
-            let salvaged = routes_text(kind, FlowOptions::salvaged(), threads);
+            let salvaged = routes_text(kind, FlowOptions::new().salvage(true), threads);
             assert_eq!(
                 plain, salvaged,
                 "{kind} at {threads} thread(s): salvage must not perturb routing"
@@ -135,7 +135,7 @@ fn poisoned_chaos_trials_are_isolated_from_the_suite_run() {
             }
             let chip = storm_chip(t as u64 + 1);
             FlowKind::OverCell
-                .build_with(FlowOptions::salvaged())
+                .build_with(FlowOptions::new().salvage(true))
                 .run(&chip.layout, &chip.placement)
                 .map(|r| r.degradation.expect("salvage report").salvaged_routes)
                 .expect("salvage must not error")
@@ -176,7 +176,7 @@ fn injected_delays_under_a_tight_deadline_degrade_instead_of_hanging() {
     let started = Instant::now();
     let result = fault::with_plan(&plan, || {
         FlowKind::OverCell
-            .build_with(FlowOptions::verified())
+            .build_with(FlowOptions::new().verify(true))
             .run_controlled(&chip.layout, &chip.placement, &session)
             .expect("a deadline trip is a degraded result, not an error")
     });

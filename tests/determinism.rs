@@ -24,7 +24,7 @@ fn run_text(
     placement: &overcell_router::netlist::RowPlacement,
 ) -> (String, VerifyReport) {
     let result: FlowResult = kind
-        .build_with(FlowOptions::verified())
+        .build_with(FlowOptions::new().verify(true))
         .run(layout, placement)
         .unwrap_or_else(|e| panic!("{kind}: {e}"));
     let text = write_routes(&result.layout, &result.design);
@@ -73,7 +73,7 @@ fn strict_verification_is_thread_count_independent() {
     for kind in FlowKind::ALL {
         let run = |threads: usize| {
             with_threads(threads, || {
-                kind.build_with(FlowOptions::verified_strict())
+                kind.build_with(FlowOptions::new().verify(true).strict(true))
                     .run(&chip.layout, &chip.placement)
                     .unwrap_or_else(|e| panic!("{kind}: {e}"))
                     .verify

@@ -3,7 +3,6 @@
 
 use overcell_router::core::{
     run_analytic_four_layer_estimate, FlowKind, FlowOptions, OverCellFlow, PartitionStrategy,
-    ThreeLayerChannelFlow, TwoLayerChannelFlow,
 };
 use overcell_router::gen::random::small_random;
 use overcell_router::gen::suite;
@@ -30,10 +29,12 @@ fn every_flow_on_many_seeds() {
 #[test]
 fn three_layer_flow_between_two_and_four_layer_tracks() {
     let chip = small_random(8, 2, 4, 16, 3);
-    let two = TwoLayerChannelFlow::default()
+    let two = FlowKind::Channel2
+        .build()
         .run(&chip.layout, &chip.placement)
         .expect("two-layer");
-    let three = ThreeLayerChannelFlow::default()
+    let three = FlowKind::Channel3
+        .build()
         .run(&chip.layout, &chip.placement)
         .expect("three-layer");
     // Per-channel, two-lane tracks never exceed single-lane tracks.
@@ -49,7 +50,8 @@ fn over_cell_never_larger_than_two_layer_baseline() {
         let over = OverCellFlow::default()
             .run(&chip.layout, &chip.placement)
             .expect("over-cell");
-        let two = TwoLayerChannelFlow::default()
+        let two = FlowKind::Channel2
+            .build()
             .run(&chip.layout, &chip.placement)
             .expect("two-layer");
         assert!(
@@ -81,7 +83,8 @@ fn all_b_partition_minimizes_channels() {
 #[test]
 fn analytic_estimate_is_positive_and_bounded_by_real_two_layer_height() {
     let chip = small_random(6, 2, 3, 12, 4);
-    let two = TwoLayerChannelFlow::default()
+    let two = FlowKind::Channel2
+        .build()
         .run(&chip.layout, &chip.placement)
         .expect("two-layer");
     let est = run_analytic_four_layer_estimate(&two, &chip.layout);
@@ -129,7 +132,7 @@ fn suite_chips_pass_the_independent_oracle_in_all_flows() {
         let name = &chip.spec.name;
         for kind in [FlowKind::OverCell, FlowKind::Channel2, FlowKind::Channel4] {
             let res = kind
-                .build_with(FlowOptions::verified())
+                .build_with(FlowOptions::new().verify(true))
                 .run(&chip.layout, &chip.placement)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             let report = res.verify.expect("verify requested");

@@ -2,10 +2,7 @@
 //! Tables 1–3 and the Figure 1 walk-through must hold on the synthetic
 //! benchmark suite. (Absolute magnitudes differ — see EXPERIMENTS.md.)
 
-use overcell_router::core::{
-    run_analytic_four_layer_estimate, FourLayerChannelFlow, OverCellFlow, ThreeLayerChannelFlow,
-    TwoLayerChannelFlow,
-};
+use overcell_router::core::{run_analytic_four_layer_estimate, FlowKind, OverCellFlow};
 use overcell_router::gen::suite;
 use overcell_router::netlist::{coupling_report, ChipMetrics};
 
@@ -43,7 +40,8 @@ fn table2_shape_over_cell_beats_two_layer() {
         let over = OverCellFlow::default()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let two = TwoLayerChannelFlow::default()
+        let two = FlowKind::Channel2
+            .build()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(over.design.failed.is_empty() && two.design.failed.is_empty());
@@ -68,10 +66,12 @@ fn table3_shape_over_cell_beats_four_layer_channels() {
         let over = OverCellFlow::default()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let two = TwoLayerChannelFlow::default()
+        let two = FlowKind::Channel2
+            .build()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let four = FourLayerChannelFlow::default()
+        let four = FlowKind::Channel4
+            .build()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let estimate = run_analytic_four_layer_estimate(&two, &chip.layout);
@@ -133,7 +133,8 @@ fn crosstalk_shape_channel_flows_stack_wires() {
     let over = OverCellFlow::default()
         .run(&chip.layout, &chip.placement)
         .expect("over-cell");
-    let three = ThreeLayerChannelFlow::default()
+    let three = FlowKind::Channel3
+        .build()
         .run(&chip.layout, &chip.placement)
         .expect("3-layer");
     let r_over = coupling_report(&over.design, pitch);

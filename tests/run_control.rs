@@ -19,6 +19,7 @@ use overcell_router::core::{
 };
 use overcell_router::exec::{with_threads, RunControl};
 use overcell_router::gen::random::small_random;
+use overcell_router::gen::suite;
 use overcell_router::gen::GeneratedChip;
 use overcell_router::io::ckpt::{fnv1a_64, parse_checkpoint};
 use overcell_router::io::{write_chip, write_routes};
@@ -171,7 +172,7 @@ fn cancelled_run_degrades_every_net_and_is_oracle_clean() {
         let control = RunControl::new();
         control.cancel();
         let session = RunSession::with_control(control);
-        let result = run_controlled(kind, FlowOptions::verified(), &chip, &session, 1);
+        let result = run_controlled(kind, FlowOptions::new().verify(true), &chip, &session, 1);
         assert_exhaustive(kind, &chip, &result);
         let degradation = result.degradation.as_ref().expect("degradation attached");
         assert!(
@@ -199,7 +200,7 @@ fn budget_trip_is_oracle_clean_with_typed_reasons() {
     let kind = FlowKind::OverCell;
     for budget in [2u64, 6, 14] {
         let session = RunSession::with_control(RunControl::new().with_step_budget(budget));
-        let result = run_controlled(kind, FlowOptions::verified(), &chip, &session, 1);
+        let result = run_controlled(kind, FlowOptions::new().verify(true), &chip, &session, 1);
         if !session.control.is_tripped() {
             continue;
         }
@@ -230,7 +231,7 @@ fn an_expired_deadline_cancels_before_any_work() {
     for kind in FlowKind::ALL {
         let control = RunControl::new().with_deadline_in(std::time::Duration::ZERO);
         let session = RunSession::with_control(control);
-        let result = run_controlled(kind, FlowOptions::verified(), &chip, &session, 1);
+        let result = run_controlled(kind, FlowOptions::new().verify(true), &chip, &session, 1);
         assert!(
             session.control.is_tripped(),
             "{kind}: a zero deadline must trip"
@@ -347,7 +348,13 @@ fn trips_add_no_strict_violations_and_empty_trips_are_strict_clean() {
         let control = RunControl::new();
         control.cancel();
         let session = RunSession::with_control(control);
-        let result = run_controlled(kind, FlowOptions::verified_strict(), &chip, &session, 1);
+        let result = run_controlled(
+            kind,
+            FlowOptions::new().verify(true).strict(true),
+            &chip,
+            &session,
+            1,
+        );
         let report = result.verify.as_ref().expect("verify requested");
         assert!(
             report.is_clean(),
@@ -357,7 +364,7 @@ fn trips_add_no_strict_violations_and_empty_trips_are_strict_clean() {
 
     let kind = FlowKind::OverCell;
     let full = kind
-        .build_with(FlowOptions::verified_strict())
+        .build_with(FlowOptions::new().verify(true).strict(true))
         .run(&chip.layout, &chip.placement)
         .expect("flow");
     let full_strict: Vec<String> = full
@@ -369,13 +376,61 @@ fn trips_add_no_strict_violations_and_empty_trips_are_strict_clean() {
         .collect();
     for budget in [2u64, 6, 14] {
         let session = RunSession::with_control(RunControl::new().with_step_budget(budget));
-        let result = run_controlled(kind, FlowOptions::verified_strict(), &chip, &session, 1);
+        let result = run_controlled(
+            kind,
+            FlowOptions::new().verify(true).strict(true),
+            &chip,
+            &session,
+            1,
+        );
         let report = result.verify.as_ref().expect("verify requested");
         for v in &report.violations {
             assert!(
                 full_strict.contains(&v.to_string()),
                 "budget {budget}: the trip introduced a strict violation \
                  the uninterrupted run does not have: {v}"
+            );
+        }
+    }
+}
+
+#[test]
+fn plain_run_is_an_unlimited_controlled_run() {
+    // One run path: `run` is `run_controlled` under the default session
+    // (unlimited control, no checkpoint, no resume), so the two must
+    // agree on routes, metrics, stats and every counter. `exec.*`
+    // counters are excluded — the worker split depends on scheduling.
+    let counters = |result: &FlowResult| -> Vec<(String, u64)> {
+        let telemetry = result.telemetry.as_ref().expect("telemetry flag set");
+        telemetry
+            .counters
+            .iter()
+            .filter(|(name, _)| !name.starts_with("exec."))
+            .cloned()
+            .collect()
+    };
+    let options = FlowOptions::new().telemetry(true);
+    for chip in suite::all() {
+        for kind in FlowKind::ALL {
+            let flow = kind.build_with(options);
+            let plain = flow
+                .run(&chip.layout, &chip.placement)
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let controlled = flow
+                .run_controlled(&chip.layout, &chip.placement, &RunSession::default())
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let name = &chip.spec.name;
+            assert_eq!(
+                write_routes(&plain.layout, &plain.design),
+                write_routes(&controlled.layout, &controlled.design),
+                "{kind} on {name}: routes differ"
+            );
+            assert_eq!(plain.metrics, controlled.metrics, "{kind} on {name}");
+            assert_eq!(plain.stats, controlled.stats, "{kind} on {name}");
+            assert_eq!(
+                counters(&plain),
+                counters(&controlled),
+                "{kind} on {name}: counters differ"
             );
         }
     }

@@ -30,7 +30,8 @@ fn routes_are_byte_identical_with_telemetry_on_and_off() {
     for kind in FlowKind::ALL {
         for threads in [1, 4] {
             let (plain, no_telemetry) = routes_text(kind, FlowOptions::default(), threads);
-            let (instrumented, telemetry) = routes_text(kind, FlowOptions::instrumented(), threads);
+            let (instrumented, telemetry) =
+                routes_text(kind, FlowOptions::new().telemetry(true), threads);
             assert!(no_telemetry.is_none());
             assert!(telemetry.is_some(), "{kind}: telemetry attached");
             assert_eq!(
@@ -50,14 +51,14 @@ fn verify_report_is_identical_with_telemetry_on_and_off() {
             .run(&chip.layout, &chip.placement)
             .expect("flow")
     };
-    let plain = run(FlowOptions::verified());
-    let instrumented = run(FlowOptions::verified().telemetry(true));
+    let plain = run(FlowOptions::new().verify(true));
+    let instrumented = run(FlowOptions::new().verify(true).telemetry(true));
     assert_eq!(plain.verify, instrumented.verify);
 }
 
 #[test]
 fn overcell_telemetry_carries_phases_and_rip_counters() {
-    let (_, telemetry) = routes_text(FlowKind::OverCell, FlowOptions::instrumented(), 4);
+    let (_, telemetry) = routes_text(FlowKind::OverCell, FlowOptions::new().telemetry(true), 4);
     let t = telemetry.expect("telemetry attached");
     let aggs = t.aggregate();
     for phase in ["flow.partition", "flow.level_a", "flow.level_b"] {
@@ -82,7 +83,7 @@ fn overcell_telemetry_carries_phases_and_rip_counters() {
 
 #[test]
 fn stats_json_round_trips_through_the_bundled_parser() {
-    let (_, telemetry) = routes_text(FlowKind::OverCell, FlowOptions::instrumented(), 2);
+    let (_, telemetry) = routes_text(FlowKind::OverCell, FlowOptions::new().telemetry(true), 2);
     let t = telemetry.expect("telemetry attached");
     let text = obs::stats_json(&[("testchip", "overcell", &t)]);
     let doc = json::parse(&text).expect("stats JSON parses");
