@@ -15,23 +15,14 @@
 //! the checked-in snapshot doubles as a regression fence: a diff means
 //! routing behaviour changed.
 
+use ocr_bench::harness;
 use ocr_core::{OverCellFlow, PartitionStrategy, RunSession};
 use ocr_exec::RunControl;
 use ocr_gen::suite;
 use ocr_netlist::validate_routed_design;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => {
-                eprintln!("error: budget_sweep: flag `--json` requires a value");
-                std::process::exit(2);
-            }
-        });
+    let json_path = harness::json_path("budget_sweep");
     let mut area_rows: Vec<String> = Vec::new();
     let mut step_rows: Vec<String> = Vec::new();
     let chip = suite::ami33_like();
@@ -119,19 +110,14 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let doc = format!(
-            "{{\n  \"schema\": \"ocr-bench-v1\",\n  \"bench\": \"budget_sweep\",\n  \
-             \"chip\": \"ami33\",\n  \"area_sweep\": [\n{}\n  ],\n  \
-             \"step_sweep\": [\n{}\n  ]\n}}\n",
-            area_rows.join(",\n"),
-            step_rows.join(",\n")
+        harness::write_snapshot(
+            &path,
+            "budget_sweep",
+            &[
+                ("chip", "\"ami33\"".to_string()),
+                ("area_sweep", harness::json_rows(&area_rows)),
+                ("step_sweep", harness::json_rows(&step_rows)),
+            ],
         );
-        match std::fs::write(&path, doc) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 }

@@ -16,28 +16,14 @@
 //! (a diff means search behaviour changed); timings are a property of
 //! the host.
 
+use ocr_bench::harness;
 use ocr_core::{FlowKind, FlowOptions, FlowResult};
 use ocr_gen::suite;
-use std::process::ExitCode;
 use std::time::Duration;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => {
-                eprintln!("error: inner_loop: flag `--json` requires a value");
-                std::process::exit(2);
-            }
-        });
-    let runs: usize = if std::env::var_os("OCR_BENCH_QUICK").is_some() {
-        1
-    } else {
-        5
-    };
+fn main() {
+    let json_path = harness::json_path("inner_loop");
+    let runs: usize = if harness::quick() { 1 } else { 5 };
     println!("Level B inner loop: expanded TIG vertices per second (median of {runs})");
     println!(
         "{:<8} {:>10} {:>12} {:>14}",
@@ -80,8 +66,7 @@ fn main() -> ExitCode {
             );
             samples.push(level_b_ns(&res));
         }
-        samples.sort();
-        let median_ns = samples[samples.len() / 2];
+        let median_ns = harness::median(samples);
         let vps = expanded as f64 / (median_ns as f64 / 1e9).max(f64::EPSILON);
         println!(
             "{name:<8} {expanded:>10} {:>12.3?} {vps:>14.0}",
@@ -93,16 +78,13 @@ fn main() -> ExitCode {
         ));
     }
     if let Some(path) = json_path {
-        let doc = format!(
-            "{{\n  \"schema\": \"ocr-bench-v1\",\n  \"bench\": \"inner_loop\",\n  \
-             \"runs\": {runs},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
+        harness::write_snapshot(
+            &path,
+            "inner_loop",
+            &[
+                ("runs", runs.to_string()),
+                ("rows", harness::json_rows(&rows)),
+            ],
         );
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
     }
-    ExitCode::SUCCESS
 }

@@ -14,6 +14,7 @@
 //! printed to stdout only. `OCR_BENCH_QUICK=1` surveys the first suite
 //! chip alone.
 
+use ocr_bench::harness;
 use ocr_core::{ordering_from_name, FlowKind, FlowOptions, OverCellFlow, RunSession};
 use ocr_exec::RunControl;
 use ocr_gen::suite;
@@ -28,19 +29,9 @@ const STRATEGIES: [&str; 5] = [
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => {
-                eprintln!("error: ordering_portfolio: flag `--json` requires a value");
-                std::process::exit(2);
-            }
-        });
+    let json_path = harness::json_path("ordering_portfolio");
     let mut chips = suite::all();
-    if std::env::var_os("OCR_BENCH_QUICK").is_some() {
+    if harness::quick() {
         chips.truncate(1);
     }
     let mut rows: Vec<String> = Vec::new();
@@ -101,17 +92,10 @@ fn main() {
         ));
     }
     if let Some(path) = json_path {
-        let doc = format!(
-            "{{\n  \"schema\": \"ocr-bench-v1\",\n  \"bench\": \"ordering_portfolio\",\n  \
-             \"rows\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
+        harness::write_snapshot(
+            &path,
+            "ordering_portfolio",
+            &[("rows", harness::json_rows(&rows))],
         );
-        match std::fs::write(&path, doc) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 }

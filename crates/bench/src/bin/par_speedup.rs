@@ -18,6 +18,7 @@
 //! Bit-identity *is* asserted — the binary exits non-zero on any
 //! divergence.
 
+use ocr_bench::harness;
 use ocr_core::{FlowKind, FlowOptions, FlowResult};
 use ocr_gen::suite;
 use ocr_io::write_routes;
@@ -26,39 +27,25 @@ use std::time::{Duration, Instant};
 
 fn median_time(runs: usize, mut f: impl FnMut()) -> Duration {
     f(); // warm-up
-    let mut samples: Vec<Duration> = (0..runs)
+    let samples = (0..runs)
         .map(|_| {
             let t = Instant::now();
             f();
             t.elapsed()
         })
         .collect();
-    samples.sort();
-    samples[samples.len() / 2]
+    harness::median(samples)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => {
-                eprintln!("error: par_speedup: flag `--json` requires a value");
-                std::process::exit(2);
-            }
-        });
+    let json_path = harness::json_path("par_speedup");
     let threads: usize = args
         .iter()
         .find(|a| !a.starts_with('-') && Some(a.as_str()) != json_path.as_deref())
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
-    let runs: usize = if std::env::var_os("OCR_BENCH_QUICK").is_some() {
-        1
-    } else {
-        5
-    };
+    let runs: usize = if harness::quick() { 1 } else { 5 };
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -123,17 +110,16 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = json_path {
-        let doc = format!(
-            "{{\n  \"schema\": \"ocr-bench-v1\",\n  \"bench\": \"par_speedup\",\n  \
-             \"threads\": {threads},\n  \"runs\": {runs},\n  \"hardware_threads\": {hw},\n  \
-             \"rows\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
+        harness::write_snapshot(
+            &path,
+            "par_speedup",
+            &[
+                ("threads", threads.to_string()),
+                ("runs", runs.to_string()),
+                ("hardware_threads", hw.to_string()),
+                ("rows", harness::json_rows(&rows)),
+            ],
         );
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
     }
     if divergent > 0 {
         eprintln!("error: {divergent} stage(s) diverged between 1 and {threads} threads");

@@ -57,10 +57,61 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        let quick = std::env::args().any(|a| a == "--test")
-            || std::env::var_os("OCR_BENCH_QUICK").is_some();
+        let quick = std::env::args().any(|a| a == "--test") || quick();
         Criterion { quick }
     }
+}
+
+/// `true` when `OCR_BENCH_QUICK` is set: benches and bench binaries
+/// then do the least work that still exercises every code path.
+pub fn quick() -> bool {
+    std::env::var_os("OCR_BENCH_QUICK").is_some()
+}
+
+/// The median of `samples` (the upper one for an even count).
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub fn median<T: Ord + Copy>(mut samples: Vec<T>) -> T {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+/// The `FILE` of a bench binary's `--json FILE` option, if given. A
+/// `--json` without a value is a usage error: it exits with status 2.
+pub fn json_path(bench: &str) -> Option<String> {
+    let mut args = std::env::args().skip(1).skip_while(|a| a != "--json");
+    args.next()?;
+    let path = args.next();
+    if path.is_none() {
+        eprintln!("error: {bench}: flag `--json` requires a value");
+        std::process::exit(2);
+    }
+    path
+}
+
+/// A JSON array of pre-rendered rows, one per line, as a
+/// [`write_snapshot`] field value.
+pub fn json_rows(rows: &[String]) -> String {
+    format!("[\n{}\n  ]", rows.join(",\n"))
+}
+
+/// Writes an `ocr-bench-v1` snapshot to `path`: the schema and the
+/// bench name, then `fields` in order, each value already JSON. Reports
+/// `wrote PATH` on stderr; exits with status 1 when the file cannot be
+/// written.
+pub fn write_snapshot(path: &str, bench: &str, fields: &[(&str, String)]) {
+    let mut doc = format!("{{\n  \"schema\": \"ocr-bench-v1\",\n  \"bench\": \"{bench}\"");
+    for (key, value) in fields {
+        doc.push_str(&format!(",\n  \"{key}\": {value}"));
+    }
+    doc.push_str("\n}\n");
+    if let Err(e) = std::fs::write(path, doc) {
+        eprintln!("error: {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
 }
 
 impl Criterion {
@@ -223,9 +274,8 @@ impl Bencher {
             }
             samples.push(start.elapsed() / iters as u32);
         }
-        samples.sort();
         Report {
-            median: samples[samples.len() / 2],
+            median: median(samples),
             iters,
             samples: sample_size,
         }

@@ -79,14 +79,7 @@ pub fn fnv1a_64(text: &str) -> u64 {
 /// (comment starts, line breaks) in free-text fields such as panic
 /// messages inside degradation reasons.
 fn sanitize(field: &str) -> String {
-    field
-        .chars()
-        .map(|c| match c {
-            '#' => '?',
-            c if c.is_control() => ' ',
-            c => c,
-        })
-        .collect()
+    crate::wire::one_line(field).replace('#', "?")
 }
 
 /// Serializes a checkpoint for `layout` into `ocr-ckpt-v1` text.

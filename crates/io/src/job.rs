@@ -22,10 +22,19 @@
 //! job beta failed steps 0 routed 0 degraded 0 preempts 0 detail chip missing
 //! ```
 //!
+//! This module owns the job grammar: [`write_job_options`] /
+//! [`parse_job_options`] for the option tail, [`write_record_fields`] /
+//! [`parse_record_fields`] for a record's fields. The manifests, the
+//! wire's `submit` line ([`crate::wire`]) and the service journal's
+//! `accept`/`end` events all call them; each carrier adds only its
+//! prefix and its own handling of names, chip paths and detail text.
+//! Option values are always written by [`one_token`].
+//!
 //! Both parsers take untrusted text, so — like every other `ocr-io`
 //! format — they return a line-numbered [`ParseError`] on any malformed
 //! input and never panic.
 
+use crate::wire::{after_tokens, one_line};
 use crate::ParseError;
 use std::fmt::Write as _;
 
@@ -112,9 +121,7 @@ pub struct JobRecord {
 /// Keeps free text on one token-safe line: control characters and the
 /// comment introducer collapse to spaces so a record always re-parses.
 fn sanitize(text: &str) -> String {
-    text.chars()
-        .map(|c| if c.is_control() || c == '#' { ' ' } else { c })
-        .collect()
+    one_line(text).replace('#', " ")
 }
 
 /// `true` for a job name both manifests accept: `[A-Za-z0-9._-]`, at
@@ -122,10 +129,6 @@ fn sanitize(text: &str) -> String {
 /// name. The batch service consults this before creating per-job
 /// result directories for names that arrived outside a manifest.
 pub fn valid_job_name(name: &str) -> bool {
-    valid_name(name)
-}
-
-fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && !name.starts_with('.')
         && name.len() <= 64
@@ -134,38 +137,174 @@ fn valid_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
 }
 
+/// The error text for a name or tenant outside [`valid_job_name`]'s
+/// shape.
+pub(crate) fn bad_name(what: &str, name: &str) -> String {
+    format!("bad {what} `{name}` (want [A-Za-z0-9._-]{{1,64}}, no leading dot)")
+}
+
+/// Writes a value as one token: whitespace becomes `_` and an empty
+/// value becomes `-`, so a value never shifts the positions of the
+/// tokens after it. Every carrier writes option values this way; the
+/// service journal writes names and chip paths this way too.
+pub fn one_token(value: &str) -> String {
+    if value.is_empty() {
+        return "-".to_string();
+    }
+    value
+        .chars()
+        .map(|c| if c.is_whitespace() { '_' } else { c })
+        .collect()
+}
+
+/// Renders a spec's option tail — ` flow F`, ` order O`, ` priority P`,
+/// ` max-steps N`, ` salvage`, ` verify`, ` tenant T`, in that order,
+/// each with its leading space — leaving out options at their default.
+pub fn write_job_options(spec: &JobSpec) -> String {
+    let mut out = String::new();
+    if spec.flow != "overcell" {
+        let _ = write!(out, " flow {}", one_token(&spec.flow));
+    }
+    if let Some(order) = &spec.order {
+        let _ = write!(out, " order {}", one_token(order));
+    }
+    if spec.priority != 0 {
+        let _ = write!(out, " priority {}", spec.priority);
+    }
+    if let Some(steps) = spec.max_steps {
+        let _ = write!(out, " max-steps {steps}");
+    }
+    if spec.salvage {
+        out.push_str(" salvage");
+    }
+    if spec.verify {
+        out.push_str(" verify");
+    }
+    if let Some(tenant) = &spec.tenant {
+        let _ = write!(out, " tenant {}", one_token(tenant));
+    }
+    out
+}
+
+fn parse_num<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    token
+        .parse()
+        .map_err(|e| format!("bad {what} `{token}`: {e}"))
+}
+
+/// Parses an option tail (the tokens [`write_job_options`] writes) into
+/// `spec`.
+///
+/// # Errors
+///
+/// The message for an unknown option, a missing or malformed value, a
+/// repeated valued option, or a tenant outside [`valid_job_name`]'s
+/// shape. The caller adds its line or frame context.
+pub fn parse_job_options<'a>(
+    spec: &mut JobSpec,
+    tokens: impl IntoIterator<Item = &'a str>,
+) -> Result<(), String> {
+    let mut it = tokens.into_iter();
+    let mut seen: Vec<&str> = Vec::new();
+    while let Some(opt) = it.next() {
+        match opt {
+            "salvage" => spec.salvage = true,
+            "verify" => spec.verify = true,
+            "flow" | "order" | "priority" | "max-steps" | "tenant" => {
+                let v = it.next().ok_or_else(|| format!("{opt}: missing value"))?;
+                if seen.contains(&opt) {
+                    return Err(format!("repeated option `{opt}`"));
+                }
+                seen.push(opt);
+                match opt {
+                    "flow" => spec.flow = v.to_string(),
+                    "order" => spec.order = Some(v.to_string()),
+                    "priority" => spec.priority = parse_num(v, opt)?,
+                    "max-steps" => spec.max_steps = Some(parse_num(v, opt)?),
+                    _ if valid_job_name(v) => spec.tenant = Some(v.to_string()),
+                    _ => return Err(bad_name("tenant", v)),
+                }
+            }
+            other => return Err(format!("unknown job option `{other}`")),
+        }
+    }
+    Ok(())
+}
+
+/// Renders a record's fields: `<status> steps N routed N degraded N
+/// preempts N`, then ` detail <text>` when there is a detail.
+pub fn write_record_fields(r: &JobRecord) -> String {
+    let mut out = format!(
+        "{} steps {} routed {} degraded {} preempts {}",
+        r.status, r.steps, r.routed, r.degraded, r.preempts
+    );
+    if !r.detail.is_empty() {
+        let _ = write!(out, " detail {}", r.detail);
+    }
+    out
+}
+
+/// Parses the fields [`write_record_fields`] writes into a record for
+/// job `name`. The detail runs to the end of `text`, inner spacing
+/// kept.
+///
+/// # Errors
+///
+/// The message for an unknown status, a missing, misplaced or malformed
+/// count, an empty detail, or a trailing token. The caller adds its
+/// line or record context.
+pub fn parse_record_fields(name: &str, text: &str) -> Result<JobRecord, String> {
+    let mut it = text.split_whitespace();
+    let status = it.next().ok_or("missing status")?;
+    if !STATUS_TOKENS.contains(&status) {
+        return Err(format!("unknown status `{status}`"));
+    }
+    let mut counts = [0u64; 4];
+    for (field, count) in ["steps", "routed", "degraded", "preempts"]
+        .into_iter()
+        .zip(&mut counts)
+    {
+        match it.next() {
+            Some(key) if key == field => {}
+            Some(other) => return Err(format!("expected `{field}`, found `{other}`")),
+            None => return Err(format!("missing `{field}` field")),
+        }
+        let v = it.next().ok_or_else(|| format!("{field}: missing value"))?;
+        *count = parse_num(v, field)?;
+    }
+    let detail = match it.next() {
+        Some("detail") => match after_tokens(text, 10) {
+            Some(detail) if !detail.is_empty() => detail.to_string(),
+            _ => return Err("detail: missing text".to_string()),
+        },
+        Some(other) => return Err(format!("unexpected trailing token `{other}`")),
+        None => String::new(),
+    };
+    let [steps, routed, degraded, preempts] = counts;
+    Ok(JobRecord {
+        name: name.to_string(),
+        status: status.to_string(),
+        steps,
+        routed,
+        degraded,
+        preempts,
+        detail,
+    })
+}
+
 /// Serializes job specs as an `ocr-jobs-v1` manifest. Output of this
 /// writer always re-parses; callers are responsible for `name` and
-/// `chip` being representable (the parser rejects what `valid_name`
-/// rejects, and a chip path containing whitespace or `#` cannot
-/// round-trip a token-oriented format).
+/// `chip` being representable (the parser rejects what
+/// [`valid_job_name`] rejects, and a chip path containing whitespace or
+/// `#` cannot round-trip a token-oriented format).
 pub fn write_jobs(jobs: &[JobSpec]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{JOBS_MAGIC}");
+    let mut out = format!("{JOBS_MAGIC}\n");
     for job in jobs {
-        let _ = write!(out, "job {} {}", sanitize(&job.name), sanitize(&job.chip));
-        if job.flow != "overcell" {
-            let _ = write!(out, " flow {}", sanitize(&job.flow));
-        }
-        if let Some(order) = &job.order {
-            let _ = write!(out, " order {}", sanitize(order));
-        }
-        if job.priority != 0 {
-            let _ = write!(out, " priority {}", job.priority);
-        }
-        if let Some(steps) = job.max_steps {
-            let _ = write!(out, " max-steps {steps}");
-        }
-        if job.salvage {
-            let _ = write!(out, " salvage");
-        }
-        if job.verify {
-            let _ = write!(out, " verify");
-        }
-        if let Some(tenant) = &job.tenant {
-            let _ = write!(out, " tenant {}", sanitize(tenant));
-        }
-        let _ = writeln!(out);
+        let line = format!("job {} {}{}", job.name, job.chip, write_job_options(job));
+        let _ = writeln!(out, "{}", sanitize(&line));
     }
     out
 }
@@ -183,32 +322,33 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(token: &str, what: &str, line: usize) -> Result<T, ParseError>
-where
-    T::Err: std::fmt::Display,
-{
-    token
-        .parse()
-        .map_err(|e| err(line, format!("bad {what} `{token}`: {e}")))
-}
+/// A manifest's `job` line: its 1-based number, the job name and the
+/// tokens after the name.
+type JobLine<'a> = (usize, &'a str, Vec<&'a str>);
 
-/// Checks the magic first non-blank, non-comment line, returning the
-/// remaining lines with their 1-based numbers.
-fn check_magic<'a>(
+/// Checks the magic first non-blank, non-comment line, then yields the
+/// later lines as [`JobLine`]s.
+fn job_lines<'a>(
     text: &'a str,
     magic: &str,
     what: &str,
-) -> Result<Vec<(usize, Vec<&'a str>)>, ParseError> {
+) -> Result<impl Iterator<Item = Result<JobLine<'a>, ParseError>>, ParseError> {
     let mut lines = text
         .lines()
         .enumerate()
         .map(|(i, l)| (i + 1, tokens(l)))
         .filter(|(_, t)| !t.is_empty());
     match lines.next() {
-        Some((_, first)) if first == [magic] => Ok(lines.collect()),
-        Some((n, _)) => Err(err(n, format!("not a {what} file (expected `{magic}`)"))),
-        None => Err(err(1, format!("empty {what} file"))),
+        Some((_, first)) if first == [magic] => {}
+        Some((n, _)) => return Err(err(n, format!("not a {what} file (expected `{magic}`)"))),
+        None => return Err(err(1, format!("empty {what} file"))),
     }
+    Ok(lines.map(|(n, toks)| match toks.as_slice() {
+        ["job", name, rest @ ..] => Ok((n, *name, rest.to_vec())),
+        ["job"] => Err(err(n, "job: missing name")),
+        [other, ..] => Err(err(n, format!("unknown directive `{other}`"))),
+        [] => Err(err(n, "empty line")),
+    }))
 }
 
 /// Parses an `ocr-jobs-v1` manifest (or spool `.job` file).
@@ -220,83 +360,19 @@ fn check_magic<'a>(
 /// number, or a repeated option.
 pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, ParseError> {
     let mut jobs: Vec<JobSpec> = Vec::new();
-    for (n, toks) in check_magic(text, JOBS_MAGIC, "job manifest")? {
-        let mut it = toks.iter().copied();
-        match it.next() {
-            Some("job") => {}
-            Some(other) => return Err(err(n, format!("unknown directive `{other}`"))),
-            None => continue,
-        }
-        let name = it.next().ok_or_else(|| err(n, "job: missing name"))?;
-        if !valid_name(name) {
-            return Err(err(
-                n,
-                format!("bad job name `{name}` (want [A-Za-z0-9._-]{{1,64}}, no leading dot)"),
-            ));
+    for line in job_lines(text, JOBS_MAGIC, "job manifest")? {
+        let (n, name, rest) = line?;
+        if !valid_job_name(name) {
+            return Err(err(n, bad_name("job name", name)));
         }
         if jobs.iter().any(|j| j.name == name) {
             return Err(err(n, format!("duplicate job name `{name}`")));
         }
-        let chip = it
-            .next()
+        let (chip, options) = rest
+            .split_first()
             .ok_or_else(|| err(n, format!("job {name}: missing chip path")))?;
-        let mut spec = JobSpec::new(name, chip);
-        let mut seen_flow = false;
-        let mut seen_priority = false;
-        while let Some(opt) = it.next() {
-            match opt {
-                "flow" => {
-                    let v = it.next().ok_or_else(|| err(n, "flow: missing value"))?;
-                    if seen_flow {
-                        return Err(err(n, "repeated option `flow`"));
-                    }
-                    seen_flow = true;
-                    spec.flow = v.to_string();
-                }
-                "order" => {
-                    let v = it.next().ok_or_else(|| err(n, "order: missing value"))?;
-                    if spec.order.is_some() {
-                        return Err(err(n, "repeated option `order`"));
-                    }
-                    spec.order = Some(v.to_string());
-                }
-                "priority" => {
-                    let v = it.next().ok_or_else(|| err(n, "priority: missing value"))?;
-                    if seen_priority {
-                        return Err(err(n, "repeated option `priority`"));
-                    }
-                    seen_priority = true;
-                    spec.priority = parse_num(v, "priority", n)?;
-                }
-                "max-steps" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| err(n, "max-steps: missing value"))?;
-                    if spec.max_steps.is_some() {
-                        return Err(err(n, "repeated option `max-steps`"));
-                    }
-                    spec.max_steps = Some(parse_num(v, "max-steps", n)?);
-                }
-                "salvage" => spec.salvage = true,
-                "verify" => spec.verify = true,
-                "tenant" => {
-                    let v = it.next().ok_or_else(|| err(n, "tenant: missing value"))?;
-                    if spec.tenant.is_some() {
-                        return Err(err(n, "repeated option `tenant`"));
-                    }
-                    if !valid_name(v) {
-                        return Err(err(
-                            n,
-                            format!(
-                                "bad tenant `{v}` (want [A-Za-z0-9._-]{{1,64}}, no leading dot)"
-                            ),
-                        ));
-                    }
-                    spec.tenant = Some(v.to_string());
-                }
-                other => return Err(err(n, format!("unknown job option `{other}`"))),
-            }
-        }
+        let mut spec = JobSpec::new(name, *chip);
+        parse_job_options(&mut spec, options.iter().copied()).map_err(|m| err(n, m))?;
         jobs.push(spec);
     }
     Ok(jobs)
@@ -304,23 +380,10 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, ParseError> {
 
 /// Serializes job records as an `ocr-results-v1` manifest.
 pub fn write_results(records: &[JobRecord]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{RESULTS_MAGIC}");
+    let mut out = format!("{RESULTS_MAGIC}\n");
     for r in records {
-        let _ = write!(
-            out,
-            "job {} {} steps {} routed {} degraded {} preempts {}",
-            sanitize(&r.name),
-            sanitize(&r.status),
-            r.steps,
-            r.routed,
-            r.degraded,
-            r.preempts
-        );
-        if !r.detail.is_empty() {
-            let _ = write!(out, " detail {}", sanitize(&r.detail));
-        }
-        let _ = writeln!(out);
+        let line = format!("job {} {}", r.name, write_record_fields(r));
+        let _ = writeln!(out, "{}", sanitize(&line));
     }
     out
 }
@@ -333,63 +396,15 @@ pub fn write_results(records: &[JobRecord]) -> String {
 /// directive or status token, a malformed field, or a duplicate job.
 pub fn parse_results(text: &str) -> Result<Vec<JobRecord>, ParseError> {
     let mut records: Vec<JobRecord> = Vec::new();
-    for (n, toks) in check_magic(text, RESULTS_MAGIC, "result manifest")? {
-        let mut it = toks.iter().copied();
-        match it.next() {
-            Some("job") => {}
-            Some(other) => return Err(err(n, format!("unknown directive `{other}`"))),
-            None => continue,
-        }
-        let name = it.next().ok_or_else(|| err(n, "job: missing name"))?;
-        if !valid_name(name) {
+    for line in job_lines(text, RESULTS_MAGIC, "result manifest")? {
+        let (n, name, rest) = line?;
+        if !valid_job_name(name) {
             return Err(err(n, format!("bad job name `{name}`")));
         }
         if records.iter().any(|r| r.name == name) {
             return Err(err(n, format!("duplicate job `{name}`")));
         }
-        let status = it.next().ok_or_else(|| err(n, "missing status"))?;
-        if !STATUS_TOKENS.contains(&status) {
-            return Err(err(n, format!("unknown status `{status}`")));
-        }
-        let mut record = JobRecord {
-            name: name.to_string(),
-            status: status.to_string(),
-            steps: 0,
-            routed: 0,
-            degraded: 0,
-            preempts: 0,
-            detail: String::new(),
-        };
-        for field in ["steps", "routed", "degraded", "preempts"] {
-            match it.next() {
-                Some(key) if key == field => {}
-                Some(other) => {
-                    return Err(err(n, format!("expected `{field}`, found `{other}`")));
-                }
-                None => return Err(err(n, format!("missing `{field}` field"))),
-            }
-            let v = it
-                .next()
-                .ok_or_else(|| err(n, format!("{field}: missing value")))?;
-            let v: u64 = parse_num(v, field, n)?;
-            match field {
-                "steps" => record.steps = v,
-                "routed" => record.routed = v,
-                "degraded" => record.degraded = v,
-                _ => record.preempts = v,
-            }
-        }
-        match it.next() {
-            Some("detail") => {
-                record.detail = it.collect::<Vec<&str>>().join(" ");
-                if record.detail.is_empty() {
-                    return Err(err(n, "detail: missing text"));
-                }
-            }
-            Some(other) => return Err(err(n, format!("unexpected trailing token `{other}`"))),
-            None => {}
-        }
-        records.push(record);
+        records.push(parse_record_fields(name, &rest.join(" ")).map_err(|m| err(n, m))?);
     }
     Ok(records)
 }

@@ -14,7 +14,8 @@
 //!
 //! Each record line is `r <len> <fnv64hex> <payload>`: the payload's
 //! byte length, its FNV-1a 64 checksum as 16 hex digits, then the
-//! payload itself to end of line. A replay accepts exactly the prefix
+//! payload itself to end of line. The header is the wire's frame header
+//! with tag `r`, rendered and parsed by the same codec. A replay accepts exactly the prefix
 //! of records whose framing checks out; the first torn or
 //! checksum-bad line ends the replay with a typed [`JournalWarning`]
 //! — never a panic — and [`JournalReplay::valid_len`] reports the
@@ -22,6 +23,7 @@
 //! damaged tail and keep appending.
 
 use crate::ckpt::fnv1a_64;
+use crate::wire::{frame_header, one_line, parse_frame_header};
 use std::fmt;
 
 /// Magic first line of an `ocr-journal-v1` file.
@@ -59,28 +61,18 @@ pub struct JournalReplay {
 /// line-oriented framing) are collapsed to spaces before the length
 /// and checksum are computed, so whatever is written always replays.
 pub fn frame_record(payload: &str) -> String {
-    let clean: String = payload
-        .chars()
-        .map(|c| if c.is_control() { ' ' } else { c })
-        .collect();
-    format!("r {} {:016x} {clean}\n", clean.len(), fnv1a_64(&clean))
+    let clean = one_line(payload);
+    format!("{} {clean}\n", frame_header('r', clean.as_bytes()))
 }
 
 fn parse_record(line: &str) -> Result<&str, String> {
-    let rest = line
-        .strip_prefix("r ")
-        .ok_or_else(|| "not a record line".to_string())?;
-    let (len_token, rest) = rest
-        .split_once(' ')
-        .ok_or_else(|| "missing payload length".to_string())?;
-    let len: usize = len_token
-        .parse()
-        .map_err(|e| format!("bad payload length: {e}"))?;
-    let (sum_token, payload) = rest
-        .split_once(' ')
-        .ok_or_else(|| "missing checksum".to_string())?;
-    let sum = u64::from_str_radix(sum_token, 16).map_err(|e| format!("bad checksum: {e}"))?;
-    if payload.len() != len {
+    let (header, payload) = line
+        .match_indices(' ')
+        .nth(2)
+        .map(|(at, _)| (&line[..at], &line[at + 1..]))
+        .ok_or_else(|| "missing payload".to_string())?;
+    let (len, sum) = parse_frame_header('r', header)?;
+    if payload.len() as u64 != len {
         return Err(format!(
             "length mismatch: header says {len}, payload is {} byte(s)",
             payload.len()

@@ -17,13 +17,19 @@
 //! client payloads are responses ([`Response`]): `accepted`,
 //! `rejected`, `error`, `pong`, `closing`.
 //!
+//! The header codec (`frame_header`, `parse_frame_header`) and the
+//! one-line collapse of free text (`one_line`) are defined here once
+//! and shared with the journal framing ([`crate::journal`]). A `submit`
+//! line is `submit <name>` plus the job option tail, whose grammar is
+//! defined once in [`crate::job`]; `#` is not a comment on the wire.
+//!
 //! Like every `ocr-io` format this layer takes untrusted bytes: a
 //! torn, oversized, or checksum-bad frame is a typed [`WireError`] —
 //! never a panic — and the reader refuses to allocate for a length
 //! field larger than its `max_frame` budget *before* reading the body,
 //! so a hostile header cannot balloon memory.
 
-use crate::job::{parse_jobs, JobSpec, JOBS_MAGIC};
+use crate::job::{bad_name, parse_job_options, valid_job_name, write_job_options, JobSpec};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -137,10 +143,42 @@ fn io_error(e: std::io::Error, context: &str) -> WireError {
     }
 }
 
+/// Renders the header both `ocr-io` framings share — `<tag> <len>
+/// <fnv64hex>`: the payload's byte length and its FNV-1a 64 checksum
+/// as 16 hex digits. A wire frame is `f <len> <sum>` on a line of its
+/// own; a journal record is `r <len> <sum> <payload>` on one line.
+pub(crate) fn frame_header(tag: char, payload: &[u8]) -> String {
+    format!("{tag} {} {:016x}", payload.len(), fnv1a_64_bytes(payload))
+}
+
+/// Parses a [`frame_header`] line into the payload length and checksum.
+///
+/// # Errors
+///
+/// The message for a wrong tag, a missing or malformed length, or a
+/// checksum that is not 16 hex digits.
+pub(crate) fn parse_frame_header(tag: char, header: &str) -> Result<(u64, u64), String> {
+    let rest = header
+        .strip_prefix(tag)
+        .and_then(|rest| rest.strip_prefix(' '))
+        .ok_or_else(|| "not a frame line".to_string())?;
+    let (len_token, sum_token) = rest
+        .split_once(' ')
+        .ok_or_else(|| "missing checksum".to_string())?;
+    let len: u64 = len_token
+        .parse()
+        .map_err(|e| format!("bad payload length: {e}"))?;
+    let sum = u64::from_str_radix(sum_token, 16).map_err(|e| format!("bad checksum: {e}"))?;
+    if sum_token.len() != 16 {
+        return Err("checksum is not 16 hex digits".to_string());
+    }
+    Ok((len, sum))
+}
+
 /// Renders one frame (header, payload, trailing newline) as bytes.
 pub fn frame(payload: &str) -> Vec<u8> {
     let bytes = payload.as_bytes();
-    let mut out = format!("f {} {:016x}\n", bytes.len(), fnv1a_64_bytes(bytes)).into_bytes();
+    let mut out = format!("{}\n", frame_header('f', bytes)).into_bytes();
     out.extend_from_slice(bytes);
     out.push(b'\n');
     out
@@ -221,22 +259,7 @@ pub fn read_frame(r: &mut dyn Read, max_frame: usize) -> Result<Option<String>, 
     };
     let header =
         std::str::from_utf8(&header).map_err(|_| WireError::BadHeader("not UTF-8".to_string()))?;
-    let rest = header
-        .strip_prefix("f ")
-        .ok_or_else(|| WireError::BadHeader("not a frame line".to_string()))?;
-    let (len_token, sum_token) = rest
-        .split_once(' ')
-        .ok_or_else(|| WireError::BadHeader("missing checksum".to_string()))?;
-    let len: u64 = len_token
-        .parse()
-        .map_err(|e| WireError::BadHeader(format!("bad payload length: {e}")))?;
-    let sum = u64::from_str_radix(sum_token, 16)
-        .map_err(|e| WireError::BadHeader(format!("bad checksum: {e}")))?;
-    if sum_token.len() != 16 {
-        return Err(WireError::BadHeader(
-            "checksum is not 16 hex digits".to_string(),
-        ));
-    }
+    let (len, sum) = parse_frame_header('f', header).map_err(WireError::BadHeader)?;
     if len > max_frame as u64 {
         return Err(WireError::Oversized {
             len,
@@ -279,39 +302,19 @@ pub enum Request {
     Shutdown,
 }
 
-/// Renders a submit request payload: the job line (reusing the
-/// `ocr-jobs-v1` option grammar, minus the chip path) followed by the
-/// chip text.
+/// Renders a submit request payload: the job line (`submit <name>` and
+/// the `ocr-jobs-v1` option tail, no chip path) followed by the chip
+/// text.
 pub fn submit_payload(spec: &JobSpec, chip_text: &str) -> String {
-    let mut head = format!("submit {}", spec.name);
-    if spec.flow != "overcell" {
-        head.push_str(&format!(" flow {}", spec.flow));
-    }
-    if let Some(order) = &spec.order {
-        head.push_str(&format!(" order {order}"));
-    }
-    if spec.priority != 0 {
-        head.push_str(&format!(" priority {}", spec.priority));
-    }
-    if let Some(steps) = spec.max_steps {
-        head.push_str(&format!(" max-steps {steps}"));
-    }
-    if spec.salvage {
-        head.push_str(" salvage");
-    }
-    if spec.verify {
-        head.push_str(" verify");
-    }
-    if let Some(tenant) = &spec.tenant {
-        head.push_str(&format!(" tenant {tenant}"));
-    }
-    format!("{head}\n{chip_text}")
+    let options = write_job_options(spec);
+    format!("submit {}{options}\n{chip_text}", spec.name)
 }
 
-/// Parses a request payload. The submit job line is validated by the
-/// `ocr-jobs-v1` parser itself (same names, same options, same
-/// duplicate-option rejection), so the wire cannot smuggle a spec the
-/// manifest format would refuse.
+/// Parses a request payload. The submit job line is checked by the
+/// `ocr-jobs-v1` grammar itself ([`valid_job_name`] for the name,
+/// [`parse_job_options`] for the options), so the wire cannot smuggle
+/// a spec the manifest format would refuse. `#` is not a comment here:
+/// it is an ordinary character, and so fails any name or option check.
 pub fn parse_request(payload: &str) -> Result<Request, WireError> {
     let (head, body) = match payload.split_once('\n') {
         Some((head, body)) => (head, Some(body)),
@@ -322,22 +325,18 @@ pub fn parse_request(payload: &str) -> Result<Request, WireError> {
         Some("ping") => Ok(Request::Ping),
         Some("shutdown") => Ok(Request::Shutdown),
         Some("submit") => {
+            let bad = |message: String| WireError::BadPayload(format!("submit: {message}"));
             let name = tokens
                 .next()
-                .ok_or_else(|| WireError::BadPayload("submit: missing job name".to_string()))?;
-            let rest: Vec<&str> = tokens.collect();
-            let doc = format!("{JOBS_MAGIC}\njob {name} - {}\n", rest.join(" "));
-            let mut specs = parse_jobs(&doc)
-                .map_err(|e| WireError::BadPayload(format!("submit: {}", e.message)))?;
-            let spec = match specs.pop() {
-                Some(spec) => spec,
-                None => return Err(WireError::BadPayload("submit: no job parsed".to_string())),
-            };
+                .ok_or_else(|| bad("missing job name".to_string()))?;
+            if !valid_job_name(name) {
+                return Err(bad(bad_name("job name", name)));
+            }
+            let mut spec = JobSpec::new(name, "-");
+            parse_job_options(&mut spec, tokens).map_err(bad)?;
             let chip = body.unwrap_or("");
             if chip.trim().is_empty() {
-                return Err(WireError::BadPayload(
-                    "submit: missing chip text after the job line".to_string(),
-                ));
+                return Err(bad("missing chip text after the job line".to_string()));
             }
             Ok(Request::Submit(spec, chip.to_string()))
         }
@@ -416,8 +415,9 @@ pub enum Response {
 }
 
 /// One-line free text: control characters collapse to spaces so a
-/// detail can never masquerade as protocol structure.
-fn one_line(text: &str) -> String {
+/// detail can never masquerade as protocol structure. The journal's
+/// record framing and the manifest writers collapse text the same way.
+pub(crate) fn one_line(text: &str) -> String {
     text.chars()
         .map(|c| if c.is_control() { ' ' } else { c })
         .collect()
@@ -425,6 +425,13 @@ fn one_line(text: &str) -> String {
 
 /// Renders a response payload.
 pub fn response_payload(response: &Response) -> String {
+    let tail = |detail: &str| {
+        if detail.is_empty() {
+            String::new()
+        } else {
+            format!(" detail {}", one_line(detail))
+        }
+    };
     match response {
         Response::Accepted(name) => format!("accepted {name}"),
         Response::Rejected {
@@ -434,22 +441,13 @@ pub fn response_payload(response: &Response) -> String {
             detail,
         } => {
             let name = if name.is_empty() { "-" } else { name };
-            let mut line = format!(
-                "rejected {name} {} retry-after {retry_after_ms}",
-                reason.name()
-            );
-            if !detail.is_empty() {
-                line.push_str(&format!(" detail {}", one_line(detail)));
-            }
-            line
+            let reason = reason.name();
+            format!(
+                "rejected {name} {reason} retry-after {retry_after_ms}{}",
+                tail(detail)
+            )
         }
-        Response::Error { kind, detail } => {
-            let mut line = format!("error {kind}");
-            if !detail.is_empty() {
-                line.push_str(&format!(" detail {}", one_line(detail)));
-            }
-            line
-        }
+        Response::Error { kind, detail } => format!("error {kind}{}", tail(detail)),
         Response::Pong => "pong".to_string(),
         Response::Closing => "closing".to_string(),
     }
@@ -457,7 +455,7 @@ pub fn response_payload(response: &Response) -> String {
 
 /// The payload text after its first `n` whitespace-separated tokens —
 /// free-text tail fields (paths, details) keep their internal spacing.
-/// Shared by the wire and journal payload parsers.
+/// Shared by the wire, job-record and journal payload parsers.
 pub fn after_tokens(payload: &str, n: usize) -> Option<&str> {
     let mut rest = payload.trim_start();
     for _ in 0..n {
@@ -467,77 +465,61 @@ pub fn after_tokens(payload: &str, n: usize) -> Option<&str> {
     Some(rest)
 }
 
+/// The optional `detail <text>` tail of a `what` response whose fixed
+/// fields are its first `n` tokens.
+fn detail_after(payload: &str, n: usize, what: &str) -> Result<String, WireError> {
+    match payload.split_whitespace().nth(n) {
+        Some("detail") => Ok(after_tokens(payload, n + 1).unwrap_or("").to_string()),
+        Some(other) => Err(WireError::BadPayload(format!(
+            "{what}: unexpected field `{other}`"
+        ))),
+        None => Ok(String::new()),
+    }
+}
+
 /// Parses a response payload (the client half of the protocol).
 pub fn parse_response(payload: &str) -> Result<Response, WireError> {
+    let bad = |message: &str| WireError::BadPayload(message.to_string());
     let mut tokens = payload.split_whitespace();
     match tokens.next() {
         Some("pong") => Ok(Response::Pong),
         Some("closing") => Ok(Response::Closing),
         Some("accepted") => {
-            let name = tokens
-                .next()
-                .ok_or_else(|| WireError::BadPayload("accepted: missing name".to_string()))?;
+            let name = tokens.next().ok_or_else(|| bad("accepted: missing name"))?;
             Ok(Response::Accepted(name.to_string()))
         }
         Some("rejected") => {
-            let name = tokens
-                .next()
-                .ok_or_else(|| WireError::BadPayload("rejected: missing name".to_string()))?;
+            let name = tokens.next().ok_or_else(|| bad("rejected: missing name"))?;
             let reason = tokens
                 .next()
                 .and_then(RejectReason::from_name)
-                .ok_or_else(|| WireError::BadPayload("rejected: bad reason".to_string()))?;
-            match tokens.next() {
-                Some("retry-after") => {}
-                _ => {
-                    return Err(WireError::BadPayload(
-                        "rejected: missing retry-after".to_string(),
-                    ))
-                }
+                .ok_or_else(|| bad("rejected: bad reason"))?;
+            if tokens.next() != Some("retry-after") {
+                return Err(bad("rejected: missing retry-after"));
             }
             let retry_after_ms: u64 = tokens
                 .next()
                 .and_then(|t| t.parse().ok())
-                .ok_or_else(|| WireError::BadPayload("rejected: bad retry-after".to_string()))?;
-            let detail = match tokens.next() {
-                Some("detail") => after_tokens(payload, 6).unwrap_or("").to_string(),
-                Some(other) => {
-                    return Err(WireError::BadPayload(format!(
-                        "rejected: unexpected field `{other}`"
-                    )))
-                }
-                None => String::new(),
-            };
+                .ok_or_else(|| bad("rejected: bad retry-after"))?;
             Ok(Response::Rejected {
                 name: name.to_string(),
                 reason,
                 retry_after_ms,
-                detail,
+                detail: detail_after(payload, 5, "rejected")?,
             })
         }
         Some("error") => {
-            let kind = tokens
-                .next()
-                .ok_or_else(|| WireError::BadPayload("error: missing kind".to_string()))?;
-            let detail = match tokens.next() {
-                Some("detail") => after_tokens(payload, 3).unwrap_or("").to_string(),
-                Some(other) => {
-                    return Err(WireError::BadPayload(format!(
-                        "error: unexpected field `{other}`"
-                    )))
-                }
-                None => String::new(),
-            };
+            let kind = tokens.next().ok_or_else(|| bad("error: missing kind"))?;
             Ok(Response::Error {
                 kind: kind.to_string(),
-                detail: detail.to_string(),
+                detail: detail_after(payload, 2, "error")?,
             })
         }
         Some(other) => Err(WireError::BadPayload(format!(
             "unknown response `{}`",
             other.chars().take(24).collect::<String>()
         ))),
-        None => Err(WireError::BadPayload("empty response".to_string())),
+        None => Err(bad("empty response")),
     }
 }
 
@@ -632,6 +614,9 @@ mod tests {
             ("submit a\n", "missing chip text"),
             ("submit a priority x\nchip", "bad priority"),
             ("submit a tenant\nchip", "tenant: missing value"),
+            ("submit a verify #priority 5\nchip", "unknown job option"),
+            ("submit a priority 5#x\nchip", "bad priority"),
+            ("submit a#b\nchip", "bad job name"),
         ] {
             let err = parse_request(payload).expect_err(payload);
             assert!(matches!(err, WireError::BadPayload(_)), "{payload:?}");

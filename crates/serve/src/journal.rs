@@ -16,6 +16,11 @@
 //!     [detail <text to end of line>]
 //! ```
 //!
+//! The `accept` option tail and the `end` record fields are the
+//! `ocr-jobs-v1` / `ocr-results-v1` grammars, written and parsed by
+//! [`ocr_io::job`]; the record framing's `r <len> <fnv64hex>` header is
+//! the wire's frame header codec.
+//!
 //! `accept` is written (and the journal fsynced) before the intake
 //! acknowledges a submission, so an accepted job can never be lost:
 //! either the spool file still exists on restart, or the journal
@@ -27,7 +32,10 @@
 //! again after its re-run).
 
 use crate::ServeError;
-use ocr_io::job::{JobRecord, JobSpec, STATUS_TOKENS};
+use ocr_io::job::{
+    one_token, parse_job_options, parse_record_fields, write_job_options, write_record_fields,
+    JobRecord, JobSpec,
+};
 use ocr_io::journal::{frame_record, replay_journal, JOURNAL_MAGIC};
 use ocr_io::wire::after_tokens;
 use std::io::{Seek, SeekFrom, Write};
@@ -152,35 +160,21 @@ impl JobJournal {
     }
 
     /// Journals an accepted submission (and its reload base, if any).
+    /// Names and chip paths are journaled as [`one_token`]s: only
+    /// embedded API submissions can carry whitespace, and those cannot
+    /// be reloaded from disk anyway.
     pub fn accept(
         &mut self,
         seq: usize,
         spec: &JobSpec,
         base: Option<&Path>,
     ) -> Result<(), ServeError> {
-        let mut p = format!("accept {seq} {} {}", token(&spec.name), token(&spec.chip));
-        if spec.flow != "overcell" {
-            p.push_str(&format!(" flow {}", token(&spec.flow)));
-        }
-        if let Some(order) = &spec.order {
-            p.push_str(&format!(" order {}", token(order)));
-        }
-        if spec.priority != 0 {
-            p.push_str(&format!(" priority {}", spec.priority));
-        }
-        if let Some(steps) = spec.max_steps {
-            p.push_str(&format!(" max-steps {steps}"));
-        }
-        if spec.salvage {
-            p.push_str(" salvage");
-        }
-        if spec.verify {
-            p.push_str(" verify");
-        }
-        if let Some(tenant) = &spec.tenant {
-            p.push_str(&format!(" tenant {}", token(tenant)));
-        }
-        self.append(&p)?;
+        self.append(&format!(
+            "accept {seq} {} {}{}",
+            one_token(&spec.name),
+            one_token(&spec.chip),
+            write_job_options(spec)
+        ))?;
         if let Some(base) = base {
             self.append(&format!("base {seq} {}", base.display()))?;
         }
@@ -209,31 +203,11 @@ impl JobJournal {
 
     /// Journals a terminal record (written after the answer files).
     pub fn end(&mut self, seq: usize, record: &JobRecord) -> Result<(), ServeError> {
-        let mut p = format!(
-            "end {seq} {} steps {} routed {} degraded {} preempts {}",
-            record.status, record.steps, record.routed, record.degraded, record.preempts
-        );
-        if !record.detail.is_empty() {
-            p.push_str(&format!(" detail {}", record.detail));
-        }
-        self.append(&p)
+        self.append(&format!("end {seq} {}", write_record_fields(record)))
     }
 }
 
-/// Whitespace would shift the event grammar's token positions, so
-/// names and chips are journaled with it collapsed. (Specs from spool
-/// or manifest files are token-clean already; only embedded API
-/// submissions can carry spaces, and those cannot be reloaded from
-/// disk anyway.) An empty field journals as `-`.
-fn token(s: &str) -> String {
-    if s.is_empty() {
-        return "-".to_string();
-    }
-    s.chars()
-        .map(|c| if c.is_whitespace() { '_' } else { c })
-        .collect()
-}
-
+/// Inverse of [`one_token`] for a journaled name or chip path.
 fn untoken(s: &str) -> String {
     if s == "-" {
         String::new()
@@ -264,129 +238,65 @@ fn apply(jobs: &mut Vec<RecoveredJob>, payload: &str) -> Result<(), String> {
         .ok_or("missing seq")?
         .parse()
         .map_err(|e| format!("bad seq: {e}"))?;
+    if kind == "accept" {
+        if seq != jobs.len() {
+            return Err(format!(
+                "accept out of order (seq {seq}, expected {})",
+                jobs.len()
+            ));
+        }
+        let name = tokens.next().ok_or("accept: missing name")?;
+        let chip = tokens.next().ok_or("accept: missing chip")?;
+        let mut spec = JobSpec::new(untoken(name), untoken(chip));
+        parse_job_options(&mut spec, tokens).map_err(|e| format!("accept: {e}"))?;
+        jobs.push(RecoveredJob {
+            spec,
+            base: None,
+            steps: 0,
+            preempts: 0,
+            ckpt: None,
+            end: None,
+        });
+        return Ok(());
+    }
+    if !matches!(kind, "base" | "start" | "preempt" | "end") {
+        return Err(format!("unknown event `{kind}`"));
+    }
+    let job = jobs
+        .get_mut(seq)
+        .ok_or(format!("{kind}: unknown seq {seq}"))?;
     match kind {
-        "accept" => {
-            if seq != jobs.len() {
-                return Err(format!(
-                    "accept out of order (seq {seq}, expected {})",
-                    jobs.len()
-                ));
-            }
-            let name = tokens.next().ok_or("accept: missing name")?;
-            let chip = tokens.next().ok_or("accept: missing chip")?;
-            let mut spec = JobSpec::new(untoken(name), untoken(chip));
-            while let Some(option) = tokens.next() {
-                let mut value = |what: &str| {
-                    tokens
-                        .next()
-                        .map(str::to_string)
-                        .ok_or(format!("accept: {what} needs a value"))
-                };
-                match option {
-                    "flow" => spec.flow = value("flow")?,
-                    "order" => spec.order = Some(value("order")?),
-                    "priority" => {
-                        spec.priority = value("priority")?
-                            .parse()
-                            .map_err(|e| format!("accept: bad priority: {e}"))?;
-                    }
-                    "max-steps" => {
-                        spec.max_steps = Some(
-                            value("max-steps")?
-                                .parse()
-                                .map_err(|e| format!("accept: bad max-steps: {e}"))?,
-                        );
-                    }
-                    "salvage" => spec.salvage = true,
-                    "verify" => spec.verify = true,
-                    "tenant" => spec.tenant = Some(value("tenant")?),
-                    other => return Err(format!("accept: unknown option `{other}`")),
-                }
-            }
-            jobs.push(RecoveredJob {
-                spec,
-                base: None,
-                steps: 0,
-                preempts: 0,
-                ckpt: None,
-                end: None,
-            });
-        }
         "base" => {
-            let job = jobs
-                .get_mut(seq)
-                .ok_or(format!("base: unknown seq {seq}"))?;
             let path = after_tokens(payload, 2).filter(|p| !p.is_empty());
-            job.base = path.map(PathBuf::from);
-            if job.base.is_none() {
-                return Err("base: missing path".to_string());
-            }
-        }
-        "start" => {
-            // Informational: admission restores no state beyond what
-            // `accept`/`preempt` carry, but an unknown seq is damage.
-            jobs.get(seq).ok_or(format!("start: unknown seq {seq}"))?;
+            job.base = Some(PathBuf::from(path.ok_or("base: missing path")?));
         }
         "preempt" => {
-            let fields: Vec<&str> = tokens.collect();
-            let expect = |idx: usize, key: &str| -> Result<&str, String> {
-                match (fields.get(idx), fields.get(idx + 1)) {
-                    (Some(&k), Some(&v)) if k == key => Ok(v),
-                    _ => Err(format!("preempt: missing `{key}`")),
-                }
+            let mut count = |key: &str| match (tokens.next(), tokens.next()) {
+                (Some(k), Some(v)) if k == key => v
+                    .parse::<u64>()
+                    .map_err(|e| format!("preempt: bad {key}: {e}")),
+                _ => Err(format!("preempt: missing `{key}`")),
             };
-            let steps: u64 = expect(0, "steps")?
-                .parse()
-                .map_err(|e| format!("preempt: bad steps: {e}"))?;
-            let preempts: u64 = expect(2, "preempts")?
-                .parse()
-                .map_err(|e| format!("preempt: bad preempts: {e}"))?;
-            expect(4, "ckpt")?;
-            let ckpt = after_tokens(payload, 7)
-                .filter(|p| !p.is_empty())
-                .ok_or("preempt: missing checkpoint path")?;
-            let job = jobs
-                .get_mut(seq)
-                .ok_or(format!("preempt: unknown seq {seq}"))?;
+            let (steps, preempts) = (count("steps")?, count("preempts")?);
+            let ckpt = match tokens.next() {
+                Some("ckpt") => after_tokens(payload, 7).filter(|p| !p.is_empty()),
+                _ => None,
+            };
+            job.ckpt = Some(PathBuf::from(
+                ckpt.ok_or("preempt: missing checkpoint path")?,
+            ));
             job.steps = steps;
             job.preempts = preempts;
-            job.ckpt = Some(PathBuf::from(ckpt));
         }
         "end" => {
-            let status = tokens.next().ok_or("end: missing status")?;
-            if !STATUS_TOKENS.contains(&status) {
-                return Err(format!("end: unknown status `{status}`"));
-            }
-            let fields: Vec<&str> = tokens.collect();
-            let expect = |idx: usize, key: &str| -> Result<u64, String> {
-                match (fields.get(idx), fields.get(idx + 1)) {
-                    (Some(&k), Some(&v)) if k == key => {
-                        v.parse().map_err(|e| format!("end: bad {key}: {e}"))
-                    }
-                    _ => Err(format!("end: missing `{key}`")),
-                }
-            };
-            let steps = expect(0, "steps")?;
-            let routed = expect(2, "routed")?;
-            let degraded = expect(4, "degraded")?;
-            let preempts = expect(6, "preempts")?;
-            let detail = match fields.get(8) {
-                Some(&"detail") => after_tokens(payload, 12).unwrap_or("").to_string(),
-                Some(other) => return Err(format!("end: unexpected field `{other}`")),
-                None => String::new(),
-            };
-            let job = jobs.get_mut(seq).ok_or(format!("end: unknown seq {seq}"))?;
-            job.end = Some(JobRecord {
-                name: job.spec.name.clone(),
-                status: status.to_string(),
-                steps,
-                routed,
-                degraded,
-                preempts,
-                detail,
-            });
+            let fields = after_tokens(payload, 2).unwrap_or("");
+            let record =
+                parse_record_fields(&job.spec.name, fields).map_err(|e| format!("end: {e}"))?;
+            job.end = Some(record);
         }
-        other => return Err(format!("unknown event `{other}`")),
+        // `start` is informational: admission restores no state beyond
+        // what `accept`/`preempt` carry, but an unknown seq is damage.
+        _ => {}
     }
     Ok(())
 }
@@ -402,16 +312,55 @@ mod tests {
         dir
     }
 
+    /// A spec that sets every job option.
+    fn full_spec() -> JobSpec {
+        JobSpec {
+            flow: "channel2".into(),
+            order: Some("shuffle:7".into()),
+            priority: -3,
+            max_steps: Some(500),
+            salvage: true,
+            verify: true,
+            tenant: Some("acme".into()),
+            ..JobSpec::new("alpha", "alpha.ocr")
+        }
+    }
+
+    /// The three carriers of a job spec — manifest, wire submit and
+    /// journal `accept` — pinned byte for byte.
+    #[test]
+    fn every_carrier_writes_the_full_spec_byte_for_byte() {
+        let spec = full_spec();
+        assert_eq!(
+            ocr_io::job::write_jobs(std::slice::from_ref(&spec)),
+            "ocr-jobs-v1\njob alpha alpha.ocr flow channel2 order shuffle:7 priority -3 \
+             max-steps 500 salvage verify tenant acme\n"
+        );
+        assert_eq!(
+            ocr_io::wire::submit_payload(&spec, "die 0 0 10 10\n"),
+            "submit alpha flow channel2 order shuffle:7 priority -3 max-steps 500 salvage \
+             verify tenant acme\ndie 0 0 10 10\n"
+        );
+        let dir = scratch("golden");
+        let (mut journal, _, _) = JobJournal::open(&dir).expect("open");
+        journal.accept(0, &spec, None).expect("accept");
+        drop(journal);
+        let bytes = std::fs::read_to_string(dir.join("serve.journal")).expect("read");
+        assert_eq!(
+            bytes,
+            "ocr-journal-v1\nr 107 7baf305ca4df7267 accept 0 alpha alpha.ocr flow channel2 \
+             order shuffle:7 priority -3 max-steps 500 salvage verify tenant acme\n"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn events_round_trip_through_a_reopen() {
         let dir = scratch("roundtrip");
         let (mut journal, jobs, warnings) = JobJournal::open(&dir).expect("open");
         assert!(jobs.is_empty());
         assert!(warnings.is_empty());
-        let mut spec = JobSpec::new("alpha", "alpha.ocr");
-        spec.priority = 3;
-        spec.max_steps = Some(500);
-        spec.salvage = true;
+        let spec = full_spec();
         journal
             .accept(0, &spec, Some(Path::new("/tmp/spool dir")))
             .expect("accept");
@@ -432,7 +381,7 @@ mod tests {
                     routed: 0,
                     degraded: 0,
                     preempts: 0,
-                    detail: "poisoned: fault injected at serve.job.beta".into(),
+                    detail: "poisoned:  fault   injected at serve.job.beta".into(),
                 },
             )
             .expect("end");
@@ -454,7 +403,7 @@ mod tests {
         let end = jobs[1].end.as_ref().expect("beta ended");
         assert_eq!(end.status, "failed");
         assert_eq!(end.steps, 7);
-        assert_eq!(end.detail, "poisoned: fault injected at serve.job.beta");
+        assert_eq!(end.detail, "poisoned:  fault   injected at serve.job.beta");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

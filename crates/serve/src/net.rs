@@ -36,11 +36,11 @@
 use crate::intake::load_job;
 use crate::{Intake, JobInput, ServeError};
 use ocr_io::wire::{
-    frame, parse_request, read_frame, read_magic, response_payload, write_magic, RejectReason,
-    Request, Response, WireError,
+    parse_request, read_frame, read_magic, response_payload, write_frame, write_magic,
+    RejectReason, Request, Response, WireError,
 };
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -496,13 +496,7 @@ fn send(stream: &TcpStream, response: &Response) -> Result<(), WireError> {
     if ocr_fault::point("net.write") {
         return Err(WireError::Io("injected net.write fault".to_string()));
     }
-    let payload = response_payload(response);
-    (&mut { stream })
-        .write_all(&frame(&payload))
-        .map_err(|e| match e.kind() {
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => WireError::TimedOut,
-            _ => WireError::Io(e.to_string()),
-        })
+    write_frame(&mut { stream }, &response_payload(response))
 }
 
 fn handle_connection(stream: &TcpStream, shared: &Shared) {

@@ -288,10 +288,12 @@ for snap in BENCH_*.json; do
     ./target/release/obs-check "$snap" --bench "$name"
 done
 
-echo "==> no panicking macros reachable from external input (crates/io)"
-# The parsers take untrusted text; their non-test code must contain no
+echo "==> no panicking macros reachable from external input (crates/io, serve journal/intake/net)"
+# The parsers take untrusted text — ocr-io formats, journal files,
+# spool files and TCP bytes; their non-test code must contain no
 # unwrap/expect/panic!. (Everything before the #[cfg(test)] marker.)
-for f in crates/io/src/*.rs; do
+for f in crates/io/src/*.rs crates/serve/src/journal.rs \
+    crates/serve/src/intake.rs crates/serve/src/net.rs; do
     if sed -n '1,/#\[cfg(test)\]/p' "$f" \
         | grep -n '\.unwrap()\|\.expect(\|panic!('; then
         echo "ci: panicking macro in $f non-test code" >&2
