@@ -15,11 +15,10 @@
 //! the checked-in snapshot doubles as a regression fence: a diff means
 //! routing behaviour changed.
 
-use ocr_bench::harness;
+use ocr_bench::{assert_clean, harness};
 use ocr_core::{OverCellFlow, PartitionStrategy, RunSession};
 use ocr_exec::RunControl;
 use ocr_gen::suite;
-use ocr_netlist::validate_routed_design;
 
 fn main() {
     let json_path = harness::json_path("budget_sweep");
@@ -42,8 +41,7 @@ fn main() {
         };
         let res = flow.run(&chip.layout, &chip.placement).expect("flow");
         assert!(res.design.failed.is_empty(), "budget {budget}: failures");
-        let errors = validate_routed_design(&res.layout, &res.design);
-        assert!(errors.is_empty(), "budget {budget}: {}", errors[0]);
+        assert_clean(&format!("budget {budget}"), &res);
         let label = if budget == usize::MAX {
             "inf".to_string()
         } else {

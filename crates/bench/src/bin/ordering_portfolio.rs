@@ -14,11 +14,10 @@
 //! printed to stdout only. `OCR_BENCH_QUICK=1` surveys the first suite
 //! chip alone.
 
-use ocr_bench::harness;
+use ocr_bench::{assert_clean, harness};
 use ocr_core::{ordering_from_name, FlowKind, FlowOptions, OverCellFlow, RunSession};
 use ocr_exec::RunControl;
 use ocr_gen::suite;
-use ocr_netlist::validate_routed_design;
 
 const STRATEGIES: [&str; 5] = [
     "longest",
@@ -53,8 +52,7 @@ fn main() {
                 .run_controlled(&chip.layout, &chip.placement, &session)
                 .unwrap_or_else(|e| panic!("{name} under {strategy}: {e}"));
             let millis = start.elapsed().as_millis();
-            let errors = validate_routed_design(&res.layout, &res.design);
-            assert!(errors.is_empty(), "{name} under {strategy}: {}", errors[0]);
+            assert_clean(&format!("{name} under {strategy}"), &res);
             let unrouted = res.stats.as_ref().map_or(0, |s| s.nets_failed);
             let steps = session.control.steps();
             println!("  {strategy:>14} {unrouted:>9} {steps:>9} {millis:>9}");
@@ -72,8 +70,7 @@ fn main() {
             .run_portfolio(&chip.layout, &chip.placement, 4)
             .unwrap_or_else(|e| panic!("{name} portfolio: {e}"));
         let millis = start.elapsed().as_millis();
-        let errors = validate_routed_design(&res.layout, &res.design);
-        assert!(errors.is_empty(), "{name} portfolio: {}", errors[0]);
+        assert_clean(&format!("{name} portfolio"), &res);
         println!(
             "  {:>14} {:>9} {:>9} {millis:>9}  (winner: {} @ index {})",
             "portfolio",

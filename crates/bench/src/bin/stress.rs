@@ -4,7 +4,6 @@
 
 use ocr_core::OverCellFlow;
 use ocr_gen::{generate, BenchmarkSpec};
-use ocr_netlist::validate_routed_design;
 use std::time::Instant;
 
 fn spec(scale: usize) -> BenchmarkSpec {
@@ -35,8 +34,7 @@ fn main() {
             .expect("flow");
         let dt = t0.elapsed();
         assert!(res.design.failed.is_empty(), "{}: failures", chip.spec.name);
-        let errors = validate_routed_design(&res.layout, &res.design);
-        assert!(errors.is_empty(), "{}: {}", chip.spec.name, errors[0]);
+        ocr_bench::assert_clean(&chip.spec.name, &res);
         println!(
             "{:<10} {:>6} {:>6} {:>7} {:>10} {:>9} {:>9} {:>7.2}s",
             chip.spec.name,

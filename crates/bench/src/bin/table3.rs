@@ -19,10 +19,10 @@
 //! reproduction target: the over-cell router still beats even the
 //! optimistic 4-layer channel model, by a double-digit percentage.
 
-use ocr_bench::run_all_flows;
+use ocr_bench::{assert_clean, run_all_flows};
 use ocr_core::FlowKind;
 use ocr_gen::suite;
-use ocr_netlist::{validate_routed_design, RouteMetrics};
+use ocr_netlist::RouteMetrics;
 
 fn main() {
     println!("Table 3: layout area, multi-layer channel routing vs 4-layer over-cell routing");
@@ -49,13 +49,7 @@ fn main() {
     });
     for (run, three) in rows {
         let est = run.analytic_four_layer_area;
-        let errors = validate_routed_design(&three.layout, &three.design);
-        assert!(
-            errors.is_empty(),
-            "{}: 3-layer flow invalid: {}",
-            run.name,
-            errors[0]
-        );
+        assert_clean(&format!("{}: 3-layer flow", run.name), &three);
         let real = run
             .four_layer
             .as_ref()

@@ -19,7 +19,7 @@ pub use ocr_gen::rng;
 
 use ocr_core::{run_analytic_four_layer_estimate, FlowKind, FlowResult};
 use ocr_gen::GeneratedChip;
-use ocr_netlist::{validate_routed_design, RouteMetrics};
+use ocr_netlist::RouteMetrics;
 
 /// The three flows' results on one chip.
 #[derive(Debug)]
@@ -37,7 +37,7 @@ pub struct SuiteRun {
 }
 
 /// Runs the proposed flow and baselines on a generated chip, asserting
-/// clean validation for each (no table is reported off an invalid
+/// a clean oracle report for each (no table is reported off an invalid
 /// design).
 ///
 /// # Panics
@@ -84,13 +84,14 @@ fn assert_valid(chip: &str, flow: &str, result: &FlowResult) {
         "{chip}/{flow}: {} nets failed to route",
         result.design.failed.len()
     );
-    let errors = validate_routed_design(&result.layout, &result.design);
-    assert!(
-        errors.is_empty(),
-        "{chip}/{flow}: {} validation errors, first: {}",
-        errors.len(),
-        errors[0]
-    );
+    assert_clean(&format!("{chip}/{flow}"), result);
+}
+
+/// Panics unless the `ocr-verify` oracle finds `result` clean; `what`
+/// names the run in the panic message.
+pub fn assert_clean(what: &str, result: &FlowResult) {
+    let report = ocr_verify::verify(&result.layout, &result.design);
+    assert!(report.is_clean(), "{what}: {report}");
 }
 
 /// Formats one Table 2 row.

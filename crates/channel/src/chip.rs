@@ -639,7 +639,7 @@ fn pin_channel(
 mod tests {
     use super::*;
     use ocr_geom::Layer;
-    use ocr_netlist::{validate_routed_design, NetClass, Row};
+    use ocr_netlist::{NetClass, Row};
 
     fn opts10() -> ChipChannelOptions {
         ChipChannelOptions {
@@ -693,9 +693,9 @@ mod tests {
         // Both nets routed.
         assert_eq!(res.design.routed_count(), 2);
         assert!(res.design.failed.is_empty());
-        // Validation against the *expanded* layout must be clean.
-        let errors = validate_routed_design(&res.expanded, &res.design);
-        assert!(errors.is_empty(), "validation errors: {errors:?}");
+        // The oracle on the *expanded* layout must be clean.
+        let report = ocr_verify::verify(&res.expanded, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -727,8 +727,8 @@ mod tests {
             },
         )
         .expect("chip routes");
-        let errors = validate_routed_design(&res.expanded, &res.design);
-        assert!(errors.is_empty(), "validation errors: {errors:?}");
+        let report = ocr_verify::verify(&res.expanded, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -789,8 +789,8 @@ mod tests {
         nets.push(n);
         let res = route_chip_channels(&l, &p, &nets, opts10()).expect("routes");
         assert!(res.design.route(n).is_some());
-        let errors = ocr_netlist::validate_routed_design(&res.expanded, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&res.expanded, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -822,8 +822,8 @@ mod tests {
             },
         )
         .expect("routes");
-        let errors = ocr_netlist::validate_routed_design(&res.expanded, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&res.expanded, &res.design);
+        assert!(report.is_clean(), "{report}");
         assert_eq!(res.design.routed_count(), 2);
     }
 
@@ -874,8 +874,8 @@ mod tests {
         // 3..4 are separated by channel 2 -> one shared corridor column:
         // margins must not grow beyond (1 + 2) * pitch = 30 <= 40.
         assert_eq!(res.placement.left_margin, 40, "no margin growth needed");
-        let errors = ocr_netlist::validate_routed_design(&res.expanded, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&res.expanded, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

@@ -321,7 +321,7 @@ mod tests {
     use crate::geometry::{emit_channel, ChannelFrame};
     use ocr_geom::{Coord, Layer};
     use ocr_geom::{Point, Rect};
-    use ocr_netlist::{validate_routed_design, Layout, NetClass, NetRoute, RoutedDesign};
+    use ocr_netlist::{Layout, NetClass, NetRoute, RoutedDesign};
 
     fn route_and_emit(top: &[u32], bottom: &[u32]) -> (GreedyResult, BTreeMapRoutes) {
         let p = ChannelProblem::from_ids(top, bottom);
@@ -376,8 +376,8 @@ mod tests {
         for (n, r) in routes {
             design.set_route(net_map[&n], r);
         }
-        let errors = validate_routed_design(&layout, &design);
-        assert!(errors.is_empty(), "validation errors: {errors:?}");
+        let report = ocr_verify::verify(&layout, &design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

@@ -382,7 +382,7 @@ mod tests {
     fn emitted_geometry_validates_electrically() {
         use crate::geometry::ChannelFrame;
         use ocr_geom::{Coord, Layer, Point, Rect};
-        use ocr_netlist::{validate_routed_design, Layout, NetClass, RoutedDesign};
+        use ocr_netlist::{Layout, NetClass, RoutedDesign};
 
         let p = ChannelProblem::from_ids(&[1, 2, 0, 3, 0], &[0, 0, 1, 2, 3]);
         let three = route_three_layer(&p, LeftEdgeOptions::default()).expect("routes");
@@ -425,7 +425,7 @@ mod tests {
         for (n, r) in routes {
             design.set_route(map[&n], r);
         }
-        let errors = validate_routed_design(&layout, &design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&layout, &design);
+        assert!(report.is_clean(), "{report}");
     }
 }

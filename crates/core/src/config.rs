@@ -33,7 +33,7 @@ pub struct LevelBConfig {
     /// are re-routed after the rescued net; each net is retried at most
     /// twice.
     pub rip_up_budget: usize,
-    /// Fall back to a complete Lee-style maze search when the MBFS finds
+    /// Fall back to a complete A* maze search when the MBFS finds
     /// no path at the full window. The MBFS's "each vertex is examined
     /// exactly once" rule makes it incomplete on congested grids (it
     /// cannot revisit a track); the fallback guarantees completion

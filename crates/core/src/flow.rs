@@ -43,6 +43,7 @@ use ocr_geom::Coord;
 use ocr_io::ckpt::{write_checkpoint, CheckpointDoc};
 use ocr_netlist::{Layout, NetId, RouteMetrics, RoutedDesign, RowPlacement};
 use ocr_verify::{VerifyOptions, VerifyReport};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The output of any complete flow.
@@ -78,6 +79,18 @@ pub struct FlowResult {
     /// plus the count of routes salvaged. Empty-but-present means the
     /// salvage run completed with nothing degraded.
     pub degradation: Option<Degradation>,
+}
+
+impl FlowResult {
+    /// The `ocr-verify` oracle's verdict on this result: the attached
+    /// [`FlowResult::verify`] report when the flow ran with `verify`,
+    /// otherwise a fresh run with default options.
+    pub fn oracle_report(&self) -> Cow<'_, VerifyReport> {
+        match &self.verify {
+            Some(report) => Cow::Borrowed(report),
+            None => Cow::Owned(ocr_verify::verify(&self.layout, &self.design)),
+        }
+    }
 }
 
 /// Options shared by every flow: whether to run the independent
@@ -706,7 +719,7 @@ pub fn run_analytic_four_layer_estimate(two_layer: &FlowResult, layout: &Layout)
 mod tests {
     use super::*;
     use ocr_geom::{Layer, Point, Rect};
-    use ocr_netlist::{validate_routed_design, NetClass, Row};
+    use ocr_netlist::{NetClass, Row};
 
     /// Builds a 2-row, 4-cell layout with a mixture of local (set A by
     /// class) and long-distance signal nets.
@@ -775,8 +788,8 @@ mod tests {
         assert_eq!(res.level_b_nets.len(), 2);
         assert_eq!(res.metrics.failed_nets, 0);
         assert_eq!(res.metrics.routed_nets, 3);
-        let errors = validate_routed_design(&res.layout, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&res.layout, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -784,8 +797,8 @@ mod tests {
         let (l, p) = chip();
         let res = two_layer10().run(&l, &p).expect("flow");
         assert_eq!(res.metrics.routed_nets, 3);
-        let errors = validate_routed_design(&res.layout, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&res.layout, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -795,8 +808,8 @@ mod tests {
         flow.channel.pitch = Some(20);
         let res = flow.run(&l, &p).expect("flow");
         assert_eq!(res.metrics.routed_nets, 3);
-        let errors = validate_routed_design(&res.layout, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&res.layout, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -892,7 +905,7 @@ mod tests {
         // Channels collapse to the minimal pitch each.
         assert!(res.channel_tracks.iter().all(|&t| t == 0));
         assert_eq!(res.metrics.routed_nets, 3);
-        let errors = validate_routed_design(&res.layout, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&res.layout, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 }

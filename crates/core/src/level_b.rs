@@ -830,8 +830,8 @@ impl<'a> LevelBRouter<'a> {
         }
     }
 
-    /// Completes a branch with the Lee maze router (complete, unlike the
-    /// MBFS). The maze path occupies the grid itself; only attachment
+    /// Completes a branch with the A* maze router (`astar: true`;
+    /// complete, unlike the MBFS). The maze path occupies the grid itself; only attachment
     /// stitching remains.
     fn maze_branch(
         &mut self,
@@ -1125,7 +1125,7 @@ mod tests {
     use super::*;
     use crate::cost::CostWeights;
     use ocr_geom::{LayerSet, Rect};
-    use ocr_netlist::{validate_routed_design, NetClass, Obstacle};
+    use ocr_netlist::{NetClass, Obstacle};
 
     fn layout_with_nets(pins: &[&[Point]]) -> (Layout, Vec<NetId>) {
         let mut l = Layout::new(Rect::new(0, 0, 400, 400));
@@ -1150,8 +1150,8 @@ mod tests {
         let (l, nets) = layout_with_nets(&[&[Point::new(20, 30), Point::new(300, 200)]]);
         let res = route(&l, &nets);
         assert_eq!(res.stats.nets_routed, 1);
-        let errors = validate_routed_design(&l, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&l, &res.design);
+        assert!(report.is_clean(), "{report}");
         // L-shaped: one corner.
         assert_eq!(res.design.route(nets[0]).expect("routed").corner_count(), 1);
     }
@@ -1164,7 +1164,7 @@ mod tests {
         assert_eq!(r.corner_count(), 0);
         // One terminal stack per pin (M2→M3).
         assert_eq!(r.vias.len(), 2);
-        assert!(validate_routed_design(&l, &res.design).is_empty());
+        assert!(ocr_verify::verify(&l, &res.design).is_clean());
     }
 
     #[test]
@@ -1176,8 +1176,8 @@ mod tests {
         ]]);
         let res = route(&l, &nets);
         let r = res.design.route(nets[0]).expect("routed");
-        let errors = validate_routed_design(&l, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&l, &res.design);
+        assert!(report.is_clean(), "{report}");
         // Steiner: total length below the star topology.
         let star = 280 + 290; // seed to each other terminal
         assert!(
@@ -1196,8 +1196,8 @@ mod tests {
         ));
         let res = route(&l, &nets);
         assert_eq!(res.stats.nets_failed, 0);
-        let errors = validate_routed_design(&l, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&l, &res.design);
+        assert!(report.is_clean(), "{report}");
         let r = res.design.route(nets[0]).expect("routed");
         assert!(r.wire_length() > 360, "must detour around the obstacle");
     }
@@ -1210,7 +1210,7 @@ mod tests {
         ]);
         let res = route(&l, &nets);
         assert_eq!(res.stats.nets_routed, 2);
-        assert!(validate_routed_design(&l, &res.design).is_empty());
+        assert!(ocr_verify::verify(&l, &res.design).is_clean());
     }
 
     #[test]
@@ -1221,7 +1221,7 @@ mod tests {
         ]);
         let res = route(&l, &nets);
         assert_eq!(res.stats.nets_routed, 2);
-        assert!(validate_routed_design(&l, &res.design).is_empty());
+        assert!(ocr_verify::verify(&l, &res.design).is_clean());
     }
 
     #[test]
@@ -1262,7 +1262,7 @@ mod tests {
         let (l, nets) = layout_with_nets(&pin_refs);
         let res = route(&l, &nets);
         assert_eq!(res.stats.nets_routed, 10);
-        assert!(validate_routed_design(&l, &res.design).is_empty());
+        assert!(ocr_verify::verify(&l, &res.design).is_clean());
     }
 
     /// Two nets contending for a single grid chokepoint: a wall blocks
@@ -1335,11 +1335,10 @@ mod tests {
         let res1 = ripper.route_all().expect("route_all");
         assert!(res1.stats.rips >= 1, "a rip must have happened");
         assert!(res1.design.route(nets[1]).is_some(), "second net rescued");
-        // Whatever routed must validate cleanly.
-        let mut clean = res1.design.clone();
-        clean.failed.clear();
-        let errors = validate_routed_design(&l, &clean);
-        assert!(errors.is_empty(), "{errors:?}");
+        // Whatever routed must verify cleanly (the loser is declared
+        // failed, so only its geometry is checked).
+        let report = ocr_verify::verify(&l, &res1.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -1450,8 +1449,8 @@ mod tests {
         let res = route(&l, &nets);
         assert_eq!(res.stats.nets_failed, 0);
         assert_eq!(res.stats.connections, 4, "n pins need n-1 branches");
-        let errors = validate_routed_design(&l, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&l, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -1475,7 +1474,7 @@ mod tests {
         let res = r.route_all().expect("routes");
         assert_eq!(res.stats.nets_failed, 0);
         assert!(res.stats.window_expansions > 0, "window had to grow");
-        assert!(validate_routed_design(&l, &res.design).is_empty());
+        assert!(ocr_verify::verify(&l, &res.design).is_clean());
     }
 
     #[test]
@@ -1651,8 +1650,8 @@ mod tests {
         reported.sort();
         assert_eq!(failed, reported);
         // The salvaged subset still validates (failed nets declared).
-        let errors = validate_routed_design(&l, &res.design);
-        assert!(errors.is_empty(), "{errors:?}");
+        let report = ocr_verify::verify(&l, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
@@ -1694,7 +1693,7 @@ mod tests {
             }
         }
         assert_eq!(used_by_0, 4, "scrub must leave only terminal cells");
-        assert!(validate_routed_design(&l, &res.design).is_empty());
+        assert!(ocr_verify::verify(&l, &res.design).is_clean());
     }
 
     #[test]
@@ -1725,7 +1724,7 @@ mod tests {
             .iter()
             .all(|d| d.reason == DegradeReason::Unroutable));
         assert_eq!(res.degraded.salvaged_routes, 1);
-        assert!(validate_routed_design(&l, &res.design).is_empty());
+        assert!(ocr_verify::verify(&l, &res.design).is_clean());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct RoutingStats {
     pub window_expansions: usize,
     /// Candidate min-corner paths examined by path selection.
     pub candidates_examined: usize,
-    /// Connections completed by the Lee maze fallback after the MBFS
+    /// Connections completed by the A* maze fallback after the MBFS
     /// (incomplete by design) found no path.
     pub maze_fallbacks: usize,
     /// Grid nodes expanded by the maze fallback (kept separate from

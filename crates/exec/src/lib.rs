@@ -15,15 +15,13 @@
 //!   across the pool, returning results **in input order**. This is the
 //!   workhorse behind per-channel Level A routing, the `ocr-verify`
 //!   fan-out and the suite/bench drivers.
-//! * [`scope`] — structured fork–join: spawn heterogeneous tasks that
-//!   all complete before the call returns.
 //! * Worker count comes from the `OCR_THREADS` environment variable
 //!   (default: [`std::thread::available_parallelism`]); tests and
 //!   benchmarks override it locally with [`with_threads`].
 //!
 //! ## Scheduling
 //!
-//! Each `parallel_map`/`scope` call partitions its items into one
+//! Each `parallel_map` call partitions its items into one
 //! contiguous index range per worker. A worker pops from the **front**
 //! of its own range; when the range is empty it **steals single items
 //! from the back** of a victim's range. Ranges are packed into one
@@ -480,49 +478,6 @@ pub fn parallel_map_isolated<T: Sync, R: Send>(
     })
 }
 
-/// A task scheduled on a [`Scope`].
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// A structured fork–join scope: tasks spawned onto it all run (across
-/// the pool) before [`scope`] returns. See [`scope`].
-pub struct Scope<'env> {
-    tasks: Mutex<Vec<Task<'env>>>,
-}
-
-impl<'env> Scope<'env> {
-    /// Schedules a task on the scope. Tasks may borrow from the
-    /// enclosing environment; they start once the builder closure passed
-    /// to [`scope`] returns.
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'env) {
-        self.tasks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Box::new(f));
-    }
-}
-
-/// Structured fork–join: `build` schedules tasks with [`Scope::spawn`];
-/// every task completes (with panics propagated) before `scope` returns.
-/// Tasks run in spawn order when sequential, and are claimed in spawn
-/// order by the pool when parallel.
-pub fn scope<'env>(build: impl FnOnce(&Scope<'env>)) {
-    let s = Scope {
-        tasks: Mutex::new(Vec::new()),
-    };
-    build(&s);
-    let tasks = s.tasks.into_inner().unwrap_or_else(|e| e.into_inner());
-    let slots: Vec<Mutex<Option<Task<'env>>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    run_indexed(slots.len(), current_threads(), &|i| {
-        let task = slots[i]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("each task runs once");
-        task();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,21 +539,6 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert_eq!(msg, "boom 1");
-    }
-
-    #[test]
-    fn scope_tasks_all_run_and_can_borrow() {
-        let outputs: Vec<Mutex<i32>> = (0..16).map(|_| Mutex::new(0)).collect();
-        with_threads(3, || {
-            scope(|s| {
-                for (i, slot) in outputs.iter().enumerate() {
-                    s.spawn(move || *slot.lock().unwrap() = i as i32 + 1);
-                }
-            })
-        });
-        for (i, slot) in outputs.iter().enumerate() {
-            assert_eq!(*slot.lock().unwrap(), i as i32 + 1);
-        }
     }
 
     #[test]

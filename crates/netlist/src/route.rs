@@ -102,38 +102,6 @@ impl RouteSeg {
     pub fn bbox(&self) -> Rect {
         Rect::from_points(self.a, self.b)
     }
-
-    /// `true` if two segments on the same layer overlap in more than a
-    /// single touching endpoint (an electrical short if the nets differ).
-    pub fn conflicts_with(&self, other: &RouteSeg) -> bool {
-        if self.layer != other.layer {
-            return false;
-        }
-        match (self.dir(), other.dir()) {
-            (da, db) if da == db => {
-                self.track_offset() == other.track_offset()
-                    && self.interval().overlaps_interior(&other.interval())
-            }
-            // Perpendicular same-layer segments conflict if they cross
-            // anywhere other than a shared endpoint.
-            _ => {
-                let (h, v) = if self.dir() == Dir::Horizontal {
-                    (self, other)
-                } else {
-                    (other, self)
-                };
-                let crosses = h.interval().contains(v.track_offset())
-                    && v.interval().contains(h.track_offset());
-                if !crosses {
-                    return false;
-                }
-                let cross = Point::new(v.track_offset(), h.track_offset());
-                let endpoint_touch =
-                    (cross == h.a || cross == h.b) && (cross == v.a || cross == v.b);
-                !endpoint_touch
-            }
-        }
-    }
 }
 
 impl fmt::Display for RouteSeg {
@@ -299,24 +267,6 @@ impl NetRoute {
     pub fn is_empty(&self) -> bool {
         self.segs.is_empty() && self.vias.is_empty()
     }
-
-    /// Bounding box of all geometry, or `None` if empty.
-    pub fn bbox(&self) -> Option<Rect> {
-        let mut r: Option<Rect> = None;
-        for s in &self.segs {
-            r = Some(match r {
-                None => s.bbox(),
-                Some(acc) => acc.hull(&s.bbox()),
-            });
-        }
-        for v in &self.vias {
-            r = Some(match r {
-                None => Rect::at_point(v.at),
-                Some(acc) => acc.expand_to(v.at),
-            });
-        }
-        r
-    }
 }
 
 /// The output of a complete routing flow: a (possibly expanded) die and
@@ -437,30 +387,6 @@ mod tests {
     #[should_panic(expected = "not axis-parallel")]
     fn seg_rejects_diagonal() {
         let _ = RouteSeg::new(Point::new(0, 0), Point::new(1, 1), Layer::Metal1);
-    }
-
-    #[test]
-    fn parallel_same_track_conflict() {
-        let a = RouteSeg::new(Point::new(0, 5), Point::new(10, 5), Layer::Metal3);
-        let b = RouteSeg::new(Point::new(5, 5), Point::new(15, 5), Layer::Metal3);
-        assert!(a.conflicts_with(&b));
-        let c = RouteSeg::new(Point::new(10, 5), Point::new(15, 5), Layer::Metal3);
-        assert!(!a.conflicts_with(&c), "abutting endpoints are not a short");
-        let d = RouteSeg::new(Point::new(5, 5), Point::new(15, 5), Layer::Metal4);
-        assert!(!a.conflicts_with(&d), "different layers never conflict");
-    }
-
-    #[test]
-    fn crossing_same_layer_conflicts_unless_endpoint_touch() {
-        let h = RouteSeg::new(Point::new(0, 5), Point::new(10, 5), Layer::Metal3);
-        let v = RouteSeg::new(Point::new(4, 0), Point::new(4, 10), Layer::Metal3);
-        assert!(h.conflicts_with(&v));
-        // L-corner where both segments end at the shared point: no short.
-        let v2 = RouteSeg::new(Point::new(10, 5), Point::new(10, 10), Layer::Metal3);
-        assert!(!h.conflicts_with(&v2));
-        // A T-junction (one passes through the other's endpoint) is a short.
-        let v3 = RouteSeg::new(Point::new(4, 5), Point::new(4, 10), Layer::Metal3);
-        assert!(h.conflicts_with(&v3));
     }
 
     #[test]

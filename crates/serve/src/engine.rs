@@ -9,7 +9,6 @@ use ocr_exec::{RunControl, TaskOutcome, TripReason};
 use ocr_io::ckpt::parse_checkpoint;
 use ocr_io::job::{valid_job_name, write_results, JobRecord, JobSpec};
 use ocr_io::write_routes;
-use ocr_netlist::validate_routed_design;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -843,31 +842,7 @@ impl Engine<'_> {
     /// Terminal settlement of a completed slice (ran to the end, or to
     /// the job's *own* step cap — both are full answers).
     fn finish_with_result(&mut self, i: usize, result: FlowResult) -> Result<(), ServeError> {
-        let validation = validate_routed_design(&result.layout, &result.design);
-        let verify_violations = result
-            .verify
-            .as_ref()
-            .map_or(0, |report| report.violations.len());
-        let degraded = result.degradation.as_ref().map_or(0, |d| d.nets.len()) as u64;
-        let (status, detail) = if !validation.is_empty() {
-            (
-                JobStatus::Failed,
-                format!(
-                    "{} validation error(s) (first: {})",
-                    validation.len(),
-                    validation[0]
-                ),
-            )
-        } else if verify_violations > 0 {
-            (
-                JobStatus::Failed,
-                format!("{verify_violations} verification violation(s)"),
-            )
-        } else if degraded > 0 {
-            (JobStatus::Salvaged, String::new())
-        } else {
-            (JobStatus::Done, String::new())
-        };
+        let (status, detail) = settle(&result);
         self.finish(i, status, detail, Some(result))
     }
 
@@ -1081,6 +1056,29 @@ fn durable_write(path: &std::path::Path, text: &str) -> Result<(), ServeError> {
     })
 }
 
+/// The terminal status of a completed run as the `ocr-verify` oracle
+/// judges it ([`FlowResult::oracle_report`]: the job's own report when
+/// it asked for `verify`, otherwise one oracle run): `Failed` on any
+/// violation, else `Salvaged` when nets were degraded, else `Done`.
+fn settle(result: &FlowResult) -> (JobStatus, String) {
+    let report = result.oracle_report();
+    if let Some(first) = report.violations.first() {
+        let n = report.violations.len();
+        (
+            JobStatus::Failed,
+            format!("{n} verification violation(s) (first: {first})"),
+        )
+    } else if result
+        .degradation
+        .as_ref()
+        .is_some_and(|d| !d.nets.is_empty())
+    {
+        (JobStatus::Salvaged, String::new())
+    } else {
+        (JobStatus::Done, String::new())
+    }
+}
+
 fn flow_label(state: &JobState) -> &str {
     state
         .loaded
@@ -1120,6 +1118,61 @@ mod tests {
             run_jobs(Vec::new(), &cfg),
             Err(ServeError::Config(_))
         ));
+    }
+
+    /// A one-net result whose metal1 wire runs from the first pin at
+    /// x = 10 to `reach`; the second pin sits at x = 90.
+    fn one_net_result(reach: ocr_geom::Coord) -> FlowResult {
+        use ocr_geom::{Layer, Point, Rect};
+        use ocr_netlist::{Layout, NetClass, NetRoute, RouteMetrics, RouteSeg, RoutedDesign};
+        let mut layout = Layout::new(Rect::new(0, 0, 100, 100));
+        let net = layout.add_net("a", NetClass::Signal);
+        layout.add_pin(net, None, Point::new(10, 10), Layer::Metal1);
+        layout.add_pin(net, None, Point::new(90, 10), Layer::Metal1);
+        let mut design = RoutedDesign::new(layout.die, 1);
+        let mut route = NetRoute::new();
+        route.segs.push(RouteSeg::new(
+            Point::new(10, 10),
+            Point::new(reach, 10),
+            Layer::Metal1,
+        ));
+        design.set_route(net, route);
+        FlowResult {
+            metrics: RouteMetrics::of(&design, &layout),
+            design,
+            layout,
+            placement: ocr_netlist::RowPlacement::new(Vec::new(), 0, 0),
+            stats: None,
+            channel_tracks: Vec::new(),
+            channel_heights: Vec::new(),
+            level_a_nets: Vec::new(),
+            level_b_nets: vec![net],
+            verify: None,
+            telemetry: None,
+            degradation: None,
+        }
+    }
+
+    #[test]
+    fn settlement_fails_an_open_net_with_the_oracle_detail() {
+        let (status, detail) = settle(&one_net_result(50));
+        assert_eq!(status, JobStatus::Failed);
+        assert_eq!(
+            detail,
+            "1 verification violation(s) (first: net#0: open (2 disjoint components))"
+        );
+        assert_eq!(
+            settle(&one_net_result(90)),
+            (JobStatus::Done, String::new())
+        );
+    }
+
+    #[test]
+    fn settlement_reuses_the_flow_verify_report() {
+        // An attached report is the verdict: the oracle does not rerun.
+        let mut open = one_net_result(50);
+        open.verify = Some(ocr_verify::VerifyReport::default());
+        assert_eq!(settle(&open).0, JobStatus::Done);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Design-rule checks: shorts, spacing, min-width slivers, via landing,
 //! die containment, and obstacle intrusion.
 
-use crate::index::{build_drawn, gap2, spacing2, spacing_required, Drawn, PairSweep, ViaPadModel};
+use crate::index::{build_drawn, gap2, spacing2, spacing_required, Drawn, PairSweep};
 use crate::violation::Violation;
 use ocr_geom::{Layer, LayerSet, Point, Rect};
 use ocr_netlist::{Layout, NetId, NetRoute, RouteSeg, RoutedDesign};
@@ -38,11 +38,10 @@ fn seg_crosses_interior(seg: &RouteSeg, r: &Rect) -> bool {
 pub fn check_spacing(
     layout: &Layout,
     design: &RoutedDesign,
-    pads: ViaPadModel,
     drawn_layers: LayerSet,
     out: &mut Vec<Violation>,
 ) {
-    let items = build_drawn(layout, design, pads, drawn_layers);
+    let items = build_drawn(layout, design, drawn_layers);
     let max_s2 = Layer::ALL
         .into_iter()
         .map(|l| spacing2(&layout.rules, l))

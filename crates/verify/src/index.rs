@@ -36,17 +36,8 @@ impl Drawn {
     }
 }
 
-/// Whether stacked vias get landing pads on every layer they span or
-/// only at the two end layers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ViaPadModel {
-    /// Pads on every spanned layer (a full stacked-via column).
-    FullStack,
-    /// Pads only on the two end layers.
-    EndLayers,
-}
-
-/// Extracts every drawn rectangle of the design.
+/// Extracts every drawn rectangle of the design. A stacked via is a
+/// full column: it gets a landing pad on every layer it spans.
 ///
 /// Layers in `drawn_layers` are expanded to their full wire width and
 /// via pad size; on the remaining layers wires and vias are kept as
@@ -54,12 +45,7 @@ pub enum ViaPadModel {
 /// of a track-based router whose tracks may sit off-pitch (distinct
 /// tracks never touch, but their drawn widths may be closer than the
 /// physical spacing rule).
-pub fn build_drawn(
-    layout: &Layout,
-    design: &RoutedDesign,
-    pads: ViaPadModel,
-    drawn_layers: LayerSet,
-) -> Vec<Drawn> {
+pub fn build_drawn(layout: &Layout, design: &RoutedDesign, drawn_layers: LayerSet) -> Vec<Drawn> {
     let rules: &DesignRules = &layout.rules;
     let mut out = Vec::new();
     for (net, route) in design.iter_routes() {
@@ -80,19 +66,7 @@ pub fn build_drawn(
             });
         }
         for via in &route.vias {
-            let layers: Vec<Layer> = match pads {
-                ViaPadModel::FullStack => {
-                    Layer::ALL.into_iter().filter(|&l| via.spans(l)).collect()
-                }
-                ViaPadModel::EndLayers => {
-                    if via.lower == via.upper {
-                        vec![via.lower]
-                    } else {
-                        vec![via.lower, via.upper]
-                    }
-                }
-            };
-            for layer in layers {
+            for layer in Layer::ALL.into_iter().filter(|&l| via.spans(l)) {
                 let v = if drawn_layers.contains(layer) {
                     rules
                         .layer(layer)

@@ -46,26 +46,15 @@ mod report;
 mod violation;
 
 pub use connectivity::{analyze_net, NetConnectivity};
-pub use index::ViaPadModel;
 pub use report::{NetSummary, VerifyReport};
 pub use violation::{Violation, ViolationKind};
 
 use ocr_geom::{Layer, LayerSet, Point};
 use ocr_netlist::{Layout, RoutedDesign};
 
-/// Which checks to run and how to model the drawn geometry.
+/// How to model the drawn geometry. Every check always runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VerifyOptions {
-    /// Run the connectivity extraction (opens, dangling geometry).
-    pub connectivity: bool,
-    /// Run the short/spacing sweep.
-    pub spacing: bool,
-    /// Run the local geometry checks (min-width, via landing, die,
-    /// obstacles).
-    pub drc: bool,
-    /// How stacked vias occupy intermediate layers in the short/spacing
-    /// sweep.
-    pub via_pads: ViaPadModel,
     /// Layers whose geometry is expanded to full drawn widths for the
     /// short/spacing sweep. On the remaining layers wires are treated as
     /// centerlines and only contact between distinct nets is flagged.
@@ -83,10 +72,6 @@ pub struct VerifyOptions {
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
-            connectivity: true,
-            spacing: true,
-            drc: true,
-            via_pads: ViaPadModel::FullStack,
             drawn_layers: LayerSet::level_a(),
         }
     }
@@ -97,7 +82,6 @@ impl VerifyOptions {
     pub fn strict() -> Self {
         VerifyOptions {
             drawn_layers: LayerSet::all(),
-            ..VerifyOptions::default()
         }
     }
 }
@@ -118,24 +102,17 @@ pub fn verify(layout: &Layout, design: &RoutedDesign) -> VerifyReport {
 /// check.
 pub fn verify_with(layout: &Layout, design: &RoutedDesign, opts: &VerifyOptions) -> VerifyReport {
     let mut report = VerifyReport::default();
-
-    if opts.connectivity {
+    {
         let _span = ocr_obs::span("verify.connectivity");
         check_connectivity(layout, design, &mut report);
     }
-    if opts.drc {
+    {
         let _span = ocr_obs::span("verify.geometry");
         drc::check_geometry(layout, design, &mut report.violations);
     }
-    if opts.spacing {
+    {
         let _span = ocr_obs::span("verify.spacing");
-        drc::check_spacing(
-            layout,
-            design,
-            opts.via_pads,
-            opts.drawn_layers,
-            &mut report.violations,
-        );
+        drc::check_spacing(layout, design, opts.drawn_layers, &mut report.violations);
     }
     report
 }
@@ -218,19 +195,6 @@ fn check_net_connectivity(
         }
     };
     Some((summary, violations))
-}
-
-/// Convenience: verify and return `Err(report)` when violations exist.
-pub fn verify_strict(
-    layout: &Layout,
-    design: &RoutedDesign,
-) -> Result<VerifyReport, Box<VerifyReport>> {
-    let report = verify(layout, design);
-    if report.is_clean() {
-        Ok(report)
-    } else {
-        Err(Box::new(report))
-    }
 }
 
 #[cfg(test)]

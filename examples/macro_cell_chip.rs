@@ -10,7 +10,8 @@
 
 use overcell_router::core::{run_analytic_four_layer_estimate, FlowKind, OverCellFlow};
 use overcell_router::gen::suite;
-use overcell_router::netlist::{validate_routed_design, RouteMetrics};
+use overcell_router::netlist::RouteMetrics;
+use overcell_router::verify::verify;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let chip = suite::ami33_like();
@@ -35,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("channel 2L", &two),
         ("channel 4L", &four),
     ] {
-        let errors = validate_routed_design(&flow.layout, &flow.design);
-        assert!(errors.is_empty(), "{name}: {errors:?}");
+        let report = verify(&flow.layout, &flow.design);
+        assert!(report.is_clean(), "{name}: {report}");
         println!(
             "{name:<14} area {:>9}  wl {:>8}  vias {:>5}  corners {:>5}  (+{} terminal cuts)",
             flow.metrics.layout_area,

@@ -11,8 +11,9 @@
 
 use overcell_router::core::{config::LevelBConfig, level_b::LevelBRouter};
 use overcell_router::geom::{Layer, LayerSet, Point, Rect};
-use overcell_router::netlist::{validate_routed_design, Layout, NetClass, Obstacle};
+use overcell_router::netlist::{Layout, NetClass, Obstacle};
 use overcell_router::render::render_svg;
+use overcell_router::verify::verify;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut layout = Layout::new(Rect::new(0, 0, 800, 600));
@@ -46,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = router.route_all()?;
 
     assert!(result.design.failed.is_empty(), "all nets must route");
-    let errors = validate_routed_design(&layout, &result.design);
-    assert!(errors.is_empty(), "validation errors: {errors:?}");
+    let report = verify(&layout, &result.design);
+    assert!(report.is_clean(), "{report}");
 
     for &net in &nets {
         let route = result.design.route(net).expect("routed");

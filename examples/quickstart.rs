@@ -9,7 +9,8 @@
 
 use overcell_router::core::{OverCellFlow, PartitionStrategy};
 use overcell_router::geom::{Layer, Point, Rect};
-use overcell_router::netlist::{validate_routed_design, Layout, NetClass, Row, RowPlacement};
+use overcell_router::netlist::{Layout, NetClass, Row, RowPlacement};
+use overcell_router::verify::verify;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A die with two rows of two macro-cells each.
@@ -74,10 +75,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  level B: {stats}");
     }
 
-    // Audit the output: every net connected, no shorts, no obstacle or
-    // die violations.
-    let errors = validate_routed_design(&result.layout, &result.design);
-    assert!(errors.is_empty(), "validation errors: {errors:?}");
+    // Audit the output with the independent oracle: every net connected,
+    // no shorts, spacing, obstacle or die violations.
+    let report = verify(&result.layout, &result.design);
+    assert!(report.is_clean(), "{report}");
     println!("validation: clean");
 
     // Inspect one route.

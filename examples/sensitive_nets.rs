@@ -19,7 +19,8 @@ use overcell_router::core::{
     config::LevelBConfig, cost::CostWeights, level_b::LevelBRouter, order::NetOrdering,
 };
 use overcell_router::geom::{Layer, LayerSet, Point, Rect};
-use overcell_router::netlist::{validate_routed_design, Layout, NetClass, NetId, Obstacle};
+use overcell_router::netlist::{Layout, NetClass, NetId, Obstacle};
+use overcell_router::verify::verify;
 
 fn build() -> (Layout, NetId, Vec<NetId>) {
     let mut layout = Layout::new(Rect::new(0, 0, 600, 600));
@@ -79,8 +80,8 @@ fn run(w24: f64) -> Result<f64, Box<dyn std::error::Error>> {
     let mut router = LevelBRouter::new(&layout, &nets, cfg)?;
     let res = router.route_all()?;
     assert!(res.design.failed.is_empty(), "all nets must route");
-    let errors = validate_routed_design(&layout, &res.design);
-    assert!(errors.is_empty(), "{errors:?}");
+    let report = verify(&layout, &res.design);
+    assert!(report.is_clean(), "{report}");
 
     let mut dists = Vec::new();
     for &n in &bus {

@@ -13,7 +13,8 @@
 use overcell_router::core::steiner::rectilinear_mst_length;
 use overcell_router::core::{config::LevelBConfig, level_b::LevelBRouter};
 use overcell_router::geom::{manhattan, Layer, Point, Rect};
-use overcell_router::netlist::{validate_routed_design, Layout, NetClass};
+use overcell_router::netlist::{Layout, NetClass};
+use overcell_router::verify::verify;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut layout = Layout::new(Rect::new(0, 0, 1000, 1000));
@@ -37,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nets = vec![net];
     let mut router = LevelBRouter::new(&layout, &nets, LevelBConfig::default())?;
     let result = router.route_all()?;
-    let errors = validate_routed_design(&layout, &result.design);
-    assert!(errors.is_empty(), "validation errors: {errors:?}");
+    let report = verify(&layout, &result.design);
+    assert!(report.is_clean(), "{report}");
 
     let route = result.design.route(net).expect("routed");
     let star: i64 = pins[1..].iter().map(|&p| manhattan(pins[0], p)).sum();

@@ -18,6 +18,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+echo "==> examples (each asserts an oracle-clean result)"
+# The examples check their own results with the ocr-verify oracle. Run
+# them from a scratch directory so the files they write stay out of the
+# tree.
+cargo build -q --release --examples
+EX_DIR="$(mktemp -d)"
+ROOT="$(pwd)"
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    (cd "$EX_DIR" && "$ROOT/target/release/examples/$name") >/dev/null
+done
+rm -rf "$EX_DIR"
+
 echo "==> cargo test (OCR_THREADS=1, sequential reference)"
 OCR_THREADS=1 cargo test --workspace -q
 
@@ -268,20 +281,9 @@ for threads in 1 ""; do (
 ); done
 rm -rf "$NS_DIR"
 
-echo "==> bench snapshots (inner_loop smoke + validate committed BENCH_*.json)"
-# The inner-loop benchmark must run end to end (quick mode: one
-# measurement run per chip) and emit a valid ocr-bench-v1 document, and
-# every committed BENCH_*.json snapshot must still parse with the right
-# schema and bench name — a stale or hand-mangled snapshot fails CI, as
-# does a missing BENCH_inner_loop.json.
-BN_DIR="$(mktemp -d)"
-OCR_BENCH_QUICK=1 ./target/release/inner_loop --json "$BN_DIR/inner_loop.json" >/dev/null
-./target/release/obs-check "$BN_DIR/inner_loop.json" --bench inner_loop
-rm -rf "$BN_DIR"
-[ -f BENCH_inner_loop.json ] || {
-    echo "ci: BENCH_inner_loop.json snapshot is missing" >&2
-    exit 1
-}
+echo "==> bench snapshots (validate committed BENCH_*.json)"
+# Every committed BENCH_*.json snapshot must still parse with the right
+# schema and bench name — a stale or hand-mangled snapshot fails CI.
 for snap in BENCH_*.json; do
     name="${snap#BENCH_}"
     name="${name%.json}"

@@ -26,9 +26,7 @@ use overcell_router::fault;
 use overcell_router::gen::{random::small_random, suite, GeneratedChip};
 use overcell_router::io::ckpt::{fnv1a_64, parse_checkpoint};
 use overcell_router::io::{atomic_write, parse_chip, parse_routes, write_chip, write_routes};
-use overcell_router::netlist::{
-    validate_routed_design, ChipMetrics, Layout, NetClass, RowPlacement,
-};
+use overcell_router::netlist::{ChipMetrics, Layout, NetClass, RowPlacement};
 use overcell_router::render::render_svg;
 use overcell_router::verify::{verify_with, VerifyOptions};
 use std::process::ExitCode;
@@ -738,7 +736,7 @@ fn route(args: &[String]) -> Result<(), String> {
         }
     };
     let tripped = session.control.tripped();
-    let errors = validate_routed_design(&result.layout, &result.design);
+    let report = result.oracle_report().into_owned();
     println!("flow: {kind}");
     if let Some(report) = &portfolio {
         println!(
@@ -777,10 +775,12 @@ fn route(args: &[String]) -> Result<(), String> {
     if let Some(d) = &result.degradation {
         println!("degradation: {d}");
     }
-    if errors.is_empty() {
-        println!("validation: clean");
-    } else {
-        println!("validation: {} errors (first: {})", errors.len(), errors[0]);
+    match report.violations.first() {
+        None => println!("validation: clean"),
+        Some(first) => println!(
+            "validation: {} violation(s) (first: {first})",
+            report.violations.len()
+        ),
     }
     if let Some(reason) = tripped {
         println!(
@@ -820,7 +820,7 @@ fn route(args: &[String]) -> Result<(), String> {
         }
         telemetry.write(&[(chip, kind, snapshot)])?;
     }
-    if !errors.is_empty() {
+    if !report.is_clean() {
         return Err("routed design failed validation".into());
     }
     Ok(())
@@ -840,12 +840,12 @@ fn route_suite(flags: &Flags, telemetry: &TelemetryOut) -> Result<(), String> {
     for (chip, kind, res) in suite_fanout(options) {
         match res {
             Ok(result) => {
-                let errors = validate_routed_design(&result.layout, &result.design);
-                let status = if errors.is_empty() {
+                let report = result.oracle_report();
+                let status = if report.is_clean() {
                     "clean".to_string()
                 } else {
                     failures += 1;
-                    format!("{} validation errors", errors.len())
+                    format!("{} violation(s)", report.violations.len())
                 };
                 println!("{chip:>8} {kind:>9}: {}  [{status}]", result.metrics);
                 if let Some(snapshot) = result.telemetry {

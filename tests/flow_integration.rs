@@ -6,7 +6,7 @@ use overcell_router::core::{
 };
 use overcell_router::gen::random::small_random;
 use overcell_router::gen::suite;
-use overcell_router::netlist::validate_routed_design;
+use overcell_router::verify::verify;
 
 #[test]
 fn every_flow_on_many_seeds() {
@@ -20,8 +20,8 @@ fn every_flow_on_many_seeds() {
             if kind == FlowKind::OverCell {
                 assert!(res.design.failed.is_empty(), "seed {seed}: failures");
             }
-            let errors = validate_routed_design(&res.layout, &res.design);
-            assert!(errors.is_empty(), "{kind} seed {seed}: {errors:?}");
+            let report = verify(&res.layout, &res.design);
+            assert!(report.is_clean(), "{kind} seed {seed}: {report}");
         }
     }
 }
@@ -77,7 +77,7 @@ fn all_b_partition_minimizes_channels() {
     .expect("all-B");
     assert!(all_b.channel_tracks.iter().all(|&t| t == 0));
     assert!(all_b.metrics.layout_area <= default.metrics.layout_area);
-    assert!(validate_routed_design(&all_b.layout, &all_b.design).is_empty());
+    assert!(verify(&all_b.layout, &all_b.design).is_clean());
 }
 
 #[test]
@@ -114,11 +114,8 @@ fn suite_chips_route_fully_with_all_flows() {
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{}: {e}", chip.spec.name));
         assert!(over.design.failed.is_empty(), "{}", chip.spec.name);
-        assert!(
-            validate_routed_design(&over.layout, &over.design).is_empty(),
-            "{}",
-            chip.spec.name
-        );
+        let report = verify(&over.layout, &over.design);
+        assert!(report.is_clean(), "{}: {report}", chip.spec.name);
     }
 }
 
@@ -174,7 +171,7 @@ fn area_budget_partitioning_is_monotone() {
         .run(&chip.layout, &chip.placement)
         .unwrap_or_else(|e| panic!("budget {budget}: {e}"));
         assert!(res.design.failed.is_empty());
-        assert!(validate_routed_design(&res.layout, &res.design).is_empty());
+        assert!(verify(&res.layout, &res.design).is_clean());
         assert!(
             res.metrics.layout_area <= last_area,
             "budget {budget}: area {} grew past {}",

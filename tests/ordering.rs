@@ -17,7 +17,6 @@ use overcell_router::core::{
 use overcell_router::exec::{with_threads, RunControl};
 use overcell_router::gen::suite;
 use overcell_router::io::write_routes;
-use overcell_router::netlist::validate_routed_design;
 
 /// Routes one suite chip with an explicit ordering and salvage on, so
 /// an ordering that strands nets reports them instead of erroring.
@@ -79,12 +78,6 @@ fn every_strategy_stays_oracle_clean_across_the_suite() {
             assert!(
                 report.is_clean(),
                 "{} under {name}: {report}",
-                chip.spec.name
-            );
-            let errors = validate_routed_design(&result.layout, &result.design);
-            assert!(
-                errors.is_empty(),
-                "{} under {name}: {errors:?}",
                 chip.spec.name
             );
         }

@@ -9,7 +9,8 @@ use overcell_router::channel::{
 };
 use overcell_router::gen::rng::Rng;
 use overcell_router::geom::{Coord, Layer, Point, Rect};
-use overcell_router::netlist::{validate_routed_design, Layout, NetClass, NetId, RoutedDesign};
+use overcell_router::netlist::{Layout, NetClass, NetId, RoutedDesign};
+use overcell_router::verify::verify;
 use std::collections::BTreeMap;
 
 const CASES: usize = 64;
@@ -82,8 +83,8 @@ fn emit_and_validate(
     for (n, r) in routes {
         design.set_route(map[&n], r);
     }
-    let errors = validate_routed_design(&layout, &design);
-    assert!(errors.is_empty(), "{errors:?}\nplan: {plan}");
+    let report = verify(&layout, &design);
+    assert!(report.is_clean(), "{report}\nplan: {plan}");
 }
 
 #[test]
@@ -182,8 +183,8 @@ fn three_layer_output_is_electrically_correct() {
             for (n, r) in routes {
                 design.set_route(map[&n], r);
             }
-            let errors = validate_routed_design(&layout, &design);
-            assert!(errors.is_empty(), "{errors:?}");
+            let report = verify(&layout, &design);
+            assert!(report.is_clean(), "{report}");
         }
     }
 }

@@ -9,7 +9,8 @@ use overcell_router::gen::rng::Rng;
 use overcell_router::geom::{Layer, LayerSet, Point, Rect};
 use overcell_router::grid::{GridModel, TrackSet};
 use overcell_router::maze::{route_maze, MazeOptions};
-use overcell_router::netlist::{validate_routed_design, Layout, NetClass, Obstacle};
+use overcell_router::netlist::{Layout, NetClass, Obstacle};
+use overcell_router::verify::verify;
 
 const CASES: usize = 48;
 
@@ -65,12 +66,10 @@ fn routed_designs_validate() {
         let ids: Vec<_> = layout.net_ids().collect();
         let mut router = LevelBRouter::new(&layout, &ids, LevelBConfig::default()).expect("router");
         let res = router.route_all().expect("route_all");
-        // Failures are allowed (terminals may be unlucky), but whatever
-        // routed must be perfectly valid.
-        let mut clean = res.design.clone();
-        clean.failed.clear();
-        let errors = validate_routed_design(&layout, &clean);
-        assert!(errors.is_empty(), "{errors:?}");
+        // Failures are allowed (terminals may be unlucky) when declared,
+        // but whatever routed must be perfectly valid.
+        let report = verify(&layout, &res.design);
+        assert!(report.is_clean(), "{report}");
     }
 }
 

@@ -15,9 +15,19 @@ fn base_layout() -> Layout {
 
 /// Adds a two-pin metal1 net with pins at `a` and `b`.
 fn two_pin_net(layout: &mut Layout, name: &str, a: Point, b: Point) -> NetId {
+    two_pin_net_on(layout, name, (a, Layer::Metal1), (b, Layer::Metal1))
+}
+
+/// Adds a two-pin net with each pin on its own layer.
+fn two_pin_net_on(
+    layout: &mut Layout,
+    name: &str,
+    (a, la): (Point, Layer),
+    (b, lb): (Point, Layer),
+) -> NetId {
     let n = layout.add_net(name, NetClass::Signal);
-    layout.add_pin(n, None, a, Layer::Metal1);
-    layout.add_pin(n, None, b, Layer::Metal1);
+    layout.add_pin(n, None, a, la);
+    layout.add_pin(n, None, b, lb);
     n
 }
 
@@ -71,6 +81,34 @@ fn injected_short_is_detected() {
         }
         other => panic!("expected a short, got {other}"),
     }
+}
+
+#[test]
+fn t_junction_between_nets_is_a_short() {
+    // Metal4 is checked as centerlines by default: net b's wire ends
+    // exactly on net a's wire, and a shared point is contact.
+    let mut layout = base_layout();
+    let m4 = |x, y| (Point::new(x, y), Layer::Metal4);
+    let a = two_pin_net_on(&mut layout, "a", m4(50, 0), m4(50, 80));
+    let b = two_pin_net_on(&mut layout, "b", m4(20, 40), m4(50, 40));
+    let mut design = RoutedDesign::new(layout.die, 2);
+    let mut ra = NetRoute::new();
+    ra.segs
+        .push(wire(Point::new(50, 0), Point::new(50, 80), Layer::Metal4));
+    design.set_route(a, ra);
+    let mut rb = NetRoute::new();
+    rb.segs
+        .push(wire(Point::new(20, 40), Point::new(50, 40), Layer::Metal4));
+    design.set_route(b, rb);
+    let report = verify(&layout, &design);
+    assert_eq!(report.violations.len(), 1, "{report}");
+    assert!(
+        matches!(
+            report.violations[0],
+            Violation::Short { a: lo, b: hi, layer: Layer::Metal4, .. } if (lo, hi) == (a, b)
+        ),
+        "{report}"
+    );
 }
 
 #[test]
@@ -206,6 +244,61 @@ fn injected_wire_through_metal3_obstacle_is_detected() {
             at: Point::new(10, 50),
         }
     );
+}
+
+#[test]
+fn wire_over_an_obstacle_on_an_unblocked_layer_is_clean() {
+    let mut layout = base_layout();
+    let n = two_pin_net(&mut layout, "a", Point::new(10, 50), Point::new(90, 50));
+    layout.add_obstacle(Obstacle::new(
+        Rect::new(40, 30, 60, 70),
+        LayerSet::single(Layer::Metal3),
+    ));
+    let mut design = RoutedDesign::new(layout.die, 1);
+    let mut route = NetRoute::new();
+    route
+        .segs
+        .push(wire(Point::new(10, 50), Point::new(90, 50), Layer::Metal1));
+    design.set_route(n, route);
+    let report = verify(&layout, &design);
+    assert!(report.is_clean(), "{report}");
+}
+
+#[test]
+fn l_route_without_a_corner_via_is_open() {
+    let mut layout = base_layout();
+    let n = two_pin_net_on(
+        &mut layout,
+        "a",
+        (Point::new(10, 10), Layer::Metal3),
+        (Point::new(90, 60), Layer::Metal4),
+    );
+    let mut design = RoutedDesign::new(layout.die, 1);
+    // The metal3 leg and the metal4 riser meet at (90, 10) only in the
+    // plan view: without a via there, they are two components.
+    let mut route = NetRoute::new();
+    route
+        .segs
+        .push(wire(Point::new(10, 10), Point::new(90, 10), Layer::Metal3));
+    route
+        .segs
+        .push(wire(Point::new(90, 10), Point::new(90, 60), Layer::Metal4));
+    design.set_route(n, route.clone());
+    let report = verify(&layout, &design);
+    assert_eq!(report.violations.len(), 1, "{report}");
+    assert_eq!(
+        report.violations[0],
+        Violation::OpenNet {
+            net: n,
+            components: 2
+        }
+    );
+    route
+        .vias
+        .push(Via::new(Point::new(90, 10), Layer::Metal3, Layer::Metal4));
+    design.set_route(n, route);
+    let report = verify(&layout, &design);
+    assert!(report.is_clean(), "{report}");
 }
 
 #[test]
