@@ -13,6 +13,7 @@ use overcell_router::core::{FlowKind, FlowOptions, FlowResult};
 use overcell_router::exec::with_threads;
 use overcell_router::gen::random::small_random;
 use overcell_router::gen::suite;
+use overcell_router::io::ckpt::fnv1a_64;
 use overcell_router::io::write_routes;
 use overcell_router::verify::VerifyReport;
 
@@ -45,10 +46,46 @@ fn same_seed_routes_byte_identically_twice() {
     }
 }
 
+/// FNV-1a 64 of each suite chip's routes text, per flow in
+/// [`FlowKind::ALL`] order (overcell, channel2, channel3, channel4).
+/// These pin the routed geometry itself, so a refactor of any router
+/// that moves a single byte fails here, not just one that breaks
+/// thread-count independence.
+const PINNED_ROUTES: [(&str, [u64; 4]); 3] = [
+    (
+        "ami33",
+        [
+            0x295b_0334_6dd6_1e4c,
+            0x5f5d_7bf3_1d7e_0b71,
+            0x68f1_2ef1_dda5_8fae,
+            0x5ece_2ac0_3060_f611,
+        ],
+    ),
+    (
+        "Xerox",
+        [
+            0xc2b5_8faf_5eaa_33c5,
+            0xbd79_85ac_21f5_b9fa,
+            0x34d0_bc4a_1c86_da3c,
+            0x90c9_fa1a_df61_886f,
+        ],
+    ),
+    (
+        "ex3",
+        [
+            0x31b0_2c94_3a2b_2b57,
+            0xde62_f0d0_7e85_12cb,
+            0x22af_8f96_3d2f_d281,
+            0x5937_724d_5c02_4244,
+        ],
+    ),
+];
+
 #[test]
 fn sequential_and_parallel_runs_are_bit_identical_on_the_suite() {
-    for chip in suite::all() {
-        for kind in FlowKind::ALL {
+    for (chip, (name, pinned)) in suite::all().into_iter().zip(PINNED_ROUTES) {
+        assert_eq!(chip.spec.name, name);
+        for (kind, want) in FlowKind::ALL.into_iter().zip(pinned) {
             let (seq_text, seq_report) =
                 with_threads(1, || run_text(kind, &chip.layout, &chip.placement));
             let (par_text, par_report) =
@@ -62,6 +99,11 @@ fn sequential_and_parallel_runs_are_bit_identical_on_the_suite() {
                 seq_report, par_report,
                 "{}/{kind}: oracle report diverged between 1 and 4 threads",
                 chip.spec.name
+            );
+            assert_eq!(
+                fnv1a_64(&seq_text),
+                want,
+                "{name}/{kind}: routed geometry moved from its pinned hash"
             );
         }
     }
