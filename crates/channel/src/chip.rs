@@ -20,7 +20,7 @@ use crate::multilayer::{route_four_layer, FourLayerPlan, MultilayerOptions};
 use crate::three_layer::{emit_three_layer, route_three_layer, ThreeLayerPlan};
 use crate::ChannelProblem;
 use ocr_geom::{Coord, Layer, Point, Rect};
-use ocr_netlist::{Layout, NetId, NetRoute, RouteSeg, RoutedDesign, RowPlacement, Via};
+use ocr_netlist::{Layout, NetId, NetRoute, PinId, RouteSeg, RoutedDesign, RowPlacement, Via};
 use std::collections::BTreeMap;
 
 /// One channel's routing outcome: the plan plus its track count and
@@ -122,8 +122,8 @@ pub fn route_chip_channels(
     let n_channels = placement.channel_count();
 
     // ---- 1. Classify every pin of every requested net -----------------
-    // (channel, side, original x) per pin.
-    let mut pin_entries: Vec<(NetId, usize, Side, Coord)> = Vec::new();
+    // (net, pin, channel, side, original x) per pin.
+    let mut pin_entries: Vec<(NetId, PinId, usize, Side, Coord)> = Vec::new();
     for &net in nets {
         for &pid in &layout.net(net).pins {
             let pin = layout.pin(pid);
@@ -158,14 +158,14 @@ pub fn route_chip_channels(
             {
                 return Err(ChannelError::UnreachablePin(net));
             }
-            pin_entries.push((net, channel, side, pin.position.x));
+            pin_entries.push((net, pid, channel, side, pin.position.x));
         }
     }
 
     // ---- 2. Multi-channel nets and corridor sizing ---------------------
     let mut channels_of: BTreeMap<NetId, Vec<usize>> = BTreeMap::new();
     let mut avg_x: BTreeMap<NetId, (i128, usize)> = BTreeMap::new();
-    for &(net, ch, _, x) in &pin_entries {
+    for &(net, _, ch, _, x) in &pin_entries {
         let e = channels_of.entry(net).or_default();
         if !e.contains(&ch) {
             e.push(ch);
@@ -268,7 +268,7 @@ pub fn route_chip_channels(
     // ---- 4. Per-channel pin rows ---------------------------------------
     let mut top_rows: Vec<Vec<Option<NetId>>> = vec![vec![None; ncols]; n_channels];
     let mut bot_rows: Vec<Vec<Option<NetId>>> = vec![vec![None; ncols]; n_channels];
-    for &(net, ch, side, x) in &pin_entries {
+    for &(net, _, ch, side, x) in &pin_entries {
         let x_new = x + delta_left;
         let c = col_of(x_new).map_err(|_| ChannelError::OffGridPin(net))?;
         let slot = match side {
@@ -471,58 +471,30 @@ pub fn route_chip_channels(
     let mut per_net: BTreeMap<NetId, NetRoute> = BTreeMap::new();
     for (ch, routed_ch) in routed.iter().enumerate() {
         let (y_bottom, y_top) = channel_band(ch);
-        match routed_ch {
-            RoutedChannel::Empty => {}
-            RoutedChannel::Two(plan) => {
-                let frame = ChannelFrame {
-                    col_x: col_x.clone(),
-                    y_bottom,
-                    y_top,
-                    pitch: pitch_lower,
-                    h_layer: Layer::Metal1,
-                    v_layer: Layer::Metal2,
-                };
-                for (net, route) in emit_channel(plan, &frame)? {
-                    per_net.entry(net).or_default().extend(route);
-                }
-            }
-            RoutedChannel::Three(plan) => {
-                let frame = ChannelFrame {
-                    col_x: col_x.clone(),
-                    y_bottom,
-                    y_top,
-                    pitch: pitch_three,
-                    h_layer: Layer::Metal1,
-                    v_layer: Layer::Metal2,
-                };
-                for (net, route) in emit_three_layer(plan, &frame)? {
-                    per_net.entry(net).or_default().extend(route);
-                }
-            }
+        let frame = |pitch, h_layer, v_layer| ChannelFrame {
+            col_x: col_x.clone(),
+            y_bottom,
+            y_top,
+            pitch,
+            h_layer,
+            v_layer,
+        };
+        let lower = |pitch| frame(pitch, Layer::Metal1, Layer::Metal2);
+        let emitted = match routed_ch {
+            RoutedChannel::Empty => continue,
+            RoutedChannel::Two(plan) => emit_channel(plan, &lower(pitch_lower))?,
+            RoutedChannel::Three(plan) => emit_three_layer(plan, &lower(pitch_three))?,
             RoutedChannel::Four(plan) => {
-                let lower_frame = ChannelFrame {
-                    col_x: col_x.clone(),
-                    y_bottom,
-                    y_top,
-                    pitch: pitch_lower,
-                    h_layer: Layer::Metal1,
-                    v_layer: Layer::Metal2,
-                };
-                let upper_frame = ChannelFrame {
-                    col_x: col_x.clone(),
-                    y_bottom,
-                    y_top,
-                    pitch: pitch_upper,
-                    h_layer: Layer::Metal3,
-                    v_layer: Layer::Metal4,
-                };
-                for (net, route) in emit_channel(&plan.lower, &lower_frame)? {
-                    per_net.entry(net).or_default().extend(route);
+                let mut routes = emit_channel(&plan.lower, &lower(pitch_lower))?;
+                let upper = frame(pitch_upper, Layer::Metal3, Layer::Metal4);
+                for (net, route) in emit_channel(&plan.upper, &upper)? {
+                    routes.entry(net).or_default().extend(route);
                 }
-                for (net, route) in emit_channel(&plan.upper, &upper_frame)? {
-                    per_net.entry(net).or_default().extend(route);
-                }
+                routes
             }
+        };
+        for (net, route) in emitted {
+            per_net.entry(net).or_default().extend(route);
         }
     }
 
@@ -570,18 +542,21 @@ pub fn route_chip_channels(
     }
 
     // ---- 10. Terminal vias ---------------------------------------------------
+    // Every requested net gets an entry, so one left without wiring is
+    // marked failed below.
     for &net in nets {
-        let route = per_net.entry(net).or_default();
-        for &pid in &expanded.net(net).pins {
-            let pin = expanded.pin(pid);
-            // Which vertical layer reaches this pin?
-            let v_layer = match &routed[pin_channel(layout, placement, pid, n_channels)?] {
-                RoutedChannel::Four(plan) if plan.pair_of(net) == Some(true) => Layer::Metal4,
-                _ => Layer::Metal2,
-            };
-            if pin.layer != v_layer {
-                route.vias.push(Via::new(pin.position, pin.layer, v_layer));
-            }
+        per_net.entry(net).or_default();
+    }
+    for &(net, pid, ch, _, _) in &pin_entries {
+        let pin = expanded.pin(pid);
+        // Which vertical layer reaches this pin?
+        let v_layer = match &routed[ch] {
+            RoutedChannel::Four(plan) if plan.pair_of(net) == Some(true) => Layer::Metal4,
+            _ => Layer::Metal2,
+        };
+        if pin.layer != v_layer {
+            let via = Via::new(pin.position, pin.layer, v_layer);
+            per_net.entry(net).or_default().vias.push(via);
         }
     }
 
@@ -600,39 +575,6 @@ pub fn route_chip_channels(
         channel_tracks,
         channel_heights,
     })
-}
-
-/// The channel a pin enters (recomputed from the *original* layout since
-/// classification rules are defined there).
-fn pin_channel(
-    layout: &Layout,
-    placement: &RowPlacement,
-    pid: ocr_netlist::PinId,
-    n_channels: usize,
-) -> Result<usize, ChannelError> {
-    let pin = layout.pin(pid);
-    match pin.cell {
-        Some(cid) => {
-            let r = placement
-                .row_of_cell(cid)
-                .ok_or(ChannelError::UnreachablePin(pin.net))?;
-            let row = &placement.rows[r];
-            if pin.position.y == row.y1() {
-                Ok(r + 1)
-            } else if pin.position.y == row.y0 {
-                Ok(r)
-            } else {
-                Err(ChannelError::UnreachablePin(pin.net))
-            }
-        }
-        None => {
-            if pin.position.y == layout.die.y0() {
-                Ok(0)
-            } else {
-                Ok(n_channels - 1)
-            }
-        }
-    }
 }
 
 #[cfg(test)]

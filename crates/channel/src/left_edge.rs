@@ -6,6 +6,10 @@
 //! greedy left-edge track filling from the top of the channel downward.
 //! Vertical constraint cycles that doglegging cannot break are resolved
 //! by inserting jogs at pin-free columns.
+//!
+//! The router is generic over the number of horizontal lanes per track
+//! (`route_lanes`): the two-layer router is the one-lane case and the
+//! three-layer HVH router ([`crate::three_layer`]) is the two-lane case.
 
 use crate::error::ChannelError;
 use crate::geometry::{ChannelPlan, HWire, VEnd, VWire};
@@ -34,18 +38,10 @@ impl Default for LeftEdgeOptions {
     }
 }
 
-/// A subnet with its assigned track.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlacedSubnet {
-    /// The trunk piece.
-    pub subnet: Subnet,
-    /// Track index (0 = nearest the channel's top edge).
-    pub track: usize,
-}
-
 /// Routes `problem` with the constrained left-edge algorithm.
 ///
-/// Returns a [`ChannelPlan`] ready for geometry emission.
+/// Returns a [`ChannelPlan`] ready for geometry emission. This is
+/// `route_lanes` with one lane.
 ///
 /// # Errors
 ///
@@ -57,6 +53,30 @@ pub fn route_left_edge(
     problem: &ChannelProblem,
     opts: LeftEdgeOptions,
 ) -> Result<ChannelPlan, ChannelError> {
+    route_lanes::<1>(problem, opts).map(|[plan]| plan)
+}
+
+/// Routes `problem` with the constrained left-edge algorithm over `N`
+/// horizontal lanes per track, returning one plan per lane.
+///
+/// Each track `y` carries up to `N` trunks, one per horizontal layer,
+/// because same-`y` trunks on different layers never short. All lanes
+/// share the one vertical layer, so every branch goes to lane 0's plan
+/// and two subnets related in the vertical constraint graph may not
+/// share a track even across lanes. With `N = 1` that rule never
+/// rejects a subnet the lane check accepts: VCG edges only join
+/// different nets whose spans share a column, and a lane only accepts
+/// a subnet that starts past its last trunk (or touches it on the same
+/// net). [`route_left_edge`] is `N = 1`; the three-layer router is
+/// `N = 2`.
+///
+/// # Errors
+///
+/// Same as [`route_left_edge`].
+pub(crate) fn route_lanes<const N: usize>(
+    problem: &ChannelProblem,
+    opts: LeftEdgeOptions,
+) -> Result<[ChannelPlan; N], ChannelError> {
     if let Some(&bad) = problem.audit().first() {
         return Err(ChannelError::SinglePinNet(bad));
     }
@@ -104,46 +124,51 @@ pub fn route_left_edge(
     };
 
     // Constrained left-edge: fill tracks top-down; a subnet may enter the
-    // current track only when everything that must be above it is already
-    // on a strictly higher track.
+    // current track (in any lane) only when everything that must be above
+    // it is already on a strictly higher track and nothing VCG-related to
+    // it sits on this track.
     let n = subnets.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| (subnets[i].lo, subnets[i].hi, subnets[i].net.0));
-    let mut track_of: Vec<Option<usize>> = vec![None; n];
+    let mut placement: Vec<Option<(usize, usize)>> = vec![None; n]; // (track, lane)
     let mut placed = 0usize;
     let mut track = 0usize;
     while placed < n {
-        let mut last_hi: Option<(usize, NetId)> = None; // (col, net)
-        let mut placed_this_track = 0;
+        let mut lane_last: [Option<(usize, NetId)>; N] = [None; N]; // (col, net)
+        let mut on_this_track: Vec<usize> = Vec::new();
         for &i in &order {
-            if track_of[i].is_some() {
+            if placement[i].is_some() {
                 continue;
             }
             let s = &subnets[i];
-            let fits = match last_hi {
-                None => true,
-                Some((hi, net)) => s.lo > hi || (s.lo == hi && s.net == net),
-            };
-            if !fits {
-                continue;
-            }
-            let unblocked = vcg
+            let above_ok = vcg
                 .above(i)
                 .iter()
-                .all(|&a| matches!(track_of[a], Some(t) if t < track));
-            if !unblocked {
+                .all(|&a| matches!(placement[a], Some((t, _)) if t < track));
+            if !above_ok {
                 continue;
             }
-            track_of[i] = Some(track);
-            last_hi = Some((s.hi, s.net));
+            let track_conflict = on_this_track
+                .iter()
+                .any(|&o| vcg.above(i).contains(&o) || vcg.below(i).contains(&o));
+            if track_conflict {
+                continue;
+            }
+            let lane = (0..N).find(|&l| match lane_last[l] {
+                None => true,
+                Some((hi, net)) => s.lo > hi || (s.lo == hi && s.net == net),
+            });
+            let Some(lane) = lane else { continue };
+            placement[i] = Some((track, lane));
+            lane_last[lane] = Some((s.hi, s.net));
+            on_this_track.push(i);
             placed += 1;
-            placed_this_track += 1;
         }
-        if placed_this_track == 0 {
+        if on_this_track.is_empty() {
             // With an acyclic VCG a source subnet always fits on an empty
             // track, so this is unreachable; guard anyway.
             let nets = (0..n)
-                .filter(|&i| track_of[i].is_none())
+                .filter(|&i| placement[i].is_none())
                 .map(|i| subnets[i].net)
                 .collect();
             return Err(ChannelError::UnbreakableCycle(nets));
@@ -151,46 +176,32 @@ pub fn route_left_edge(
         track += 1;
     }
     let tracks_used = track;
+    let track_of = |i: usize| placement[i].expect("all subnets placed").0;
 
-    Ok(build_plan(
-        problem,
-        &subnets,
-        &track_of,
-        tracks_used,
-        &jog_cols,
-    ))
-}
-
-/// Converts placed subnets into a [`ChannelPlan`].
-fn build_plan(
-    problem: &ChannelProblem,
-    subnets: &[Subnet],
-    track_of: &[Option<usize>],
-    tracks_used: usize,
-    jog_cols: &[usize],
-) -> ChannelPlan {
-    let mut plan = ChannelPlan {
+    let mut plans: [ChannelPlan; N] = std::array::from_fn(|_| ChannelPlan {
         tracks_used,
         ..ChannelPlan::default()
-    };
+    });
 
-    // Horizontal trunks: merge same-net, same-track touching subnets.
-    let mut by_net_track: BTreeMap<(NetId, usize), Vec<(usize, usize)>> = BTreeMap::new();
+    // Horizontal trunks: merge same-lane, same-net, same-track touching
+    // subnets.
+    let mut by_key: BTreeMap<(usize, NetId, usize), Vec<(usize, usize)>> = BTreeMap::new();
     for (i, s) in subnets.iter().enumerate() {
-        let t = track_of[i].expect("all subnets placed");
-        by_net_track
-            .entry((s.net, t))
+        let (t, lane) = placement[i].expect("all subnets placed");
+        by_key
+            .entry((lane, s.net, t))
             .or_default()
             .push((s.lo, s.hi));
     }
-    for ((net, t), mut spans) in by_net_track {
+    for ((lane, net, t), mut spans) in by_key {
         spans.sort_unstable();
+        let h_wires = &mut plans[lane].h_wires;
         let mut cur = spans[0];
         for &(lo, hi) in &spans[1..] {
             if lo <= cur.1 {
                 cur.1 = cur.1.max(hi);
             } else {
-                plan.h_wires.push(HWire {
+                h_wires.push(HWire {
                     net,
                     track: t,
                     lo: cur.0,
@@ -199,7 +210,7 @@ fn build_plan(
                 cur = (lo, hi);
             }
         }
-        plan.h_wires.push(HWire {
+        h_wires.push(HWire {
             net,
             track: t,
             lo: cur.0,
@@ -207,13 +218,11 @@ fn build_plan(
         });
     }
 
-    // Vertical branches: at every connection column of each net, span
-    // from the topmost to the bottommost end among pin edges and
-    // covering trunks.
-    // (Cycle-break jog columns appear as subnet endpoints, so they are
-    // covered by the endpoint scan below.)
-    let _ = jog_cols;
-    let mut conn_cols: BTreeMap<NetId, Vec<usize>> = BTreeMap::new();
+    // Vertical branches, all in lane 0's plan: at every connection column
+    // of each net (pins, plus subnet endpoints, which include the
+    // cycle-break jog columns), span from the topmost to the bottommost
+    // end among pin edges and covering trunks of any lane.
+    let v_wires = &mut plans[0].v_wires;
     for net in problem.nets() {
         let mut cols = problem.pin_columns(net);
         for s in subnets.iter().filter(|s| s.net == net) {
@@ -222,12 +231,8 @@ fn build_plan(
         }
         cols.sort_unstable();
         cols.dedup();
-        conn_cols.insert(net, cols);
-    }
-    for (net, cols) in conn_cols {
         if is_straight_through(problem, net) {
-            plan.v_wires
-                .push(VWire::new(net, cols[0], VEnd::TopEdge, VEnd::BottomEdge));
+            v_wires.push(VWire::new(net, cols[0], VEnd::TopEdge, VEnd::BottomEdge));
             continue;
         }
         for c in cols {
@@ -240,7 +245,7 @@ fn build_plan(
             }
             for (i, s) in subnets.iter().enumerate() {
                 if s.net == net && s.covers(c) {
-                    ends.push(VEnd::Track(track_of[i].expect("placed")));
+                    ends.push(VEnd::Track(track_of(i)));
                 }
             }
             ends.sort();
@@ -248,11 +253,11 @@ fn build_plan(
             if ends.len() >= 2 {
                 let a = ends[0];
                 let b = *ends.last().expect("non-empty");
-                plan.v_wires.push(VWire::new(net, c, a, b));
+                v_wires.push(VWire::new(net, c, a, b));
             }
         }
     }
-    plan
+    Ok(plans)
 }
 
 /// Number of tracks the left-edge router uses for `problem`, or an error.

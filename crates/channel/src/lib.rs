@@ -11,7 +11,10 @@
 //!   representation;
 //! * [`Vcg`] — vertical constraint graph over dogleg subnets;
 //! * [`route_left_edge`] — constrained left-edge router with doglegs and
-//!   jog-based cycle breaking (the workhorse two-layer router);
+//!   jog-based cycle breaking (the workhorse two-layer router), the
+//!   one-lane case of the left-edge lane loop;
+//! * [`three_layer`] — Chen–Liu-style three-layer (HVH) routing, the
+//!   two-lane case of the same loop;
 //! * [`route_greedy`] — a Rivest–Fiduccia-style greedy column-sweep
 //!   router (second baseline);
 //! * [`multilayer`] — four-layer channel routing by HV+HV layer-pair
@@ -50,7 +53,7 @@ pub use error::ChannelError;
 pub use geometry::{emit_channel, ChannelFrame, ChannelPlan, HWire, VEnd, VWire};
 pub use greedy::{route_greedy, GreedyOptions};
 pub use left_edge::{
-    left_edge_track_count, route_channel_robust, route_left_edge, LeftEdgeOptions, PlacedSubnet,
+    left_edge_track_count, route_channel_robust, route_left_edge, LeftEdgeOptions,
 };
 pub use multilayer::{
     analytic_multilayer_tracks, route_four_layer, FourLayerPlan, MultilayerOptions,

@@ -9,16 +9,16 @@
 //! layer), so two subnets may share a track only if neither must be
 //! above the other.
 //!
-//! The router is the constrained left-edge algorithm with two *lanes*
-//! per track; in the ideal case the track count halves relative to the
-//! two-layer router — the theoretical basis for the paper's "50 %"
-//! analytic model.
+//! The router is the two-lane case of the constrained left-edge
+//! algorithm, `route_lanes::<2>` in [`crate::left_edge`]: the
+//! two-layer router is its one-lane case, so cycle breaking, trunk
+//! merging and branch emission exist once. In the ideal case the track
+//! count halves relative to the two-layer router — the theoretical basis
+//! for the paper's "50 %" analytic model.
 
 use crate::error::ChannelError;
-use crate::geometry::{ChannelPlan, HWire, VEnd, VWire};
-use crate::left_edge::LeftEdgeOptions;
-use crate::subnet::{build_subnets, is_straight_through, Subnet};
-use crate::vcg::Vcg;
+use crate::geometry::ChannelPlan;
+use crate::left_edge::{route_lanes, LeftEdgeOptions};
 use crate::ChannelProblem;
 use ocr_netlist::NetId;
 use std::collections::BTreeMap;
@@ -36,7 +36,8 @@ pub struct ThreeLayerPlan {
     pub tracks_used: usize,
 }
 
-/// Routes `problem` with the two-lane constrained left-edge algorithm.
+/// Routes `problem` with the two-lane constrained left-edge algorithm:
+/// lane 0 (metal1) is the lower plan, lane 1 (metal3) the upper.
 ///
 /// # Errors
 ///
@@ -46,194 +47,11 @@ pub fn route_three_layer(
     problem: &ChannelProblem,
     opts: LeftEdgeOptions,
 ) -> Result<ThreeLayerPlan, ChannelError> {
-    if let Some(&bad) = problem.audit().first() {
-        return Err(ChannelError::SinglePinNet(bad));
-    }
-
-    let mut subnets = build_subnets(problem, opts.dogleg);
-    let mut jog_cols: Vec<usize> = Vec::new();
-    let vcg = loop {
-        let vcg = Vcg::build(problem, &subnets);
-        let Some(cycle) = vcg.find_cycle() else {
-            break vcg;
-        };
-        if !opts.break_cycles {
-            let nets = cycle.iter().map(|&i| subnets[i].net).collect();
-            return Err(ChannelError::UnbreakableCycle(nets));
-        }
-        let split = cycle.iter().copied().find_map(|i| {
-            let s = &subnets[i];
-            (s.lo + 1..s.hi).find_map(|c| {
-                let free = problem.top(c).is_none()
-                    && problem.bottom(c).is_none()
-                    && !jog_cols.contains(&c);
-                free.then_some((i, c))
-            })
-        });
-        let Some((i, c)) = split else {
-            let nets = cycle.iter().map(|&i| subnets[i].net).collect();
-            return Err(ChannelError::UnbreakableCycle(nets));
-        };
-        jog_cols.push(c);
-        let s = subnets[i].clone();
-        subnets[i] = Subnet {
-            net: s.net,
-            lo: s.lo,
-            hi: c,
-        };
-        subnets.push(Subnet {
-            net: s.net,
-            lo: c,
-            hi: s.hi,
-        });
-    };
-
-    // Two-lane constrained left-edge, top-down. A subnet may enter the
-    // current track (either lane) only when everything that must be
-    // above it sits on a strictly higher track — same-track placement
-    // of VCG-related subnets is forbidden even across lanes, because
-    // both lanes share the one vertical layer.
-    let n = subnets.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (subnets[i].lo, subnets[i].hi, subnets[i].net.0));
-    let mut placement: Vec<Option<(usize, usize)>> = vec![None; n]; // (track, lane)
-    let mut placed = 0usize;
-    let mut track = 0usize;
-    while placed < n {
-        let mut lane_last: [Option<(usize, NetId)>; 2] = [None, None];
-        let mut on_this_track: Vec<usize> = Vec::new();
-        let mut placed_this_track = 0;
-        for &i in &order {
-            if placement[i].is_some() {
-                continue;
-            }
-            let s = &subnets[i];
-            // VCG feasibility: ancestors strictly above; and no VCG
-            // relation with anything already on this track.
-            let above_ok = vcg
-                .above(i)
-                .iter()
-                .all(|&a| matches!(placement[a], Some((t, _)) if t < track));
-            if !above_ok {
-                continue;
-            }
-            let track_conflict = on_this_track
-                .iter()
-                .any(|&o| vcg.above(i).contains(&o) || vcg.below(i).contains(&o));
-            if track_conflict {
-                continue;
-            }
-            let lane = (0..2).find(|&l| match lane_last[l] {
-                None => true,
-                Some((hi, net)) => s.lo > hi || (s.lo == hi && s.net == net),
-            });
-            let Some(lane) = lane else { continue };
-            placement[i] = Some((track, lane));
-            lane_last[lane] = Some((s.hi, s.net));
-            on_this_track.push(i);
-            placed += 1;
-            placed_this_track += 1;
-        }
-        if placed_this_track == 0 {
-            let nets = (0..n)
-                .filter(|&i| placement[i].is_none())
-                .map(|i| subnets[i].net)
-                .collect();
-            return Err(ChannelError::UnbreakableCycle(nets));
-        }
-        track += 1;
-    }
-    let tracks_used = track;
-
-    // Build one plan per lane; all vertical branches go to the lower
-    // plan (single vertical layer).
-    let mut lanes: [ChannelPlan; 2] = [
-        ChannelPlan {
-            tracks_used,
-            ..ChannelPlan::default()
-        },
-        ChannelPlan {
-            tracks_used,
-            ..ChannelPlan::default()
-        },
-    ];
-    let mut by_key: BTreeMap<(usize, NetId, usize), Vec<(usize, usize)>> = BTreeMap::new();
-    for (i, s) in subnets.iter().enumerate() {
-        let (t, lane) = placement[i].expect("placed");
-        by_key
-            .entry((lane, s.net, t))
-            .or_default()
-            .push((s.lo, s.hi));
-    }
-    for ((lane, net, t), mut spans) in by_key {
-        spans.sort_unstable();
-        let mut cur = spans[0];
-        let flush = |lo: usize, hi: usize, lanes: &mut [ChannelPlan; 2]| {
-            lanes[lane].h_wires.push(HWire {
-                net,
-                track: t,
-                lo,
-                hi,
-            });
-        };
-        for &(lo, hi) in &spans[1..] {
-            if lo <= cur.1 {
-                cur.1 = cur.1.max(hi);
-            } else {
-                flush(cur.0, cur.1, &mut lanes);
-                cur = (lo, hi);
-            }
-        }
-        flush(cur.0, cur.1, &mut lanes);
-    }
-    // Vertical branches: per net, per connection column, spanning every
-    // incident trunk (regardless of lane) plus pin edges.
-    let mut conn_cols: BTreeMap<NetId, Vec<usize>> = BTreeMap::new();
-    for net in problem.nets() {
-        let mut cols = problem.pin_columns(net);
-        for s in subnets.iter().filter(|s| s.net == net) {
-            cols.push(s.lo);
-            cols.push(s.hi);
-        }
-        cols.sort_unstable();
-        cols.dedup();
-        conn_cols.insert(net, cols);
-    }
-    for (net, cols) in conn_cols {
-        if is_straight_through(problem, net) {
-            lanes[0]
-                .v_wires
-                .push(VWire::new(net, cols[0], VEnd::TopEdge, VEnd::BottomEdge));
-            continue;
-        }
-        for c in cols {
-            let mut ends: Vec<VEnd> = Vec::new();
-            if problem.top(c) == Some(net) {
-                ends.push(VEnd::TopEdge);
-            }
-            if problem.bottom(c) == Some(net) {
-                ends.push(VEnd::BottomEdge);
-            }
-            for (i, s) in subnets.iter().enumerate() {
-                if s.net == net && s.covers(c) {
-                    ends.push(VEnd::Track(placement[i].expect("placed").0));
-                }
-            }
-            ends.sort();
-            ends.dedup();
-            if ends.len() >= 2 {
-                let a = ends[0];
-                let b = *ends.last().expect("non-empty");
-                lanes[0].v_wires.push(VWire::new(net, c, a, b));
-            }
-        }
-    }
-
-    let [lower, upper] = lanes;
+    let [lower, upper] = route_lanes::<2>(problem, opts)?;
     Ok(ThreeLayerPlan {
+        tracks_used: lower.tracks_used,
         lower,
         upper,
-        tracks_used,
     })
 }
 

@@ -334,27 +334,6 @@ impl<'a> CostEvaluator<'a> {
     }
 }
 
-/// `true` if the run along `dir` between two points is free for `net`
-/// (all intersections on the run's plane free or owned by `net`).
-pub fn run_free(
-    grid: &GridModel,
-    net: u32,
-    dir: Dir,
-    a: (usize, usize),
-    b: (usize, usize),
-) -> bool {
-    match dir {
-        Dir::Horizontal => {
-            debug_assert_eq!(a.1, b.1);
-            grid.run_is_free(Dir::Horizontal, a.1, a.0, b.0, net)
-        }
-        Dir::Vertical => {
-            debug_assert_eq!(a.0, b.0);
-            grid.run_is_free(Dir::Vertical, a.0, a.1, b.1, net)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -870,10 +870,7 @@ impl<'a> LevelBRouter<'a> {
         if self.config.rip_up_budget == 0 {
             return;
         }
-        let opts = ocr_maze::MazeOptions {
-            via_cost: self.layout.rules.over_cell_pitch(),
-            astar: true,
-        };
+        let via_cost = self.layout.rules.over_cell_pitch();
         // Terminal cells survive rip-up, so exclude them — every named
         // blocker is then genuinely removable. Victims already ripped
         // for this net are excluded too, so repeated probes explore
@@ -883,7 +880,7 @@ impl<'a> LevelBRouter<'a> {
         let empty: Vec<u32> = Vec::new();
         let excluded = self.rip_exclusions.get(&net.0).unwrap_or(&empty);
         if let Ok(soft) =
-            ocr_maze::find_soft_path_filtered(grid, net.0, q, attach, opts, 1_000_000, |i, j| {
+            ocr_maze::find_soft_path(grid, net.0, q, attach, via_cost, 1_000_000, |i, j| {
                 if terminals.contains(&(i, j)) {
                     return false;
                 }

@@ -56,14 +56,6 @@ impl<'g> Tig<'g> {
         }
     }
 
-    /// `true` if the whole closed cross-index range `[lo, hi]` of track
-    /// `track` (plane `dir`) is passable for `net`, via the grid's
-    /// word-packed occupancy.
-    #[inline]
-    pub fn run_passable(&self, net: u32, dir: Dir, track: usize, lo: usize, hi: usize) -> bool {
-        self.grid.run_is_free(dir, track, lo, hi, net)
-    }
-
     /// `true` if the intersection `(i, j)` is a usable TIG edge for
     /// `net`: a corner (metal3↔metal4 via) can be placed there.
     #[inline]

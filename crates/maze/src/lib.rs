@@ -8,7 +8,8 @@
 //! comparator: a classic Lee router (Lee, "An algorithm for path
 //! connections and its applications", 1961) expanding a wave over the
 //! same two-plane grid model the Level B router uses, plus an A*
-//! variant.
+//! variant. The rip-up probe [`find_soft_path`] runs the same wave with
+//! other nets' wiring passable at a penalty.
 //!
 //! The unit of comparison is **expanded nodes**: a maze wave touches
 //! `O(area)` grid cells per connection, while the TIG search touches
@@ -140,158 +141,27 @@ pub fn route_maze(
 ) -> Result<MazePath, MazeError> {
     let src = grid.snap(from).ok_or(MazeError::OffGrid(from))?;
     let dst = grid.snap(to).ok_or(MazeError::OffGrid(to))?;
-    let (nv, nh) = (grid.nv(), grid.nh());
-    let idx = |i: usize, j: usize, p: usize| (j * nv + i) * 2 + p;
-    let passable = |g: &GridModel, i: usize, j: usize, p: usize| match g.state(
-        if p == 0 {
-            Dir::Horizontal
-        } else {
-            Dir::Vertical
-        },
-        i,
-        j,
-    ) {
-        CellState::Free => true,
-        CellState::Used(n) => n == net,
-        CellState::Blocked => false,
-    };
-
-    let mut dist: Vec<Coord> = vec![Coord::MAX; nv * nh * 2];
-    let mut prev: Vec<u32> = vec![u32::MAX; nv * nh * 2];
-    let mut heap = BinaryHeap::new();
-    let h = |i: usize, j: usize| -> Coord {
+    let g: &GridModel = grid;
+    let h = |i: usize, j: usize| {
         if opts.astar {
-            grid.distance((i, j), dst)
+            g.distance((i, j), dst)
         } else {
             0
         }
     };
-    let mut start_ok = false;
-    for p in 0..2 {
-        if passable(grid, src.0, src.1, p) {
-            dist[idx(src.0, src.1, p)] = 0;
-            heap.push(QueueEntry {
-                priority: h(src.0, src.1),
-                cost: 0,
-                node: (src.0, src.1, p),
-            });
-            start_ok = true;
-        }
-    }
-    if !start_ok {
-        return Err(MazeError::TerminalBlocked(from));
-    }
-    if !(0..2).any(|p| passable(grid, dst.0, dst.1, p)) {
-        return Err(MazeError::TerminalBlocked(to));
-    }
-
-    let mut expanded = 0usize;
-    let mut goal: Option<(usize, usize, usize)> = None;
-    while let Some(QueueEntry { cost, node, .. }) = heap.pop() {
-        let (i, j, p) = node;
-        if cost > dist[idx(i, j, p)] {
-            continue;
-        }
-        expanded += 1;
-        if (i, j) == dst {
-            goal = Some(node);
-            break;
-        }
-        // Neighbour moves along the plane's direction.
-        let push = |grid: &GridModel,
-                    heap: &mut BinaryHeap<QueueEntry>,
-                    dist: &mut Vec<Coord>,
-                    prev: &mut Vec<u32>,
-                    ni: usize,
-                    nj: usize,
-                    np: usize,
-                    step: Coord| {
-            if !passable(grid, ni, nj, np) {
-                return;
-            }
-            let nd = cost + step;
-            let k = idx(ni, nj, np);
-            if nd < dist[k] {
-                dist[k] = nd;
-                prev[k] = idx(i, j, p) as u32;
-                heap.push(QueueEntry {
-                    priority: nd + h(ni, nj),
-                    cost: nd,
-                    node: (ni, nj, np),
-                });
-            }
-        };
-        if p == 0 {
-            // Horizontal plane: move along x.
-            if i > 0 {
-                let step = grid.v_tracks().offset(i) - grid.v_tracks().offset(i - 1);
-                push(grid, &mut heap, &mut dist, &mut prev, i - 1, j, 0, step);
-            }
-            if i + 1 < nv {
-                let step = grid.v_tracks().offset(i + 1) - grid.v_tracks().offset(i);
-                push(grid, &mut heap, &mut dist, &mut prev, i + 1, j, 0, step);
-            }
-        } else {
-            // Vertical plane: move along y.
-            if j > 0 {
-                let step = grid.h_tracks().offset(j) - grid.h_tracks().offset(j - 1);
-                push(grid, &mut heap, &mut dist, &mut prev, i, j - 1, 1, step);
-            }
-            if j + 1 < nh {
-                let step = grid.h_tracks().offset(j + 1) - grid.h_tracks().offset(j);
-                push(grid, &mut heap, &mut dist, &mut prev, i, j + 1, 1, step);
-            }
-        }
-        // Plane change (via).
-        push(
-            grid,
-            &mut heap,
-            &mut dist,
-            &mut prev,
-            i,
-            j,
-            1 - p,
-            opts.via_cost,
-        );
-    }
-
-    let goal = goal.ok_or(MazeError::NoPath)?;
-    // Reconstruct.
-    let mut nodes_rev: Vec<(usize, usize, usize)> = Vec::new();
-    let mut cur = idx(goal.0, goal.1, goal.2);
-    loop {
-        let p = cur % 2;
-        let rest = cur / 2;
-        nodes_rev.push((rest % nv, rest / nv, p));
-        let pr = prev[cur];
-        if pr == u32::MAX {
-            break;
-        }
-        cur = pr as usize;
-    }
-    nodes_rev.reverse();
-    let nodes: Vec<(usize, usize, Dir)> = nodes_rev
-        .iter()
-        .map(|&(i, j, p)| {
-            (
-                i,
-                j,
-                if p == 0 {
-                    Dir::Horizontal
-                } else {
-                    Dir::Vertical
-                },
-            )
-        })
-        .collect();
-
-    let route = path_to_route(grid, &nodes);
-    occupy_path(grid, net, &nodes);
+    let entry = |i: usize, j: usize, p: usize| match g.state(plane_dir(p), i, j) {
+        CellState::Free => Some(0),
+        CellState::Used(n) if n == net => Some(0),
+        CellState::Used(_) | CellState::Blocked => None,
+    };
+    let found = wave(g, src, dst, opts.via_cost, h, entry)?;
+    let route = path_to_route(grid, &found.nodes);
+    occupy_path(grid, net, &found.nodes);
     Ok(MazePath {
         route,
-        cost: dist[idx(goal.0, goal.1, goal.2)],
-        expanded,
-        nodes,
+        cost: found.cost,
+        expanded: found.expanded,
+        nodes: found.nodes,
     })
 }
 
@@ -312,93 +182,118 @@ pub struct SoftPath {
 }
 
 /// Finds the cheapest path from `from` to `to` treating cells used by
-/// *other* nets as passable at `block_penalty` per cell (obstacles stay
-/// impassable). Does **not** modify the grid.
+/// *other* nets as passable at `block_penalty` per cell, plane changes
+/// costing `via_cost`. Only cells for which `rippable(i, j)` returns
+/// `true` may be crossed at a penalty; other nets' cells failing the
+/// filter, and obstacles, stay impassable. Does **not** modify the grid.
+///
+/// This is the [`route_maze`] wave with a penalised entry cost and no A*
+/// bound. Rip-up-and-reroute uses the filter to exclude cells that
+/// ripping cannot free (terminal reservations), so every named blocker
+/// is genuinely removable; pass `|_, _| true` to make all foreign
+/// wiring rippable.
 ///
 /// # Errors
 ///
-/// [`MazeError::OffGrid`] for off-grid terminals; [`MazeError::NoPath`]
-/// when even ripping every net would not connect the terminals
-/// (obstacles seal them apart).
+/// [`MazeError::OffGrid`] for off-grid terminals,
+/// [`MazeError::TerminalBlocked`] for a terminal impassable on both
+/// planes, and [`MazeError::NoPath`] when even ripping every rippable
+/// net would not connect the terminals.
 pub fn find_soft_path(
     grid: &GridModel,
     net: u32,
     from: Point,
     to: Point,
-    opts: MazeOptions,
-    block_penalty: Coord,
-) -> Result<SoftPath, MazeError> {
-    find_soft_path_filtered(grid, net, from, to, opts, block_penalty, |_, _| true)
-}
-
-/// Like [`find_soft_path`], but only cells for which
-/// `rippable(i, j)` returns `true` may be crossed at a penalty; other
-/// nets' cells failing the filter stay impassable.
-///
-/// Rip-up-and-reroute uses this to exclude cells that ripping cannot
-/// free (terminal reservations), so every named blocker is genuinely
-/// removable.
-///
-/// # Errors
-///
-/// Same as [`find_soft_path`].
-pub fn find_soft_path_filtered(
-    grid: &GridModel,
-    net: u32,
-    from: Point,
-    to: Point,
-    opts: MazeOptions,
+    via_cost: Coord,
     block_penalty: Coord,
     rippable: impl Fn(usize, usize) -> bool,
 ) -> Result<SoftPath, MazeError> {
     let src = grid.snap(from).ok_or(MazeError::OffGrid(from))?;
     let dst = grid.snap(to).ok_or(MazeError::OffGrid(to))?;
-    let (nv, nh) = (grid.nv(), grid.nh());
-    let idx = |i: usize, j: usize, p: usize| (j * nv + i) * 2 + p;
-    let dir_of = |p: usize| {
-        if p == 0 {
-            Dir::Horizontal
-        } else {
-            Dir::Vertical
-        }
+    let entry = |i: usize, j: usize, p: usize| match grid.state(plane_dir(p), i, j) {
+        CellState::Free => Some(0),
+        CellState::Used(n) if n == net => Some(0),
+        CellState::Used(_) if rippable(i, j) => Some(block_penalty),
+        CellState::Used(_) | CellState::Blocked => None,
     };
-    // Entry cost of a cell: None = impassable, Some(extra) otherwise.
-    let entry = |i: usize, j: usize, p: usize| -> Option<Coord> {
-        match grid.state(dir_of(p), i, j) {
-            CellState::Free => Some(0),
-            CellState::Used(n) if n == net => Some(0),
-            CellState::Used(_) if rippable(i, j) => Some(block_penalty),
-            CellState::Used(_) => None,
-            CellState::Blocked => None,
-        }
-    };
-
-    let mut dist: Vec<Coord> = vec![Coord::MAX; nv * nh * 2];
-    let mut prev: Vec<u32> = vec![u32::MAX; nv * nh * 2];
-    let mut heap: BinaryHeap<QueueEntry> = BinaryHeap::new();
-    for p in 0..2 {
-        if let Some(extra) = entry(src.0, src.1, p) {
-            let d = extra;
-            if d < dist[idx(src.0, src.1, p)] {
-                dist[idx(src.0, src.1, p)] = d;
-                heap.push(QueueEntry {
-                    priority: d,
-                    cost: d,
-                    node: (src.0, src.1, p),
-                });
+    let found = wave(grid, src, dst, via_cost, |_, _| 0, entry)?;
+    let mut blockers: Vec<u32> = Vec::new();
+    for &(i, j, d) in &found.nodes {
+        if let CellState::Used(n) = grid.state(d, i, j) {
+            if n != net && !blockers.contains(&n) {
+                blockers.push(n);
             }
         }
     }
+    Ok(SoftPath {
+        nodes: found.nodes,
+        cost: found.cost,
+        blockers,
+    })
+}
+
+/// The plane index `p` of a wave node: 0 horizontal, 1 vertical.
+fn plane_dir(p: usize) -> Dir {
+    if p == 0 {
+        Dir::Horizontal
+    } else {
+        Dir::Vertical
+    }
+}
+
+/// The outcome of one [`wave`].
+struct Found {
+    nodes: Vec<(usize, usize, Dir)>,
+    cost: Coord,
+    expanded: usize,
+}
+
+/// The one Dijkstra/A* wave behind [`route_maze`] and [`find_soft_path`],
+/// from grid node `src` to `dst` over both planes.
+///
+/// `entry(i, j, plane)` is the extra cost of entering a node, or `None`
+/// if it is impassable; `h(i, j)` is an A* lower bound on the remaining
+/// cost (0 for an undirected Lee wave). Moves follow the plane's
+/// direction at their physical track spacing; a plane change costs
+/// `via_cost`. Ties in the heap break on `(priority, cost)`.
+fn wave(
+    grid: &GridModel,
+    src: (usize, usize),
+    dst: (usize, usize),
+    via_cost: Coord,
+    h: impl Fn(usize, usize) -> Coord,
+    entry: impl Fn(usize, usize, usize) -> Option<Coord>,
+) -> Result<Found, MazeError> {
+    let (nv, nh) = (grid.nv(), grid.nh());
+    let idx = |i: usize, j: usize, p: usize| (j * nv + i) * 2 + p;
+    let mut dist: Vec<Coord> = vec![Coord::MAX; nv * nh * 2];
+    let mut prev: Vec<u32> = vec![u32::MAX; nv * nh * 2];
+    let mut heap = BinaryHeap::new();
+    for p in 0..2 {
+        if let Some(extra) = entry(src.0, src.1, p) {
+            dist[idx(src.0, src.1, p)] = extra;
+            heap.push(QueueEntry {
+                priority: extra + h(src.0, src.1),
+                cost: extra,
+                node: (src.0, src.1, p),
+            });
+        }
+    }
     if heap.is_empty() {
-        return Err(MazeError::TerminalBlocked(from));
+        return Err(MazeError::TerminalBlocked(grid.point(src.0, src.1)));
+    }
+    if (0..2).all(|p| entry(dst.0, dst.1, p).is_none()) {
+        return Err(MazeError::TerminalBlocked(grid.point(dst.0, dst.1)));
     }
 
+    let mut expanded = 0usize;
     let mut goal: Option<(usize, usize, usize)> = None;
     while let Some(QueueEntry { cost, node, .. }) = heap.pop() {
         let (i, j, p) = node;
         if cost > dist[idx(i, j, p)] {
             continue;
         }
+        expanded += 1;
         if (i, j) == dst {
             goal = Some(node);
             break;
@@ -413,76 +308,53 @@ pub fn find_soft_path_filtered(
                 dist[k] = nd;
                 prev[k] = idx(i, j, p) as u32;
                 heap.push(QueueEntry {
-                    priority: nd,
+                    priority: nd + h(ni, nj),
                     cost: nd,
                     node: (ni, nj, np),
                 });
             }
         };
         if p == 0 {
+            // Horizontal plane: move along x.
+            let x = |i: usize| grid.v_tracks().offset(i);
             if i > 0 {
-                relax(
-                    i - 1,
-                    j,
-                    0,
-                    grid.v_tracks().offset(i) - grid.v_tracks().offset(i - 1),
-                );
+                relax(i - 1, j, 0, x(i) - x(i - 1));
             }
             if i + 1 < nv {
-                relax(
-                    i + 1,
-                    j,
-                    0,
-                    grid.v_tracks().offset(i + 1) - grid.v_tracks().offset(i),
-                );
+                relax(i + 1, j, 0, x(i + 1) - x(i));
             }
         } else {
+            // Vertical plane: move along y.
+            let y = |j: usize| grid.h_tracks().offset(j);
             if j > 0 {
-                relax(
-                    i,
-                    j - 1,
-                    1,
-                    grid.h_tracks().offset(j) - grid.h_tracks().offset(j - 1),
-                );
+                relax(i, j - 1, 1, y(j) - y(j - 1));
             }
             if j + 1 < nh {
-                relax(
-                    i,
-                    j + 1,
-                    1,
-                    grid.h_tracks().offset(j + 1) - grid.h_tracks().offset(j),
-                );
+                relax(i, j + 1, 1, y(j + 1) - y(j));
             }
         }
-        relax(i, j, 1 - p, opts.via_cost);
+        // Plane change (via).
+        relax(i, j, 1 - p, via_cost);
     }
 
     let goal = goal.ok_or(MazeError::NoPath)?;
-    let mut nodes_rev = Vec::new();
+    let mut nodes = Vec::new();
     let mut cur = idx(goal.0, goal.1, goal.2);
     loop {
         let p = cur % 2;
         let rest = cur / 2;
-        nodes_rev.push((rest % nv, rest / nv, dir_of(p)));
+        nodes.push((rest % nv, rest / nv, plane_dir(p)));
         let pr = prev[cur];
         if pr == u32::MAX {
             break;
         }
         cur = pr as usize;
     }
-    nodes_rev.reverse();
-    let mut blockers: Vec<u32> = Vec::new();
-    for &(i, j, d) in &nodes_rev {
-        if let CellState::Used(n) = grid.state(d, i, j) {
-            if n != net && !blockers.contains(&n) {
-                blockers.push(n);
-            }
-        }
-    }
-    Ok(SoftPath {
+    nodes.reverse();
+    Ok(Found {
+        nodes,
         cost: dist[idx(goal.0, goal.1, goal.2)],
-        nodes: nodes_rev,
-        blockers,
+        expanded,
     })
 }
 
@@ -713,8 +585,9 @@ mod tests {
             1,
             Point::new(0, 50),
             Point::new(100, 50),
-            MazeOptions::default(),
+            MazeOptions::default().via_cost,
             10_000,
+            |_, _| true,
         )
         .expect("soft path");
         assert_eq!(soft.blockers, vec![5]);
@@ -731,8 +604,9 @@ mod tests {
             1,
             Point::new(0, 50),
             Point::new(100, 50),
-            MazeOptions::default(),
+            MazeOptions::default().via_cost,
             10_000,
+            |_, _| true,
         )
         .expect("soft path");
         assert!(soft.blockers.is_empty(), "should detour instead of ripping");
@@ -749,8 +623,9 @@ mod tests {
             1,
             Point::new(0, 50),
             Point::new(100, 50),
-            MazeOptions::default(),
+            MazeOptions::default().via_cost,
             10_000,
+            |_, _| true,
         )
         .unwrap_err();
         assert_eq!(err, MazeError::NoPath);

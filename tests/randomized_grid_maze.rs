@@ -138,7 +138,8 @@ fn soft_path_cost_never_below_hard_path_cost() {
         // Another net's wire crosses the middle.
         g.occupy_run(Dir::Horizontal, track, 0, 10, 77);
         let hard = route_maze(&mut g.clone(), 1, a, b, MazeOptions::default());
-        let soft = find_soft_path(&g, 1, a, b, MazeOptions::default(), 1000);
+        let via_cost = MazeOptions::default().via_cost;
+        let soft = find_soft_path(&g, 1, a, b, via_cost, 1000, |_, _| true);
         if let (Ok(h), Ok(s)) = (hard, soft) {
             // The soft optimum can only be ≤ hard cost (it has more
             // options), and with zero blockers they coincide.
