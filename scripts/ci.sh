@@ -37,6 +37,11 @@ OCR_THREADS=1 cargo test --workspace -q
 echo "==> cargo test (default ocr-exec pool)"
 cargo test --workspace -q
 
+echo "==> route pins in release (the ignored ×8 perfbench chip included)"
+# The ×8 chip's pinned routes take ~30 s in a debug build, so the plain
+# test runs above skip it; release runs it in a few seconds.
+cargo test --release --test determinism -- --ignored
+
 echo "==> telemetry smoke (ocr route --suite --stats-json + obs-check)"
 # The suite routed with telemetry on must yield a valid ocr-stats-v1
 # document — per-phase timings and rip/retry counters for every chip's

@@ -12,7 +12,7 @@
 use overcell_router::core::{FlowKind, FlowOptions, FlowResult};
 use overcell_router::exec::with_threads;
 use overcell_router::gen::random::small_random;
-use overcell_router::gen::suite;
+use overcell_router::gen::{generate, suite, BenchmarkSpec};
 use overcell_router::io::ckpt::fnv1a_64;
 use overcell_router::io::write_routes;
 use overcell_router::verify::VerifyReport;
@@ -107,6 +107,55 @@ fn sequential_and_parallel_runs_are_bit_identical_on_the_suite() {
             );
         }
     }
+}
+
+/// The `stress` family's ×`scale` chip (the ami33 statistics scaled by
+/// `scale`) with its row count and spec seed given explicitly: the
+/// `stress` binary uses `rows: 5·min(scale, 4)` and seed
+/// `0xA3133 + scale`, the perfbench `scale8` chip 20 rows and seed
+/// `0xA313B`.
+fn stress_spec(scale: usize, rows: usize, seed: u64) -> BenchmarkSpec {
+    BenchmarkSpec {
+        name: format!("ami33x{scale}"),
+        cells: 33 * scale,
+        rows,
+        nets_level_a: 4 * scale,
+        avg_pins_level_a: 44.25,
+        nets_level_b: 119 * scale,
+        avg_pins_level_b: 2.55,
+        obstacles: 8 * scale,
+        locality: 0.15,
+        seed,
+    }
+}
+
+/// Routes a stress chip with the over-cell flow and checks its routes
+/// against a pinned FNV-1a hash. These chips exercise what the suite
+/// barely does: clipped and full-die MBFS failures, the maze fallback
+/// and rip-up.
+fn assert_stress_pin(spec: &BenchmarkSpec, want: u64) {
+    let chip = generate(spec);
+    let (text, report) = run_text(FlowKind::OverCell, &chip.layout, &chip.placement);
+    assert!(report.is_clean(), "{}: {report:?}", spec.name);
+    assert_eq!(
+        fnv1a_64(&text),
+        want,
+        "{}: routed geometry moved from its pinned hash",
+        spec.name
+    );
+}
+
+#[test]
+fn stress_x2_routes_match_their_pinned_hash() {
+    assert_stress_pin(&stress_spec(2, 10, 0xA3133 + 2), 0xd3a5_436e_931a_fd7b);
+}
+
+/// The perfbench `scale8` chip (264 cells, 984 nets). Slow in a debug
+/// build; CI runs it in release with `--ignored`.
+#[test]
+#[ignore = "about 30 s in a debug build; CI runs it with --release -- --ignored"]
+fn scale8_routes_match_their_pinned_hash() {
+    assert_stress_pin(&stress_spec(8, 20, 0xA313B), 0x06a8_9403_4039_98c5);
 }
 
 #[test]
