@@ -16,6 +16,7 @@
 //! "controls the distribution of wiring segments to avoid blocking
 //! unrouted nets".
 
+use crate::mbfs::SearchWindow;
 use ocr_geom::{Coord, Dir, Point};
 use ocr_grid::GridModel;
 use std::fmt;
@@ -187,6 +188,29 @@ impl CostWeights {
         w.validate()?;
         Ok(w)
     }
+}
+
+/// Appends to `out` the terminals [`CostEvaluator::dup`] can see from a
+/// corner inside `window`, in their original order.
+///
+/// `dup` ignores terminals farther than Manhattan `2·radius` from the
+/// corner, and every corner of a path found in `window` lies inside it.
+/// So a terminal farther than `2·radius` from the window never counts.
+/// Dropping those, and keeping the rest in order, leaves every `dup` sum
+/// bit-identical to the one over the full list.
+pub fn terminals_near_window(
+    window: &SearchWindow,
+    radius: usize,
+    terminals: impl IntoIterator<Item = (usize, usize)>,
+    out: &mut Vec<(usize, usize)>,
+) {
+    let reach = 2 * radius;
+    let gap = |k: usize, lo: usize, hi: usize| lo.saturating_sub(k) + k.saturating_sub(hi);
+    out.extend(
+        terminals
+            .into_iter()
+            .filter(|&(i, j)| gap(i, window.i0, window.i1) + gap(j, window.j0, window.j1) <= reach),
+    );
 }
 
 /// Evaluates cost terms for corners on a given grid.

@@ -11,7 +11,7 @@
 
 use crate::ckpt::{reason_token, stats_to_pairs, CheckpointSpec, LevelBResume, RunSession};
 use crate::config::LevelBConfig;
-use crate::cost::CostEvaluator;
+use crate::cost::{terminals_near_window, CostEvaluator};
 use crate::degrade::{Degradation, DegradeReason, NetDegradation};
 use crate::error::RouteError;
 use crate::mbfs::{search_min_corner_paths_with, SearchScratch, SearchWindow};
@@ -76,8 +76,9 @@ pub struct LevelBRouter<'a> {
     /// The run control of the active `route_all_with` call, consulted by
     /// the search internals to charge deterministic steps.
     control: RunControl,
-    /// Reusable MBFS state (PST arenas, free-run cache, frontier
-    /// buffers), threaded through every window attempt.
+    /// Reusable search state (PST arenas, MBFS buffers, maze wave
+    /// buffers), threaded through every window attempt, maze fallback
+    /// and rip-up probe.
     scratch: SearchScratch,
     stats: RoutingStats,
 }
@@ -249,6 +250,15 @@ impl<'a> LevelBRouter<'a> {
     /// ordering, which makes an interrupted-and-resumed run
     /// byte-identical to an uninterrupted one.
     pub fn route_all_with(&mut self, session: &RunSession) -> Result<LevelBResult, RouteError> {
+        let result = self.route_queue(session);
+        // The maze buffers scale with the die (about 9 MB on the ×8
+        // chip); a router kept alive after the run should not hold them.
+        self.scratch.maze.release();
+        result
+    }
+
+    /// The body of [`LevelBRouter::route_all_with`].
+    fn route_queue(&mut self, session: &RunSession) -> Result<LevelBResult, RouteError> {
         self.control = session.control.clone();
         let steps_before = self.control.steps();
         // Declare the rip-up counters up front so telemetry exports
@@ -260,6 +270,9 @@ impl<'a> LevelBRouter<'a> {
             "level_b.doomed_terminals",
             "level_b.window_expansions",
             "level_b.maze_fallbacks",
+            "level_b.attempts_ok",
+            "level_b.attempts_failed_clipped",
+            "level_b.attempts_failed_full",
             "run.steps",
             "run.cancelled",
         ] {
@@ -817,6 +830,7 @@ impl<'a> LevelBRouter<'a> {
         }
         match self.find_path(net, q, attach) {
             Ok(path) => {
+                let _span = ocr_obs::span("level_b.commit");
                 self.commit_path(net, &path, route);
                 self.connect_attachment(net, attach, &path.points, route);
                 self.stats.corners += path.corners;
@@ -844,13 +858,25 @@ impl<'a> LevelBRouter<'a> {
             via_cost: self.layout.rules.over_cell_pitch(),
             astar: true,
         };
-        let path = match ocr_maze::route_maze(&mut self.grid, net.0, q, attach, opts) {
+        let maze = {
+            let _span = ocr_obs::span("level_b.maze");
+            ocr_maze::route_maze_with(
+                &mut self.grid,
+                net.0,
+                q,
+                attach,
+                opts,
+                &mut self.scratch.maze,
+            )
+        };
+        let path = match maze {
             Ok(p) => p,
             Err(_) => {
                 self.probe_blockers(net, q, attach);
                 return Err(RouteError::Unroutable { net });
             }
         };
+        let _span = ocr_obs::span("level_b.commit");
         self.stats.maze_fallbacks += 1;
         self.stats.maze_expanded += path.expanded;
         ocr_obs::count("level_b.maze_fallbacks", 1);
@@ -870,6 +896,7 @@ impl<'a> LevelBRouter<'a> {
         if self.config.rip_up_budget == 0 {
             return;
         }
+        let _span = ocr_obs::span("level_b.probe");
         let via_cost = self.layout.rules.over_cell_pitch();
         // Terminal cells survive rip-up, so exclude them — every named
         // blocker is then genuinely removable. Victims already ripped
@@ -879,21 +906,29 @@ impl<'a> LevelBRouter<'a> {
         let grid = &self.grid;
         let empty: Vec<u32> = Vec::new();
         let excluded = self.rip_exclusions.get(&net.0).unwrap_or(&empty);
-        if let Ok(soft) =
-            ocr_maze::find_soft_path(grid, net.0, q, attach, via_cost, 1_000_000, |i, j| {
-                if terminals.contains(&(i, j)) {
-                    return false;
-                }
-                for d in Dir::BOTH {
-                    if let CellState::Used(n) = grid.state(d, i, j) {
-                        if excluded.contains(&n) {
-                            return false;
-                        }
+        let rippable = |i: usize, j: usize| {
+            if terminals.contains(&(i, j)) {
+                return false;
+            }
+            for d in Dir::BOTH {
+                if let CellState::Used(n) = grid.state(d, i, j) {
+                    if excluded.contains(&n) {
+                        return false;
                     }
                 }
-                true
-            })
-        {
+            }
+            true
+        };
+        if let Ok(soft) = ocr_maze::find_soft_path_with(
+            grid,
+            net.0,
+            q,
+            attach,
+            via_cost,
+            1_000_000,
+            rippable,
+            &mut self.scratch.maze,
+        ) {
             self.last_blockers = soft.blockers.into_iter().map(NetId).collect();
         }
     }
@@ -915,8 +950,7 @@ impl<'a> LevelBRouter<'a> {
             .snap(to)
             .ok_or(RouteError::TerminalOffGrid { net, at: to })?;
         let mut margin = self.config.window_margin;
-        let unrouted_idx: Vec<(usize, usize)> =
-            self.unrouted_cells.iter().map(|&(_, c)| c).collect();
+        let mut terminals: Vec<(usize, usize)> = Vec::new();
         let sensitive: Vec<u32> = self
             .config
             .sensitive_nets
@@ -959,15 +993,25 @@ impl<'a> LevelBRouter<'a> {
                 attempt += 1;
                 continue;
             }
-            let outcome =
-                search_min_corner_paths_with(&tig, net.0, a, b, &window, &mut self.scratch);
+            let outcome = {
+                let _span = ocr_obs::span("level_b.mbfs");
+                search_min_corner_paths_with(&tig, net.0, a, b, &window, &mut self.scratch)
+            };
             self.stats.expanded_vertices += outcome.expanded;
             ocr_obs::count("level_b.expanded_vertices", outcome.expanded as u64);
             let mut found = None;
             if outcome.corners.is_some() {
+                let _span = ocr_obs::span("level_b.select");
+                terminals.clear();
+                terminals_near_window(
+                    &window,
+                    self.config.weights.radius,
+                    self.unrouted_cells.iter().map(|&(_, c)| c),
+                    &mut terminals,
+                );
                 let ev = CostEvaluator::new(
                     &self.grid,
-                    &unrouted_idx,
+                    &terminals,
                     self.config.weights,
                     self.layout.rules.over_cell_pitch(),
                 )
@@ -977,8 +1021,15 @@ impl<'a> LevelBRouter<'a> {
             self.scratch.reclaim(outcome);
             if let Some(best) = found {
                 self.stats.candidates_examined += 1;
+                ocr_obs::count("level_b.attempts_ok", 1);
                 return Ok(best);
             }
+            let failed = if last {
+                "level_b.attempts_failed_full"
+            } else {
+                "level_b.attempts_failed_clipped"
+            };
+            ocr_obs::count(failed, 1);
             prev_window = Some(window);
             margin = margin.saturating_mul(2).max(1);
             self.stats.window_expansions += 1;

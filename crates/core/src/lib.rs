@@ -59,6 +59,8 @@ pub mod portfolio;
 pub mod pst;
 pub mod stats;
 pub mod steiner;
+#[cfg(test)]
+mod testkit;
 pub mod tig;
 
 pub use ckpt::{resume_from_doc, CheckpointSpec, LevelBResume, RunSession};

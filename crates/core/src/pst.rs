@@ -222,8 +222,11 @@ pub fn select_best_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostWeights;
-    use crate::mbfs::{search_min_corner_paths, SearchWindow};
+    use crate::cost::{terminals_near_window, CostWeights};
+    use crate::mbfs::{
+        search_min_corner_paths, search_min_corner_paths_with, SearchScratch, SearchWindow,
+    };
+    use crate::testkit::{random_grid, Mix};
     use ocr_geom::{Interval, Rect};
     use ocr_grid::{GridModel, TrackSet};
 
@@ -392,5 +395,48 @@ mod tests {
             assert_eq!(c.corners, 1);
             assert!((c.cost - cands[0].cost).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn windowed_dup_terminals_select_the_same_path_bit_for_bit() {
+        let mut rng = Mix(0xd0_9e57);
+        let mut scratch = SearchScratch::new();
+        let (mut compared, mut trimmed) = (0, 0);
+        for case in 0..300 {
+            let (g, a, b) = random_grid(&mut rng);
+            let tig = Tig::new(&g);
+            let window = if rng.below(4) == 0 {
+                SearchWindow::full(&tig)
+            } else {
+                SearchWindow::around(&tig, a, b, rng.below(8))
+            };
+            let out = search_min_corner_paths_with(&tig, 1, a, b, &window, &mut scratch);
+            // Unrouted terminals anywhere on the die, in a random order.
+            let all: Vec<(usize, usize)> = (0..1 + rng.below(120))
+                .map(|_| (rng.below(g.nv()), rng.below(g.nh())))
+                .collect();
+            let (t1, t2) = (g.point(a.0, a.1), g.point(b.0, b.1));
+            let wide = CostWeights {
+                radius: 6,
+                ..CostWeights::dense()
+            };
+            for weights in [CostWeights::default(), CostWeights::dense(), wide] {
+                let mut near = Vec::new();
+                terminals_near_window(&window, weights.radius, all.iter().copied(), &mut near);
+                let pick = |terminals: &[(usize, usize)]| {
+                    let ev = CostEvaluator::new(&g, terminals, weights, 10);
+                    select_best_path(&tig, 1, &out, t1, t2, &ev)
+                        .map(|p| (p.tracks, p.points, p.cost.to_bits()))
+                };
+                assert_eq!(pick(&near), pick(&all), "case {case}, {weights:?}");
+                compared += usize::from(out.corners.is_some());
+                trimmed += usize::from(out.corners.is_some() && near.len() < all.len());
+            }
+            scratch.reclaim(out);
+        }
+        assert!(
+            compared >= 300 && trimmed >= 150,
+            "{compared} compared, {trimmed} trimmed"
+        );
     }
 }

@@ -1,4 +1,6 @@
-//! The two-plane routing surface with occupancy.
+//! The two-plane routing surface with occupancy: a `CellState` per
+//! intersection and plane, plus free-bit planes kept in lockstep with it
+//! for the word-parallel scans of the Level B search.
 
 use crate::TrackSet;
 use ocr_geom::{Coord, Dir, Point, Rect};
@@ -111,6 +113,13 @@ impl BitPlane {
         self.words[row * self.words_per_row + k / 64] & (1u64 << (k % 64)) != 0
     }
 
+    /// Word `w` of row `row`: the free bits of cross-indices
+    /// `64·w .. 64·w + 63`.
+    #[inline]
+    fn word(&self, row: usize, w: usize) -> u64 {
+        self.words[row * self.words_per_row + w]
+    }
+
     /// Largest `k` in `[lo, from]` whose bit is clear (not free), found
     /// by scanning whole words towards `lo`.
     fn prev_not_free(&self, row: usize, from: usize, lo: usize) -> Option<usize> {
@@ -163,12 +172,22 @@ impl BitPlane {
 /// `O(t), t = max(h, v)` since a two-terminal connection touches at most
 /// a constant number of tracks.
 ///
-/// A word-packed free/not-free bitset per plane ([`BitPlane`]) is kept
-/// in lockstep with the `CellState` array by [`GridModel::set_state`]
-/// (the single mutation point); [`GridModel::free_run`] uses it to
-/// expand maximal free runs with word-level scans, falling back to the
-/// enum only at non-free boundary cells to let a net pass through its
-/// own wiring.
+/// Two word-packed free/not-free bitsets per plane ([`BitPlane`]) are
+/// kept in lockstep with the `CellState` array by
+/// [`GridModel::set_state`] (the single mutation point):
+///
+/// - one along the plane's own tracks, with which
+///   [`GridModel::free_run`] expands maximal free runs by word-level
+///   scans, falling back to the enum only at non-free boundary cells to
+///   let a net pass through its own wiring;
+/// - one transposed, along the *other* plane's tracks, so that the
+///   corners a run crosses — free on both planes — come out 64 at a time
+///   from [`GridModel::corner_free_word`] instead of one strided enum
+///   load per cell.
+///
+/// The bit planes add `h·v/4` bytes to the `O(h·v)` state and one bit
+/// write per plane to each `O(1)` cell update, so the §3.4 bounds
+/// still hold.
 #[derive(Clone, Debug)]
 pub struct GridModel {
     region: Rect,
@@ -180,6 +199,10 @@ pub struct GridModel {
     /// Free-bit view of `state`, one plane each, row-major along each
     /// plane's own tracks.
     bits: [BitPlane; 2],
+    /// The same free bits transposed: `tbits[d]` has a row per track of
+    /// the plane perpendicular to `d` (`tbits[Horizontal]` one per
+    /// vertical track, with a bit per horizontal track).
+    tbits: [BitPlane; 2],
 }
 
 impl GridModel {
@@ -192,12 +215,17 @@ impl GridModel {
             BitPlane::new(h.len(), v.len()),
             BitPlane::new(v.len(), h.len()),
         ];
+        let tbits = [
+            BitPlane::new(v.len(), h.len()),
+            BitPlane::new(h.len(), v.len()),
+        ];
         GridModel {
             region,
             h,
             v,
             state: [vec![CellState::Free; n], vec![CellState::Free; n]],
             bits,
+            tbits,
         }
     }
 
@@ -283,6 +311,7 @@ impl GridModel {
             Dir::Vertical => (i, j),
         };
         self.bits[dir.index()].set(row, k, s.is_free());
+        self.tbits[dir.index()].set(k, row, s.is_free());
     }
 
     /// `true` if `(i, j)` is free on plane `dir`.
@@ -399,6 +428,18 @@ impl GridModel {
             k = z + 1;
         }
         true
+    }
+
+    /// Word `w` of the corner mask along track `track` of plane `dir`:
+    /// bit `b` is set iff the intersection at cross-index `64·w + b` is
+    /// free on *both* planes. Bits past the end of the track are clear.
+    ///
+    /// A clear bit only says "not free on some plane"; whether the cell
+    /// is still a usable corner for a net (its own wiring) is the
+    /// caller's question to [`GridModel::cell_passable`].
+    #[inline]
+    pub fn corner_free_word(&self, dir: Dir, track: usize, w: usize) -> u64 {
+        self.bits[dir.index()].word(track, w) & self.tbits[dir.perp().index()].word(track, w)
     }
 
     /// Number of cross-indices along a track of plane `dir` (the run
@@ -715,6 +756,52 @@ mod tests {
         }
     }
 
+    /// Asserts that both bit planes of every plane, and the corner
+    /// words built from them, agree with the `CellState` array.
+    fn assert_bit_planes_match_state(g: &GridModel) {
+        for dir in [Dir::Horizontal, Dir::Vertical] {
+            for i in 0..g.nv() {
+                for j in 0..g.nh() {
+                    let (row, k) = match dir {
+                        Dir::Horizontal => (j, i),
+                        Dir::Vertical => (i, j),
+                    };
+                    let free = g.state(dir, i, j).is_free();
+                    assert_eq!(
+                        g.bits[dir.index()].is_free(row, k),
+                        free,
+                        "{dir:?} ({i},{j})"
+                    );
+                    assert_eq!(
+                        g.tbits[dir.index()].is_free(k, row),
+                        free,
+                        "{dir:?} ({i},{j}), transposed"
+                    );
+                }
+            }
+            // The corner words are the AND of both planes, and bits past
+            // the end of a track stay clear.
+            for track in 0..g.track_count(dir) {
+                for k in 0..g.cross_len(dir) {
+                    let (i, j) = match dir {
+                        Dir::Horizontal => (k, track),
+                        Dir::Vertical => (track, k),
+                    };
+                    let both = g.is_free(Dir::Horizontal, i, j) && g.is_free(Dir::Vertical, i, j);
+                    let bit = g.corner_free_word(dir, track, k / 64) >> (k % 64) & 1;
+                    assert_eq!(bit == 1, both, "{dir:?} track {track} cross {k}");
+                }
+                let last = g.cross_len(dir) - 1;
+                let tail = g.corner_free_word(dir, track, last / 64);
+                assert_eq!(
+                    tail >> (last % 64) >> 1,
+                    0,
+                    "{dir:?} track {track} tail bits"
+                );
+            }
+        }
+    }
+
     #[test]
     fn bit_planes_track_cell_state_through_mutation() {
         let mut g = grid_multiword();
@@ -723,21 +810,29 @@ mod tests {
         g.occupy_run(Dir::Horizontal, 1, 100, 140, 5);
         // Clearing back to Free must set the bit again.
         g.set_state(Dir::Horizontal, 120, 1, CellState::Free);
-        for dir in [Dir::Horizontal, Dir::Vertical] {
-            for i in 0..g.nv() {
-                for j in 0..g.nh() {
-                    let (row, k) = match dir {
-                        Dir::Horizontal => (j, i),
-                        Dir::Vertical => (i, j),
-                    };
-                    assert_eq!(
-                        g.bits[dir.index()].is_free(row, k),
-                        g.state(dir, i, j).is_free(),
-                        "{dir:?} cell ({i},{j})"
-                    );
-                }
-            }
-        }
+        assert_bit_planes_match_state(&g);
+    }
+
+    #[test]
+    fn bit_planes_track_cell_state_on_a_grid_multiword_both_ways() {
+        // 130 vertical × 70 horizontal tracks: every row of every plane,
+        // direct or transposed, spans two or three words.
+        let mut g = GridModel::new(
+            Rect::new(0, 0, 1290, 690),
+            TrackSet::from_pitch(Interval::new(0, 690), 10),
+            TrackSet::from_pitch(Interval::new(0, 1290), 10),
+        );
+        assert_eq!((g.nv(), g.nh()), (130, 70));
+        assert_bit_planes_match_state(&g);
+        g.block_rect(&Rect::new(600, 100, 700, 680), Dir::Horizontal);
+        g.block_rect(&Rect::new(15, 615, 1285, 655), Dir::Vertical);
+        g.occupy_run(Dir::Horizontal, 64, 0, 129, 3);
+        g.occupy_run(Dir::Vertical, 63, 60, 69, 4);
+        g.occupy_run(Dir::Vertical, 127, 0, 66, 4);
+        g.set_state(Dir::Horizontal, 64, 64, CellState::Free);
+        g.set_state(Dir::Vertical, 63, 65, CellState::Blocked);
+        g.set_state(Dir::Vertical, 128, 69, CellState::Used(9));
+        assert_bit_planes_match_state(&g);
     }
 
     #[test]

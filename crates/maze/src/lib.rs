@@ -15,6 +15,12 @@
 //! `O(area)` grid cells per connection, while the TIG search touches
 //! `O(tracks)` vertices.
 //!
+//! A wave needs a distance and a predecessor per (cell, plane) node of
+//! the whole grid. [`MazeScratch`] keeps those buffers between waves:
+//! the `_with` variants ([`route_maze_with`], [`find_soft_path_with`])
+//! allocate them once per grid size and, after each wave, reset only the
+//! entries it set. The plain calls use a fresh scratch each time.
+//!
 //! # Example
 //!
 //! ```
@@ -99,7 +105,7 @@ pub struct MazePath {
     pub nodes: Vec<(usize, usize, Dir)>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct QueueEntry {
     priority: Coord,
     cost: Coord,
@@ -121,6 +127,62 @@ impl PartialOrd for QueueEntry {
     }
 }
 
+/// The reusable buffers of the maze wave: a distance and a predecessor
+/// per (cell, plane) node of one grid, and the wave's heap.
+///
+/// Between waves every distance is `Coord::MAX` and every predecessor
+/// unset. A wave records each node whose distance it sets and restores
+/// just those when it ends, on every exit, so the next wave on a grid
+/// of the same size starts without a fill. A grid of another size
+/// reallocates.
+#[derive(Clone, Debug, Default)]
+pub struct MazeScratch {
+    dist: Vec<Coord>,
+    prev: Vec<u32>,
+    /// Nodes whose distance the running wave has set.
+    touched: Vec<u32>,
+    heap: BinaryHeap<QueueEntry>,
+}
+
+impl MazeScratch {
+    /// Empty scratch; the first wave sizes it.
+    pub fn new() -> Self {
+        MazeScratch::default()
+    }
+
+    /// Drops the buffers (about 24 bytes per grid cell).
+    pub fn release(&mut self) {
+        *self = MazeScratch::default();
+    }
+
+    /// Sizes the buffers for `nodes` wave nodes.
+    fn prepare(&mut self, nodes: usize) {
+        if self.dist.len() != nodes {
+            self.dist = vec![Coord::MAX; nodes];
+            self.prev = vec![u32::MAX; nodes];
+        }
+    }
+
+    /// Restores every entry the last wave set.
+    fn reset(&mut self) {
+        for &k in &self.touched {
+            self.dist[k as usize] = Coord::MAX;
+            self.prev[k as usize] = u32::MAX;
+        }
+        self.touched.clear();
+        self.heap.clear();
+    }
+
+    /// Lowers node `k`'s distance to `d`, recording it as touched.
+    #[inline]
+    fn set_dist(&mut self, k: usize, d: Coord) {
+        if self.dist[k] == Coord::MAX {
+            self.touched.push(k as u32);
+        }
+        self.dist[k] = d;
+    }
+}
+
 /// Routes one two-terminal connection with a Lee/Dijkstra wave over the
 /// grid's two planes, marking the found path as used by `net`.
 ///
@@ -139,6 +201,22 @@ pub fn route_maze(
     to: Point,
     opts: MazeOptions,
 ) -> Result<MazePath, MazeError> {
+    route_maze_with(grid, net, from, to, opts, &mut MazeScratch::new())
+}
+
+/// [`route_maze`] on reusable wave buffers.
+///
+/// # Errors
+///
+/// See [`MazeError`].
+pub fn route_maze_with(
+    grid: &mut GridModel,
+    net: u32,
+    from: Point,
+    to: Point,
+    opts: MazeOptions,
+    scratch: &mut MazeScratch,
+) -> Result<MazePath, MazeError> {
     let src = grid.snap(from).ok_or(MazeError::OffGrid(from))?;
     let dst = grid.snap(to).ok_or(MazeError::OffGrid(to))?;
     let g: &GridModel = grid;
@@ -154,7 +232,7 @@ pub fn route_maze(
         CellState::Used(n) if n == net => Some(0),
         CellState::Used(_) | CellState::Blocked => None,
     };
-    let found = wave(g, src, dst, opts.via_cost, h, entry)?;
+    let found = wave(g, src, dst, opts.via_cost, h, entry, scratch)?;
     let route = path_to_route(grid, &found.nodes);
     occupy_path(grid, net, &found.nodes);
     Ok(MazePath {
@@ -208,6 +286,35 @@ pub fn find_soft_path(
     block_penalty: Coord,
     rippable: impl Fn(usize, usize) -> bool,
 ) -> Result<SoftPath, MazeError> {
+    let mut scratch = MazeScratch::new();
+    find_soft_path_with(
+        grid,
+        net,
+        from,
+        to,
+        via_cost,
+        block_penalty,
+        rippable,
+        &mut scratch,
+    )
+}
+
+/// [`find_soft_path`] on reusable wave buffers.
+///
+/// # Errors
+///
+/// See [`find_soft_path`].
+#[allow(clippy::too_many_arguments)]
+pub fn find_soft_path_with(
+    grid: &GridModel,
+    net: u32,
+    from: Point,
+    to: Point,
+    via_cost: Coord,
+    block_penalty: Coord,
+    rippable: impl Fn(usize, usize) -> bool,
+    scratch: &mut MazeScratch,
+) -> Result<SoftPath, MazeError> {
     let src = grid.snap(from).ok_or(MazeError::OffGrid(from))?;
     let dst = grid.snap(to).ok_or(MazeError::OffGrid(to))?;
     let entry = |i: usize, j: usize, p: usize| match grid.state(plane_dir(p), i, j) {
@@ -216,7 +323,7 @@ pub fn find_soft_path(
         CellState::Used(_) if rippable(i, j) => Some(block_penalty),
         CellState::Used(_) | CellState::Blocked => None,
     };
-    let found = wave(grid, src, dst, via_cost, |_, _| 0, entry)?;
+    let found = wave(grid, src, dst, via_cost, |_, _| 0, entry, scratch)?;
     let mut blockers: Vec<u32> = Vec::new();
     for &(i, j, d) in &found.nodes {
         if let CellState::Used(n) = grid.state(d, i, j) {
@@ -256,6 +363,8 @@ struct Found {
 /// cost (0 for an undirected Lee wave). Moves follow the plane's
 /// direction at their physical track spacing; a plane change costs
 /// `via_cost`. Ties in the heap break on `(priority, cost)`.
+///
+/// Runs on `scratch`'s buffers and leaves them reset, whatever the exit.
 fn wave(
     grid: &GridModel,
     src: (usize, usize),
@@ -263,23 +372,37 @@ fn wave(
     via_cost: Coord,
     h: impl Fn(usize, usize) -> Coord,
     entry: impl Fn(usize, usize, usize) -> Option<Coord>,
+    scratch: &mut MazeScratch,
+) -> Result<Found, MazeError> {
+    scratch.prepare(grid.nv() * grid.nh() * 2);
+    let found = wave_in(grid, src, dst, via_cost, h, entry, scratch);
+    scratch.reset();
+    found
+}
+
+/// The body of [`wave`], on prepared buffers it does not reset.
+fn wave_in(
+    grid: &GridModel,
+    src: (usize, usize),
+    dst: (usize, usize),
+    via_cost: Coord,
+    h: impl Fn(usize, usize) -> Coord,
+    entry: impl Fn(usize, usize, usize) -> Option<Coord>,
+    scratch: &mut MazeScratch,
 ) -> Result<Found, MazeError> {
     let (nv, nh) = (grid.nv(), grid.nh());
     let idx = |i: usize, j: usize, p: usize| (j * nv + i) * 2 + p;
-    let mut dist: Vec<Coord> = vec![Coord::MAX; nv * nh * 2];
-    let mut prev: Vec<u32> = vec![u32::MAX; nv * nh * 2];
-    let mut heap = BinaryHeap::new();
     for p in 0..2 {
         if let Some(extra) = entry(src.0, src.1, p) {
-            dist[idx(src.0, src.1, p)] = extra;
-            heap.push(QueueEntry {
+            scratch.set_dist(idx(src.0, src.1, p), extra);
+            scratch.heap.push(QueueEntry {
                 priority: extra + h(src.0, src.1),
                 cost: extra,
                 node: (src.0, src.1, p),
             });
         }
     }
-    if heap.is_empty() {
+    if scratch.heap.is_empty() {
         return Err(MazeError::TerminalBlocked(grid.point(src.0, src.1)));
     }
     if (0..2).all(|p| entry(dst.0, dst.1, p).is_none()) {
@@ -288,9 +411,9 @@ fn wave(
 
     let mut expanded = 0usize;
     let mut goal: Option<(usize, usize, usize)> = None;
-    while let Some(QueueEntry { cost, node, .. }) = heap.pop() {
+    while let Some(QueueEntry { cost, node, .. }) = scratch.heap.pop() {
         let (i, j, p) = node;
-        if cost > dist[idx(i, j, p)] {
+        if cost > scratch.dist[idx(i, j, p)] {
             continue;
         }
         expanded += 1;
@@ -304,10 +427,10 @@ fn wave(
             };
             let nd = cost + step + extra;
             let k = idx(ni, nj, np);
-            if nd < dist[k] {
-                dist[k] = nd;
-                prev[k] = idx(i, j, p) as u32;
-                heap.push(QueueEntry {
+            if nd < scratch.dist[k] {
+                scratch.set_dist(k, nd);
+                scratch.prev[k] = idx(i, j, p) as u32;
+                scratch.heap.push(QueueEntry {
                     priority: nd + h(ni, nj),
                     cost: nd,
                     node: (ni, nj, np),
@@ -344,7 +467,7 @@ fn wave(
         let p = cur % 2;
         let rest = cur / 2;
         nodes.push((rest % nv, rest / nv, plane_dir(p)));
-        let pr = prev[cur];
+        let pr = scratch.prev[cur];
         if pr == u32::MAX {
             break;
         }
@@ -353,7 +476,7 @@ fn wave(
     nodes.reverse();
     Ok(Found {
         nodes,
-        cost: dist[idx(goal.0, goal.1, goal.2)],
+        cost: scratch.dist[idx(goal.0, goal.1, goal.2)],
         expanded,
     })
 }
@@ -647,6 +770,84 @@ mod tests {
         .expect("routes");
         assert_eq!(p.route.wire_length(), 60);
         assert_eq!(p.cost, 60);
+    }
+
+    /// Asserts the between-waves invariant of a scratch.
+    fn assert_reset(scratch: &MazeScratch) {
+        assert!(scratch.dist.iter().all(|&d| d == Coord::MAX));
+        assert!(scratch.prev.iter().all(|&p| p == u32::MAX));
+        assert!(scratch.touched.is_empty() && scratch.heap.is_empty());
+    }
+
+    #[test]
+    fn shared_scratch_matches_fresh_buffers_across_grids_and_exits() {
+        // Three grids of different sizes. The wall grid has no path
+        // across; its blocked column also seals some terminals, so some
+        // waves seed the source and then stop at a blocked target.
+        let mut wall = grid(60, 10);
+        for dir in [Dir::Horizontal, Dir::Vertical] {
+            wall.block_rect(&Rect::new(25, -5, 35, 65), dir);
+        }
+        let mut foreign = grid(200, 10);
+        foreign.occupy_run(Dir::Horizontal, 10, 0, 20, 5);
+        foreign.occupy_run(Dir::Vertical, 7, 3, 18, 6);
+        let grids = [grid(100, 10), foreign, wall];
+        let mut scratch = MazeScratch::new();
+        let mut state = 0x5eed_u64;
+        let mut pick = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % n as u64) as usize
+        };
+        let (mut no_path, mut blocked) = (0, 0);
+        for call in 0..120 {
+            let g = &grids[call % grids.len()];
+            let n = g.nv();
+            let from = g.point(pick(n), pick(n));
+            let to = g.point(pick(n), pick(n));
+            if call % 2 == 0 {
+                let opts = MazeOptions {
+                    via_cost: 5,
+                    astar: call % 4 == 0,
+                };
+                let shared = route_maze_with(&mut g.clone(), 1, from, to, opts, &mut scratch);
+                let fresh = route_maze(&mut g.clone(), 1, from, to, opts);
+                match (&shared, &fresh) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(
+                            (&a.nodes, a.cost, a.expanded),
+                            (&b.nodes, b.cost, b.expanded),
+                            "call {call}"
+                        );
+                    }
+                    (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err(), "call {call}"),
+                }
+                no_path += usize::from(matches!(shared, Err(MazeError::NoPath)));
+                blocked += usize::from(matches!(shared, Err(MazeError::TerminalBlocked(_))));
+            } else {
+                let shared =
+                    find_soft_path_with(g, 1, from, to, 5, 1_000, |i, _| i % 3 != 0, &mut scratch);
+                let fresh = find_soft_path(g, 1, from, to, 5, 1_000, |i, _| i % 3 != 0);
+                match (&shared, &fresh) {
+                    (Ok(a), Ok(b)) => assert_eq!(
+                        (&a.nodes, a.cost, &a.blockers),
+                        (&b.nodes, b.cost, &b.blockers),
+                        "call {call}"
+                    ),
+                    (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err(), "call {call}"),
+                }
+                no_path += usize::from(matches!(shared, Err(MazeError::NoPath)));
+                blocked += usize::from(matches!(shared, Err(MazeError::TerminalBlocked(_))));
+            }
+            assert_reset(&scratch);
+        }
+        assert!(
+            no_path > 0 && blocked > 0,
+            "{no_path} NoPath, {blocked} TerminalBlocked"
+        );
+        scratch.release();
+        assert!(scratch.dist.is_empty());
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! and its exports must carry the per-phase spans and Level B counters
 //! the CLI and CI smoke check rely on.
 
-use overcell_router::core::{FlowKind, FlowOptions};
+use overcell_router::core::{FlowKind, FlowOptions, LevelBConfig, LevelBRouter, NetOrdering};
 use overcell_router::gen::random::small_random;
+use overcell_router::geom::{Layer, LayerSet, Point, Rect};
 use overcell_router::io::write_routes;
+use overcell_router::netlist::{Layout, NetClass, Obstacle};
 use overcell_router::obs::{self, json};
 
 fn routes_text(
@@ -68,17 +70,88 @@ fn overcell_telemetry_carries_phases_and_rip_counters() {
             .unwrap_or_else(|| panic!("missing span `{phase}`"));
         assert!(agg.total_ns > 0, "`{phase}` must have nonzero timing");
     }
-    // Rip/retry counters are declared even when the run never rips.
+    // Rip/retry and search-attempt counters are declared even when the
+    // run never rips or fails an attempt.
     for counter in [
         "level_b.rips",
         "level_b.retries",
         "level_b.doomed_terminals",
+        "level_b.attempts_ok",
+        "level_b.attempts_failed_clipped",
+        "level_b.attempts_failed_full",
     ] {
         assert!(t.counter(counter).is_some(), "missing counter `{counter}`");
     }
     // The exec pool reported per-worker activity for the parallel
     // stages (Level A channels fan out across it).
     assert!(t.counter("exec.tasks").is_some_and(|v| v > 0));
+}
+
+/// Two nets contending for one gap in a wall across the die: the second
+/// net's searches fail in every window, its maze fallback fails, and the
+/// rip-up probe names the first net as the victim. That walks every
+/// Level B sub-span.
+fn chokepoint_layout() -> Layout {
+    let mut l = Layout::new(Rect::new(0, 0, 400, 400));
+    for (x0, x1) in [(-5, 195), (205, 405)] {
+        l.add_obstacle(Obstacle::new(
+            Rect::new(x0, 195, x1, 205),
+            LayerSet::level_b(),
+        ));
+    }
+    l.add_obstacle(Obstacle::new(
+        Rect::new(195, 195, 205, 205),
+        LayerSet::single(Layer::Metal3),
+    ));
+    for (name, x, y) in [("first", 100, 100), ("second", 300, 110)] {
+        let n = l.add_net(name, NetClass::Signal);
+        l.add_pin(n, None, Point::new(x, y), Layer::Metal2);
+        l.add_pin(n, None, Point::new(x, y + 200), Layer::Metal2);
+    }
+    l
+}
+
+#[test]
+fn level_b_sub_spans_and_attempt_counters_are_recorded() {
+    let layout = chokepoint_layout();
+    let nets: Vec<_> = layout.net_ids().collect();
+    let collector = obs::Collector::new();
+    obs::with_collector(&collector, || {
+        let config = LevelBConfig {
+            rip_up_budget: 4,
+            ordering: NetOrdering::User(nets.clone()),
+            ..LevelBConfig::default()
+        };
+        LevelBRouter::new(&layout, &nets, config)
+            .expect("router")
+            .route_all()
+            .expect("route_all")
+    });
+    let t = collector.snapshot();
+    let aggs = t.aggregate();
+    for span in [
+        "level_b.route_net",
+        "level_b.mbfs",
+        "level_b.select",
+        "level_b.maze",
+        "level_b.probe",
+        "level_b.commit",
+    ] {
+        assert!(
+            aggs.iter().any(|a| a.name == span && a.count > 0),
+            "missing span `{span}`"
+        );
+    }
+    for counter in [
+        "level_b.attempts_ok",
+        "level_b.attempts_failed_clipped",
+        "level_b.attempts_failed_full",
+    ] {
+        assert!(
+            t.counter(counter).is_some_and(|v| v > 0),
+            "counter `{counter}` never counted"
+        );
+    }
 }
 
 #[test]
