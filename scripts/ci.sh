@@ -18,6 +18,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+echo "==> figure goldens (fig1, fig2 stdout vs crates/bench/golden)"
+# The Figure 1 and 2 printers walk the TIG, both MBFS passes and every
+# PST; their text is pinned byte for byte, so a search refactor that
+# changes a run, a parent list or a candidate cost fails here.
+FIG_DIR="$(mktemp -d)"
+for fig in fig1 fig2; do
+    ./target/release/$fig > "$FIG_DIR/$fig.txt"
+    cmp "$FIG_DIR/$fig.txt" "crates/bench/golden/$fig.txt"
+done
+rm -rf "$FIG_DIR"
+
 echo "==> examples (each asserts an oracle-clean result)"
 # The examples check their own results with the ocr-verify oracle. Run
 # them from a scratch directory so the files they write stay out of the
