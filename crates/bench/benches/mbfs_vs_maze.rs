@@ -10,9 +10,8 @@
 use ocr_bench::harness::{BenchmarkId, Criterion};
 use ocr_bench::{criterion_group, criterion_main};
 use ocr_core::cost::{CostEvaluator, CostWeights};
-use ocr_core::mbfs::{search_min_corner_paths, SearchWindow};
+use ocr_core::mbfs::{search_min_corner_paths, SearchScratch, SearchWindow};
 use ocr_core::pst::select_best_path;
-use ocr_core::tig::Tig;
 use ocr_gen::rng::Rng;
 use ocr_geom::{Dir, Interval, Point, Rect};
 use ocr_grid::{GridModel, TrackSet};
@@ -53,14 +52,14 @@ fn bench_search(c: &mut Criterion) {
             grid.snap(b).expect("on grid"),
         );
 
+        let mut scratch = SearchScratch::new();
         group.bench_with_input(BenchmarkId::new("tig_mbfs", tracks), &tracks, |bch, _| {
             bch.iter(|| {
-                let tig = Tig::new(&grid);
-                let w = SearchWindow::full(&tig);
-                let out = search_min_corner_paths(&tig, 0, ai, bi, &w);
+                let w = SearchWindow::full(&grid);
+                let out = search_min_corner_paths(&grid, 0, ai, bi, &w, &mut scratch);
                 let terms: Vec<(usize, usize)> = vec![];
                 let ev = CostEvaluator::new(&grid, &terms, CostWeights::default(), pitch);
-                select_best_path(&tig, 0, &out, a, b, &ev)
+                select_best_path(&grid, 0, &out, a, b, &ev)
             })
         });
         group.bench_with_input(BenchmarkId::new("lee_maze", tracks), &tracks, |bch, _| {
@@ -104,15 +103,15 @@ fn bench_search(c: &mut Criterion) {
         "{:>7} {:>10} {:>10} {:>10} {:>10}",
         "tracks", "tig_mbfs", "mikami", "lee_maze", "astar"
     );
+    let mut scratch = SearchScratch::new();
     for tracks in [32i64, 64, 128, 256] {
         let grid = obstacle_grid(tracks, 7);
         let pitch = 10;
         let a = Point::new(pitch, pitch);
         let b = Point::new((tracks - 1) * pitch, (tracks - 1) * pitch);
         let (ai, bi) = (grid.snap(a).expect("grid"), grid.snap(b).expect("grid"));
-        let tig = Tig::new(&grid);
-        let w = SearchWindow::full(&tig);
-        let t = search_min_corner_paths(&tig, 0, ai, bi, &w).expanded;
+        let w = SearchWindow::full(&grid);
+        let t = search_min_corner_paths(&grid, 0, ai, bi, &w, &mut scratch).expanded;
         let mut g1 = grid.clone();
         let lee = route_maze(&mut g1, 0, a, b, MazeOptions::default())
             .map(|p| p.expanded)

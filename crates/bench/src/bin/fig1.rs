@@ -11,25 +11,25 @@
 
 use ocr_bench::fig_instance::{build, terminal_points, NET_B};
 use ocr_core::cost::{CostEvaluator, CostWeights};
-use ocr_core::mbfs::{search_min_corner_paths, SearchWindow};
+use ocr_core::mbfs::{search_min_corner_paths, SearchScratch, SearchWindow};
 use ocr_core::pst::{enumerate_paths, select_best_path};
-use ocr_core::tig::Tig;
+use ocr_core::tig::render_adjacency;
 use ocr_geom::Dir;
 
 fn main() {
     let (grid, t1, t2) = build();
-    let tig = Tig::new(&grid);
     println!("Figure 1: Level B instance and its Track Intersection Graph");
     println!(
         "Terminals of net B: (v2, h2) and (v6, h4); nets A and C routed; obstacle O1 at (v4, h3)."
     );
     println!();
     println!("TIG usable edges for net B (h_j: usable v_i intersections):");
-    print!("{}", tig.render_adjacency(NET_B));
+    print!("{}", render_adjacency(&grid, NET_B));
     println!();
 
-    let window = SearchWindow::full(&tig);
-    let out = search_min_corner_paths(&tig, NET_B, t1, t2, &window);
+    let window = SearchWindow::full(&grid);
+    let mut scratch = SearchScratch::new();
+    let out = search_min_corner_paths(&grid, NET_B, t1, t2, &window, &mut scratch);
     let (p1, p2) = (terminal_points(&grid, t1), terminal_points(&grid, t2));
     let unrouted: Vec<(usize, usize)> = vec![];
     let ev = CostEvaluator::new(&grid, &unrouted, CostWeights::default(), 10);
@@ -43,7 +43,7 @@ fn main() {
             "MBFS from {label}: min corners = {:?}, {} vertices expanded",
             pst.corners, pst.expanded
         );
-        for path in enumerate_paths(&tig, NET_B, pst, p1, p2, &ev, 16) {
+        for path in enumerate_paths(&grid, NET_B, pst, p1, p2, &ev, 16) {
             let names: Vec<String> = path.tracks.iter().map(|&k| name(k)).collect();
             println!(
                 "  path ({}, v6*): {} corner(s), wl {}, cost {:.3}",
@@ -60,7 +60,7 @@ fn main() {
     println!("  (* v6 is the terminal edge — reaching it costs no corner)");
     println!();
 
-    let best = select_best_path(&tig, NET_B, &out, p1, p2, &ev).expect("a path exists");
+    let best = select_best_path(&grid, NET_B, &out, p1, p2, &ev).expect("a path exists");
     let names: Vec<String> = best.tracks.iter().map(|&k| name(k)).collect();
     println!(
         "Selected path: ({}, v6) with {} corner — matching the paper's (v2, h4, v6).",

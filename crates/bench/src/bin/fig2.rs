@@ -6,8 +6,7 @@
 //! parents. The backtracking path selector of §3.2 walks these trees.
 
 use ocr_bench::fig_instance::{build, NET_B};
-use ocr_core::mbfs::{mbfs, SearchWindow};
-use ocr_core::tig::Tig;
+use ocr_core::mbfs::{search_min_corner_paths, SearchScratch, SearchWindow};
 use ocr_geom::Dir;
 
 fn name(k: (Dir, usize)) -> String {
@@ -19,11 +18,11 @@ fn name(k: (Dir, usize)) -> String {
 
 fn main() {
     let (grid, t1, t2) = build();
-    let tig = Tig::new(&grid);
-    let window = SearchWindow::full(&tig);
+    let window = SearchWindow::full(&grid);
+    let mut scratch = SearchScratch::new();
+    let out = search_min_corner_paths(&grid, NET_B, t1, t2, &window, &mut scratch);
     println!("Figure 2: Path Selection Trees for net B");
-    for start_dir in [Dir::Vertical, Dir::Horizontal] {
-        let pst = mbfs(&tig, NET_B, start_dir, t1, t2, &window);
+    for pst in [out.from_v, out.from_h] {
         println!();
         println!(
             "PST rooted at {} (min corners {:?}):",
@@ -54,5 +53,4 @@ fn main() {
             );
         }
     }
-    let _ = t2;
 }

@@ -157,16 +157,15 @@ pub mod fig_instance {
 #[cfg(test)]
 mod fig_tests {
     use super::fig_instance::{build, NET_B};
-    use ocr_core::mbfs::{search_min_corner_paths, SearchWindow};
-    use ocr_core::tig::Tig;
+    use ocr_core::mbfs::{search_min_corner_paths, SearchScratch, SearchWindow};
     use ocr_geom::Dir;
 
     #[test]
     fn figure1_search_matches_the_paper() {
         let (grid, t1, t2) = build();
-        let tig = Tig::new(&grid);
-        let w = SearchWindow::full(&tig);
-        let out = search_min_corner_paths(&tig, NET_B, t1, t2, &w);
+        let w = SearchWindow::full(&grid);
+        let mut scratch = SearchScratch::new();
+        let out = search_min_corner_paths(&grid, NET_B, t1, t2, &w, &mut scratch);
         // The global minimum is one corner, achieved by the search that
         // starts from terminal 1's *vertical* track (paper: the path
         // (v2, h4, v6) "requires only one corner").

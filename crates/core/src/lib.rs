@@ -14,12 +14,12 @@
 //!   *entire* layout area — between-cell **and** over-cell — on
 //!   metal3/metal4 by the paper's new two-dimensional router:
 //!   a grid of (possibly non-uniformly spaced) tracks, a bipartite
-//!   *Track Intersection Graph* ([`tig`]), a *modified breadth-first
-//!   search* finding all minimum-corner paths ([`mbfs`]), *Path
-//!   Selection Trees* with a weighted cost function choosing among them
-//!   ([`pst`], [`cost`]), longest-distance-first net ordering
-//!   ([`order`]), and a Prim-based rectilinear Steiner heuristic for
-//!   multi-terminal nets ([`steiner`]).
+//!   *Track Intersection Graph* read directly off that grid ([`tig`]),
+//!   a *modified breadth-first search* finding minimum-corner paths
+//!   ([`mbfs`]), *Path Selection Trees* with a weighted cost function
+//!   choosing among them ([`pst`], [`cost`]), longest-distance-first
+//!   net ordering ([`order`]), and a Prim-based rectilinear Steiner
+//!   heuristic for multi-terminal nets ([`steiner`]).
 //!
 //! The [`flow`] module assembles complete flows: the proposed over-cell
 //! flow and the channel-only baselines the paper compares against in its
@@ -80,4 +80,3 @@ pub use order::{
 pub use partition::{partition_nets, partition_nets_area_budget, PartitionStrategy};
 pub use portfolio::{portfolio_roster, PortfolioReport, StrategyOutcome};
 pub use stats::RoutingStats;
-pub use tig::Tig;

@@ -34,6 +34,18 @@ impl CellState {
     pub fn is_used(self) -> bool {
         matches!(self, CellState::Used(_))
     }
+
+    /// `true` if a wire of `net` may pass: the cell is free or holds
+    /// `net`'s own wiring (a net may reuse it, e.g. Steiner trunks).
+    /// This is the one own-net rule every search applies.
+    #[inline]
+    pub fn passable_for(self, net: u32) -> bool {
+        match self {
+            CellState::Free => true,
+            CellState::Used(n) => n == net,
+            CellState::Blocked => false,
+        }
+    }
 }
 
 impl fmt::Display for CellState {
@@ -394,18 +406,24 @@ impl GridModel {
     }
 
     /// `true` if cross-index `k` of track `track` on plane `dir` is
-    /// passable for `net`: free, or used by `net` itself.
+    /// passable for `net` ([`CellState::passable_for`]).
     #[inline]
     pub fn cell_passable(&self, net: u32, dir: Dir, track: usize, k: usize) -> bool {
         let (i, j) = match dir {
             Dir::Horizontal => (k, track),
             Dir::Vertical => (track, k),
         };
-        match self.state(dir, i, j) {
-            CellState::Free => true,
-            CellState::Used(n) => n == net,
-            CellState::Blocked => false,
-        }
+        self.state(dir, i, j).passable_for(net)
+    }
+
+    /// `true` if `net` may turn a corner at intersection `(i, j)`: a
+    /// corner joins a metal3 run to a metal4 run with a via, so the cell
+    /// must be passable for `net` on both planes. These are the edges of
+    /// the paper's Track Intersection Graph.
+    #[inline]
+    pub fn corner_usable(&self, net: u32, i: usize, j: usize) -> bool {
+        self.state(Dir::Horizontal, i, j).passable_for(net)
+            && self.state(Dir::Vertical, i, j).passable_for(net)
     }
 
     /// `true` if every intersection of the run is free on plane `dir`,
@@ -643,6 +661,31 @@ mod tests {
         assert!(g.run_is_free(Dir::Horizontal, 2, 0, 4, 7));
         // Vertical plane is independent.
         assert!(g.run_is_free(Dir::Vertical, 2, 0, 4, 9));
+    }
+
+    #[test]
+    fn corners_need_both_planes_passable_for_the_net() {
+        let mut g = grid5();
+        // On an empty grid every intersection is a usable corner.
+        assert!((0..5).all(|i| (0..5).all(|j| g.corner_usable(0, i, j))));
+        // An obstacle on one plane splits that plane's track and makes
+        // its corners unusable; the other plane's track stays whole.
+        g.block_rect(&Rect::new(15, 15, 25, 25), Dir::Horizontal);
+        assert_eq!(g.free_run(0, Dir::Horizontal, 2, 0, 0, 4), Some((0, 0)));
+        assert_eq!(g.free_run(0, Dir::Horizontal, 2, 4, 0, 4), Some((4, 4)));
+        assert_eq!(g.free_run(0, Dir::Vertical, 2, 2, 0, 4), Some((0, 4)));
+        assert!(!g.corner_usable(0, 2, 2));
+        assert!(g.corner_usable(0, 2, 0));
+        // Own wiring passes, on a run and at a corner; foreign wiring
+        // does not.
+        g.occupy_run(Dir::Horizontal, 4, 0, 4, 7);
+        g.occupy_run(Dir::Vertical, 1, 0, 4, 7);
+        assert_eq!(g.free_run(7, Dir::Horizontal, 4, 2, 0, 4), Some((0, 4)));
+        assert_eq!(g.free_run(8, Dir::Horizontal, 4, 2, 0, 4), None);
+        assert!(g.corner_usable(7, 1, 4));
+        assert!(!g.corner_usable(8, 1, 4));
+        assert!(!g.corner_usable(8, 3, 4));
+        assert!(g.corner_usable(8, 3, 3));
     }
 
     #[test]

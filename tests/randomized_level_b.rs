@@ -1,9 +1,8 @@
 //! Randomized tests on the Level B over-cell router, driven by the
 //! in-tree deterministic PRNG (fixed seeds, reproducible failures).
 
-use overcell_router::core::mbfs::{search_min_corner_paths, SearchWindow};
+use overcell_router::core::mbfs::{search_min_corner_paths, SearchScratch, SearchWindow};
 use overcell_router::core::steiner::rectilinear_mst_length;
-use overcell_router::core::tig::Tig;
 use overcell_router::core::{config::LevelBConfig, level_b::LevelBRouter};
 use overcell_router::gen::rng::Rng;
 use overcell_router::geom::{Layer, LayerSet, Point, Rect};
@@ -79,6 +78,7 @@ fn routed_designs_validate() {
 #[test]
 fn empty_grid_needs_at_most_one_corner() {
     let mut rng = Rng::seed_from_u64(0x1b02);
+    let mut scratch = SearchScratch::new();
     for _ in 0..CASES {
         let (a, b) = (grid_point(&mut rng), grid_point(&mut rng));
         if a == b {
@@ -89,11 +89,10 @@ fn empty_grid_needs_at_most_one_corner() {
             TrackSet::from_pitch(overcell_router::geom::Interval::new(0, 200), 10),
             TrackSet::from_pitch(overcell_router::geom::Interval::new(0, 200), 10),
         );
-        let tig = Tig::new(&grid);
-        let w = SearchWindow::full(&tig);
+        let w = SearchWindow::full(&grid);
         let ai = grid.snap(a).expect("grid");
         let bi = grid.snap(b).expect("grid");
-        let out = search_min_corner_paths(&tig, 0, ai, bi, &w);
+        let out = search_min_corner_paths(&grid, 0, ai, bi, &w, &mut scratch);
         let aligned = a.x == b.x || a.y == b.y;
         assert_eq!(out.corners, Some(usize::from(!aligned)));
     }
@@ -106,6 +105,7 @@ fn empty_grid_needs_at_most_one_corner() {
 #[test]
 fn mbfs_corner_count_is_minimal_when_it_succeeds() {
     let mut rng = Rng::seed_from_u64(0x1b03);
+    let mut scratch = SearchScratch::new();
     for _ in 0..CASES {
         let (a, b) = (grid_point(&mut rng), grid_point(&mut rng));
         if a == b {
@@ -134,13 +134,12 @@ fn mbfs_corner_count_is_minimal_when_it_succeeds() {
         }
         let Some(ai) = grid.snap(a) else { continue };
         let Some(bi) = grid.snap(b) else { continue };
-        let tig = Tig::new(&grid);
         // Terminals inside the obstacle are unroutable; skip.
-        if !(tig.edge_usable(0, ai.0, ai.1) && tig.edge_usable(0, bi.0, bi.1)) {
+        if !(grid.corner_usable(0, ai.0, ai.1) && grid.corner_usable(0, bi.0, bi.1)) {
             continue;
         }
-        let w = SearchWindow::full(&tig);
-        let out = search_min_corner_paths(&tig, 0, ai, bi, &w);
+        let w = SearchWindow::full(&grid);
+        let out = search_min_corner_paths(&grid, 0, ai, bi, &w, &mut scratch);
         let mut maze_grid = grid.clone();
         let maze = route_maze(
             &mut maze_grid,
