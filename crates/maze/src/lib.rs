@@ -227,11 +227,8 @@ pub fn route_maze_with(
             0
         }
     };
-    let entry = |i: usize, j: usize, p: usize| match g.state(plane_dir(p), i, j) {
-        CellState::Free => Some(0),
-        CellState::Used(n) if n == net => Some(0),
-        CellState::Used(_) | CellState::Blocked => None,
-    };
+    let entry =
+        |i: usize, j: usize, p: usize| g.state(plane_dir(p), i, j).passable_for(net).then_some(0);
     let found = wave(g, src, dst, opts.via_cost, h, entry, scratch)?;
     let route = path_to_route(grid, &found.nodes);
     occupy_path(grid, net, &found.nodes);
@@ -317,11 +314,13 @@ pub fn find_soft_path_with(
 ) -> Result<SoftPath, MazeError> {
     let src = grid.snap(from).ok_or(MazeError::OffGrid(from))?;
     let dst = grid.snap(to).ok_or(MazeError::OffGrid(to))?;
-    let entry = |i: usize, j: usize, p: usize| match grid.state(plane_dir(p), i, j) {
-        CellState::Free => Some(0),
-        CellState::Used(n) if n == net => Some(0),
-        CellState::Used(_) if rippable(i, j) => Some(block_penalty),
-        CellState::Used(_) | CellState::Blocked => None,
+    let entry = |i: usize, j: usize, p: usize| {
+        let state = grid.state(plane_dir(p), i, j);
+        if state.passable_for(net) {
+            Some(0)
+        } else {
+            (state.is_used() && rippable(i, j)).then_some(block_penalty)
+        }
     };
     let found = wave(grid, src, dst, via_cost, |_, _| 0, entry, scratch)?;
     let mut blockers: Vec<u32> = Vec::new();

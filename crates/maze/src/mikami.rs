@@ -14,7 +14,7 @@
 
 use crate::{MazeError, MazeOptions, MazePath};
 use ocr_geom::{Dir, Point};
-use ocr_grid::{CellState, GridModel};
+use ocr_grid::GridModel;
 
 /// One trial line (a maximal free run on one plane).
 #[derive(Clone, Copy, Debug)]
@@ -63,15 +63,15 @@ pub fn route_mikami(
     let src = grid.snap(from).ok_or(MazeError::OffGrid(from))?;
     let dst = grid.snap(to).ok_or(MazeError::OffGrid(to))?;
     let (nv, nh) = (grid.nv(), grid.nh());
-    let passable = |g: &GridModel, dir: Dir, i: usize, j: usize| match g.state(dir, i, j) {
-        CellState::Free => true,
-        CellState::Used(n) => n == net,
-        CellState::Blocked => false,
+    let passable = |t: (usize, usize)| {
+        Dir::BOTH
+            .iter()
+            .any(|&d| grid.state(d, t.0, t.1).passable_for(net))
     };
-    if !Dir::BOTH.iter().any(|&d| passable(grid, d, src.0, src.1)) {
+    if !passable(src) {
         return Err(MazeError::TerminalBlocked(from));
     }
-    if !Dir::BOTH.iter().any(|&d| passable(grid, d, dst.0, dst.1)) {
+    if !passable(dst) {
         return Err(MazeError::TerminalBlocked(to));
     }
 
@@ -104,10 +104,7 @@ pub fn route_mikami(
             Dir::Horizontal => (at.1, at.0, nv),
             Dir::Vertical => (at.0, at.1, nh),
         };
-        let pass = |k: usize| match dir {
-            Dir::Horizontal => passable(grid, Dir::Horizontal, k, track),
-            Dir::Vertical => passable(grid, Dir::Vertical, track, k),
-        };
+        let pass = |k: usize| grid.cell_passable(net, dir, track, k);
         if !pass(through) {
             return None;
         }
@@ -153,7 +150,7 @@ pub fn route_mikami(
             } else {
                 perp.source_line
             };
-            if other != NONE && crossing.is_none() && passable(grid, dir.perp(), i, j) {
+            if other != NONE && crossing.is_none() && grid.corner_usable(net, i, j) {
                 let (s_line, t_line) = if side == 0 {
                     (line_id, other)
                 } else {
@@ -363,7 +360,7 @@ mod tests {
     use super::*;
     use crate::route_maze;
     use ocr_geom::{Interval, Rect};
-    use ocr_grid::TrackSet;
+    use ocr_grid::{CellState, TrackSet};
 
     fn grid(n: i64, pitch: i64) -> GridModel {
         GridModel::new(
