@@ -31,7 +31,7 @@ pub struct LevelBConfig {
     /// nets blocking an unroutable connection (identified by a soft maze
     /// search) and re-queue them. `0` disables rip-up. Ripped victims
     /// are re-routed after the rescued net; each net is retried at most
-    /// twice.
+    /// four times (`MAX_RETRIES_PER_NET` in [`crate::level_b`]).
     pub rip_up_budget: usize,
     /// Fall back to a complete A* maze search when the MBFS finds
     /// no path at the full window. The MBFS's "each vertex is examined
