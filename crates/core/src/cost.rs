@@ -259,9 +259,7 @@ impl<'a> CostEvaluator<'a> {
     /// `drg` term: fraction of grid points used by routed nets within the
     /// window around the corner.
     pub fn drg(&self, corner: (usize, usize)) -> f64 {
-        let (i0, i1, j0, j1) = self.window(corner);
-        let cells = ((i1 - i0 + 1) * (j1 - j0 + 1)) as f64;
-        self.grid.used_in_window(i0, i1, j0, j1) as f64 / cells
+        self.window_shares(corner).0
     }
 
     /// `dup` term: inverse-distance-weighted count of unrouted terminals
@@ -281,9 +279,15 @@ impl<'a> CostEvaluator<'a> {
     /// `acf` term: fraction of non-free (used or blocked) grid points in
     /// the window around the corner.
     pub fn acf(&self, corner: (usize, usize)) -> f64 {
+        self.window_shares(corner).1
+    }
+
+    /// `(drg, acf)` from one [`GridModel::window_counts`] pass.
+    fn window_shares(&self, corner: (usize, usize)) -> (f64, f64) {
         let (i0, i1, j0, j1) = self.window(corner);
         let cells = ((i1 - i0 + 1) * (j1 - j0 + 1)) as f64;
-        self.grid.congested_in_window(i0, i1, j0, j1) as f64 / cells
+        let (used, congested) = self.grid.window_counts(i0, i1, j0, j1);
+        (used as f64 / cells, congested as f64 / cells)
     }
 
     /// `dsn` term: fraction of grid points in the window used by a
@@ -314,9 +318,10 @@ impl<'a> CostEvaluator<'a> {
 
     /// Total corner penalty `w21·drg + w22·dup + w23·acf + w24·dsn`.
     pub fn corner_cost(&self, corner: (usize, usize)) -> f64 {
-        self.weights.w21 * self.drg(corner)
+        let (drg, acf) = self.window_shares(corner);
+        self.weights.w21 * drg
             + self.weights.w22 * self.dup(corner)
-            + self.weights.w23 * self.acf(corner)
+            + self.weights.w23 * acf
             + self.weights.w24 * self.dsn(corner)
     }
 

@@ -276,6 +276,8 @@ impl<'a> LevelBRouter<'a> {
             "level_b.attempts_ok",
             "level_b.attempts_failed_clipped",
             "level_b.attempts_failed_full",
+            "level_b.select_nodes",
+            "level_b.select_candidates",
             "run.steps",
             "run.cancelled",
         ] {
@@ -781,38 +783,20 @@ impl<'a> LevelBRouter<'a> {
     /// `true` if the committed route geometry actually has a wire on the
     /// plane `dir` at `p` (terminal reservation alone marks cells used,
     /// so the cell state over-approximates).
-    fn wiring_touches(&self, _net: NetId, p: Point, dir: Dir) -> bool {
+    fn wiring_touches(&self, net: NetId, p: Point, dir: Dir) -> bool {
         // Conservative: consult the occupancy of neighbours along the
         // plane direction — a lone reserved terminal has no used
         // neighbour on that plane.
         let Some((i, j)) = self.grid.snap(p) else {
             return false;
         };
-        let neighbours: Vec<(usize, usize)> = match dir {
-            Dir::Vertical => {
-                let mut v = Vec::new();
-                if j > 0 {
-                    v.push((i, j - 1));
-                }
-                if j + 1 < self.grid.nh() {
-                    v.push((i, j + 1));
-                }
-                v
-            }
+        let own = |i, j| matches!(self.grid.state(dir, i, j), CellState::Used(n) if n == net.0);
+        match dir {
+            Dir::Vertical => (j > 0 && own(i, j - 1)) || (j + 1 < self.grid.nh() && own(i, j + 1)),
             Dir::Horizontal => {
-                let mut v = Vec::new();
-                if i > 0 {
-                    v.push((i - 1, j));
-                }
-                if i + 1 < self.grid.nv() {
-                    v.push((i + 1, j));
-                }
-                v
+                (i > 0 && own(i - 1, j)) || (i + 1 < self.grid.nv() && own(i + 1, j))
             }
-        };
-        neighbours.into_iter().any(
-            |(ni, nj)| matches!(self.grid.state(dir, ni, nj), CellState::Used(n) if n == _net.0),
-        )
+        }
     }
 
     /// Routes one two-terminal branch: MBFS + path selection first, then

@@ -299,11 +299,6 @@ impl<'a> Pst<'a> {
     }
 
     #[inline]
-    pub(crate) fn live(&self, slot: Slot) -> bool {
-        self.store.is_live(slot)
-    }
-
-    #[inline]
     pub(crate) fn parents_of(&self, slot: Slot) -> &'a [Slot] {
         self.store.parents_of(slot)
     }

@@ -12,13 +12,27 @@
 //! vertex to a target vertex; its geometry (corner points) is fully
 //! determined by consecutive track crossings. Because the MBFS records
 //! *all* predecessors at level − 1, recombined paths may traverse a
-//! track segment not verified during discovery, so every candidate is
-//! re-validated against the grid before costing.
+//! track segment not verified during discovery. The selection walk
+//! therefore checks each run against the grid as soon as it fixes it,
+//! and abandons a partial path at its first blocked run.
+//!
+//! [`select_best_path`] and [`enumerate_paths`] share one walk per PST
+//! (`Walk`): a depth-first search over the predecessor DAG from each
+//! target back to the start, on one path buffer, with the integer wire
+//! length carried along. Selection keeps no list of candidates, only
+//! the running first minimum. DESIGN.md §14 ("Path selection") gives
+//! the invariants that keep it bit-identical to realizing and sorting
+//! every candidate.
 
 use crate::cost::CostEvaluator;
 use crate::mbfs::{Pst, SearchOutcome, Slot, VertexKey};
-use ocr_geom::{Dir, Point};
+use ocr_geom::{Coord, Dir, Point};
 use ocr_grid::GridModel;
+use std::collections::HashMap;
+
+/// Realized candidates one PST may contribute to a selection, a
+/// safeguard on pathological DAGs.
+const SELECTION_CAP: usize = 256;
 
 /// A fully realized candidate path.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,63 +47,207 @@ pub struct CandidatePath {
     pub cost: f64,
 }
 
-/// Realizes a track sequence into points and validates every run and
-/// corner against the grid. Returns `None` if any run is blocked (a
-/// recombined path crossing an unverified segment).
-pub fn realize(
-    grid: &GridModel,
+impl CandidatePath {
+    /// The candidate on `tracks` (in order from terminal 1) with `cost`.
+    fn new(
+        grid: &GridModel,
+        tracks: Vec<VertexKey>,
+        term1: Point,
+        term2: Point,
+        cost: f64,
+    ) -> Self {
+        let mut points = Vec::with_capacity(tracks.len() + 1);
+        points.push(term1);
+        points.extend(tracks.windows(2).map(|w| {
+            let (i, j) = crossing(w[0], w[1]);
+            grid.point(i, j)
+        }));
+        points.push(term2);
+        CandidatePath {
+            corners: tracks.len() - 1,
+            tracks,
+            points,
+            cost,
+        }
+    }
+}
+
+/// Grid indices `(i, j)` of the crossing of two perpendicular tracks.
+#[inline]
+fn crossing(a: VertexKey, b: VertexKey) -> (usize, usize) {
+    match a.0 {
+        Dir::Horizontal => (b.1, a.1),
+        Dir::Vertical => (a.1, b.1),
+    }
+}
+
+/// `true` if `net` may run along a track of plane `dir` from cell `a` to
+/// cell `b`: both lie on one track of that plane and every cell between
+/// them is passable.
+#[inline]
+fn run_free(grid: &GridModel, net: u32, dir: Dir, a: (usize, usize), b: (usize, usize)) -> bool {
+    match dir {
+        Dir::Horizontal => a.1 == b.1 && grid.run_is_free(Dir::Horizontal, a.1, a.0, b.0, net),
+        Dir::Vertical => a.0 == b.0 && grid.run_is_free(Dir::Vertical, a.0, a.1, b.1, net),
+    }
+}
+
+/// A track of the walk's path and the `at` of its [`Frame`].
+type Step = (Slot, (usize, usize));
+
+/// One entry of the walk's stack: an admitted track and what the walk
+/// knows once it is appended to the path.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    slot: Slot,
+    /// Position of `slot` in the path (0 = the target).
+    depth: usize,
+    /// Where the run along `slot` ends toward terminal 2: terminal 2's
+    /// cell for the target, else the crossing with the track before.
+    at: (usize, usize),
+    /// Wire length from terminal 2 to `at`.
+    wl: Coord,
+}
+
+/// The branch-and-bound walk over the PSTs of one selection call.
+///
+/// Per target, a depth-first search runs backward over the predecessor
+/// DAG to the start. Each parent is bounded against the best cost of
+/// the PST at that moment, then the run it ends is checked against the
+/// grid, and only then is it admitted to the stack. Admitted parents
+/// are walked last-first. A complete path costs `wl_cost` of its wire
+/// length plus its corner costs added in order from terminal 1, which
+/// is [`CostEvaluator::path_cost`]'s sum; the corner costs are memoized
+/// per cell across the call.
+struct Walk<'a> {
+    grid: &'a GridModel,
     net: u32,
-    tracks: &[VertexKey],
     term1: Point,
     term2: Point,
-) -> Option<Vec<Point>> {
-    let mut points = Vec::with_capacity(tracks.len() + 1);
-    points.push(term1);
-    for w in tracks.windows(2) {
-        let (da, ta) = w[0];
-        let (_, tb) = w[1];
-        // Crossing of consecutive (perpendicular) tracks.
-        let (i, j) = match da {
-            Dir::Horizontal => (tb, ta),
-            Dir::Vertical => (ta, tb),
-        };
-        points.push(grid.point(i, j));
-    }
-    points.push(term2);
+    evaluator: &'a CostEvaluator<'a>,
+    /// Corner costs by cell.
+    memo: HashMap<(usize, usize), f64>,
+    stack: Vec<Frame>,
+    /// The current path, from the target.
+    path: Vec<Step>,
+    /// Frames popped over the call.
+    nodes: u64,
+    /// Candidates realized over the call.
+    candidates: u64,
+}
 
-    // Validate runs (each along tracks[r], from points[r] to points[r+1])
-    // and corner cells.
-    for (r, &(dir, _)) in tracks.iter().enumerate() {
-        let a = grid.snap(points[r])?;
-        let b = grid.snap(points[r + 1])?;
-        match dir {
-            Dir::Horizontal => {
-                if a.1 != b.1 || !grid.run_is_free(Dir::Horizontal, a.1, a.0, b.0, net) {
-                    return None;
+impl<'a> Walk<'a> {
+    fn new(
+        grid: &'a GridModel,
+        net: u32,
+        term1: Point,
+        term2: Point,
+        evaluator: &'a CostEvaluator<'a>,
+    ) -> Self {
+        Walk {
+            grid,
+            net,
+            term1,
+            term2,
+            evaluator,
+            memo: HashMap::new(),
+            stack: Vec::new(),
+            path: Vec::new(),
+            nodes: 0,
+            candidates: 0,
+        }
+    }
+
+    /// Walks `pst` until `cap` candidates are realized, calling `visit`
+    /// with each one's path (from the target back to the start) and
+    /// cost: target by target, depth first, a vertex's last admitted
+    /// parent first.
+    fn run(&mut self, pst: &Pst<'_>, cap: usize, mut visit: impl FnMut(&[Step], f64)) {
+        let (Some(a), Some(b)) = (self.grid.snap(self.term1), self.grid.snap(self.term2)) else {
+            // A path must start and end on grid points.
+            return;
+        };
+        let (grid, net, ev) = (self.grid, self.net, self.evaluator);
+        let start = pst.slot_of(pst.start);
+        let mut best = f64::INFINITY;
+        let mut realized = 0;
+        for &target in &pst.targets {
+            self.stack.push(Frame {
+                slot: pst.slot_of(target),
+                depth: 0,
+                at: b,
+                wl: 0,
+            });
+            while let Some(f) = self.stack.pop() {
+                if realized >= cap {
+                    self.stack.clear();
+                    return;
                 }
-            }
-            Dir::Vertical => {
-                if a.0 != b.0 || !grid.run_is_free(Dir::Vertical, a.0, a.1, b.1, net) {
-                    return None;
+                self.nodes += 1;
+                self.path.truncate(f.depth);
+                self.path.push((f.slot, f.at));
+                let key = pst.key_of(f.slot);
+                let at = grid.point(f.at.0, f.at.1);
+                if f.slot == start {
+                    if !run_free(grid, net, key.0, a, f.at) {
+                        continue;
+                    }
+                    let mut cost = ev.wl_cost(f.wl + ocr_geom::manhattan(at, self.term1));
+                    for &(_, corner) in self.path[1..].iter().rev() {
+                        cost += *self
+                            .memo
+                            .entry(corner)
+                            .or_insert_with(|| ev.corner_cost(corner));
+                    }
+                    realized += 1;
+                    self.candidates += 1;
+                    if cost < best {
+                        best = cost;
+                    }
+                    visit(&self.path, cost);
+                    continue;
+                }
+                for &parent in pst.parents_of(f.slot) {
+                    let corner = crossing(key, pst.key_of(parent));
+                    let to = grid.point(corner.0, corner.1);
+                    let wl = f.wl + ocr_geom::manhattan(at, to);
+                    // Bounding: the wire length so far plus the
+                    // straight-line remainder to terminal 1 must not
+                    // exceed the best complete cost.
+                    if best.is_finite() && ev.bound(ev.wl_cost(wl), to, self.term1) > best {
+                        continue;
+                    }
+                    // The run this parent ends. The corner needs no check
+                    // of its own: each of its two runs covers it on its
+                    // own plane, and the MBFS records an edge only at a
+                    // usable corner.
+                    if !run_free(grid, net, key.0, f.at, corner) {
+                        continue;
+                    }
+                    self.stack.push(Frame {
+                        slot: parent,
+                        depth: f.depth + 1,
+                        at: corner,
+                        wl,
+                    });
                 }
             }
         }
     }
-    for p in &points[1..points.len() - 1] {
-        let (i, j) = grid.snap(*p)?;
-        if !grid.corner_usable(net, i, j) {
-            return None;
-        }
-    }
-    Some(points)
+}
+
+/// The track sequence of a walked path, in order from terminal 1.
+fn tracks_of(pst: &Pst<'_>, rev_path: &[Step]) -> Vec<VertexKey> {
+    rev_path.iter().rev().map(|&(s, _)| pst.key_of(s)).collect()
 }
 
 /// Enumerates the candidate paths of one PST via depth-first search over
 /// the predecessor DAG, with a branch-and-bound cut: a partial path whose
-/// bound already exceeds the best complete cost is abandoned.
+/// bound already exceeds the best complete cost is abandoned, and so is
+/// one with a blocked run.
 ///
 /// Returns candidates sorted by cost (best first). `cap` bounds the
-/// number of *complete* candidates examined, as a safeguard on
+/// number of *realized* candidates examined, as a safeguard on
 /// pathological DAGs.
 pub fn enumerate_paths(
     grid: &GridModel,
@@ -101,54 +259,15 @@ pub fn enumerate_paths(
     cap: usize,
 ) -> Vec<CandidatePath> {
     let mut out: Vec<CandidatePath> = Vec::new();
-    let mut best = f64::INFINITY;
-    let start_slot = pst.slot_of(pst.start);
-
-    // DFS stack entries: arena-slot path-so-far from target back toward
-    // start (slots are u32s, so partial-path clones stay cheap).
-    for &target in &pst.targets {
-        let mut stack: Vec<Vec<Slot>> = vec![vec![pst.slot_of(target)]];
-        while let Some(rev_path) = stack.pop() {
-            if out.len() >= cap {
-                break;
-            }
-            let last = *rev_path.last().expect("non-empty");
-            if last == start_slot {
-                let tracks: Vec<VertexKey> =
-                    rev_path.iter().rev().map(|&s| pst.key_of(s)).collect();
-                if let Some(points) = realize(grid, net, &tracks, term1, term2) {
-                    let cost = evaluator.path_cost(&points);
-                    if cost < best {
-                        best = cost;
-                    }
-                    out.push(CandidatePath {
-                        corners: tracks.len() - 1,
-                        tracks,
-                        points,
-                        cost,
-                    });
-                }
-                continue;
-            }
-            if !pst.live(last) {
-                continue;
-            }
-            for &parent in pst.parents_of(last) {
-                // Bounding: partial wire length from terminal 2 through
-                // the corners so far, plus the straight-line remainder,
-                // must stay below the best complete cost.
-                let mut partial = rev_path.clone();
-                partial.push(parent);
-                if best.is_finite() {
-                    let lb = lower_bound(grid, pst, &partial, term1, term2, evaluator);
-                    if lb > best {
-                        continue;
-                    }
-                }
-                stack.push(partial);
-            }
-        }
-    }
+    Walk::new(grid, net, term1, term2, evaluator).run(pst, cap, |rev_path, cost| {
+        out.push(CandidatePath::new(
+            grid,
+            tracks_of(pst, rev_path),
+            term1,
+            term2,
+            cost,
+        ));
+    });
     // Total order even under non-finite costs (a NaN never panics the
     // sort and never outranks a finite cost): cost, then corner count,
     // then original candidate index (sort_by is stable).
@@ -156,37 +275,14 @@ pub fn enumerate_paths(
     out
 }
 
-/// Wire-length lower bound of a partial (reversed) slot path.
-fn lower_bound(
-    grid: &GridModel,
-    pst: &Pst<'_>,
-    rev_partial: &[Slot],
-    term1: Point,
-    term2: Point,
-    evaluator: &CostEvaluator<'_>,
-) -> f64 {
-    // Realize the partial corner chain from terminal 2 backward.
-    let mut pts = vec![term2];
-    for w in rev_partial.windows(2) {
-        let (da, ta) = pst.key_of(w[0]);
-        let (_, tb) = pst.key_of(w[1]);
-        let (i, j) = match da {
-            Dir::Horizontal => (tb, ta),
-            Dir::Vertical => (ta, tb),
-        };
-        pts.push(grid.point(i, j));
-    }
-    let mut wl = 0;
-    for w in pts.windows(2) {
-        wl += ocr_geom::manhattan(w[0], w[1]);
-    }
-    let last = *pts.last().expect("non-empty");
-    evaluator.bound(evaluator.wl_cost(wl), last, term1)
-}
-
 /// Selects the best path over both PSTs of a [`SearchOutcome`],
 /// considering only searches that achieved the global minimum corner
-/// count.
+/// count: the first minimum by `total_cmp` cost, in walk order, `from_v`
+/// before `from_h`. Each PST is walked with its own bound and a cap of
+/// 256 realized candidates, exactly as [`enumerate_paths`] walks it.
+///
+/// Records the walk's work in the `level_b.select_nodes` and
+/// `level_b.select_candidates` counters.
 pub fn select_best_path(
     grid: &GridModel,
     net: u32,
@@ -196,25 +292,23 @@ pub fn select_best_path(
     evaluator: &CostEvaluator<'_>,
 ) -> Option<CandidatePath> {
     let min = outcome.corners?;
-    let mut best: Option<CandidatePath> = None;
+    let mut walk = Walk::new(grid, net, term1, term2, evaluator);
+    let mut best: Option<(Vec<VertexKey>, f64)> = None;
     for pst in [&outcome.from_v, &outcome.from_h] {
         if pst.corners != Some(min) {
             continue;
         }
-        let cands = enumerate_paths(grid, net, pst, term1, term2, evaluator, 256);
-        for c in cands {
+        walk.run(pst, SELECTION_CAP, |rev_path, cost| {
             // total_cmp keeps the earlier candidate on ties and never
             // lets a NaN cost displace a finite one.
-            if best
-                .as_ref()
-                .map(|b| c.cost.total_cmp(&b.cost).is_lt())
-                .unwrap_or(true)
-            {
-                best = Some(c);
+            if best.as_ref().is_none_or(|(_, b)| cost.total_cmp(b).is_lt()) {
+                best = Some((tracks_of(pst, rev_path), cost));
             }
-        }
+        });
     }
-    best
+    ocr_obs::count("level_b.select_nodes", walk.nodes);
+    ocr_obs::count("level_b.select_candidates", walk.candidates);
+    best.map(|(tracks, cost)| CandidatePath::new(grid, tracks, term1, term2, cost))
 }
 
 #[cfg(test)]
@@ -225,6 +319,110 @@ mod tests {
     use crate::testkit::{random_grid, Mix};
     use ocr_geom::{Interval, Rect};
     use ocr_grid::{CellState, GridModel, TrackSet};
+
+    /// Realizes a track sequence into points and validates every run and
+    /// corner against the grid: the check the walk makes as it goes, made
+    /// here on a whole sequence. `None` if any run or corner is blocked
+    /// (a recombined path crossing an unverified segment).
+    fn realize(
+        grid: &GridModel,
+        net: u32,
+        tracks: &[VertexKey],
+        term1: Point,
+        term2: Point,
+    ) -> Option<Vec<Point>> {
+        let mut points = Vec::with_capacity(tracks.len() + 1);
+        points.push(term1);
+        for w in tracks.windows(2) {
+            let (i, j) = crossing(w[0], w[1]);
+            points.push(grid.point(i, j));
+        }
+        points.push(term2);
+        for (r, &(dir, _)) in tracks.iter().enumerate() {
+            let a = grid.snap(points[r])?;
+            let b = grid.snap(points[r + 1])?;
+            if !run_free(grid, net, dir, a, b) {
+                return None;
+            }
+        }
+        for p in &points[1..points.len() - 1] {
+            let (i, j) = grid.snap(*p)?;
+            if !grid.corner_usable(net, i, j) {
+                return None;
+            }
+        }
+        Some(points)
+    }
+
+    /// The enumeration the walk replaced, kept as its reference: a stack
+    /// of cloned partial paths, each complete one realized and costed
+    /// only at the end, then the list sorted.
+    fn enumerate_paths_reference(
+        grid: &GridModel,
+        net: u32,
+        pst: &Pst<'_>,
+        term1: Point,
+        term2: Point,
+        evaluator: &CostEvaluator<'_>,
+        cap: usize,
+    ) -> Vec<CandidatePath> {
+        // Wire-length lower bound of a partial (reversed) slot path.
+        let lower_bound = |rev_partial: &[Slot]| {
+            let mut pts = vec![term2];
+            for w in rev_partial.windows(2) {
+                let (i, j) = crossing(pst.key_of(w[0]), pst.key_of(w[1]));
+                pts.push(grid.point(i, j));
+            }
+            let wl = pts
+                .windows(2)
+                .map(|w| ocr_geom::manhattan(w[0], w[1]))
+                .sum();
+            let last = *pts.last().expect("non-empty");
+            evaluator.bound(evaluator.wl_cost(wl), last, term1)
+        };
+        let mut out: Vec<CandidatePath> = Vec::new();
+        let mut best = f64::INFINITY;
+        let start_slot = pst.slot_of(pst.start);
+        for &target in &pst.targets {
+            let mut stack: Vec<Vec<Slot>> = vec![vec![pst.slot_of(target)]];
+            while let Some(rev_path) = stack.pop() {
+                if out.len() >= cap {
+                    break;
+                }
+                let last = *rev_path.last().expect("non-empty");
+                if last == start_slot {
+                    let tracks: Vec<VertexKey> =
+                        rev_path.iter().rev().map(|&s| pst.key_of(s)).collect();
+                    if let Some(points) = realize(grid, net, &tracks, term1, term2) {
+                        let cost = evaluator.path_cost(&points);
+                        if cost < best {
+                            best = cost;
+                        }
+                        out.push(CandidatePath {
+                            corners: tracks.len() - 1,
+                            tracks,
+                            points,
+                            cost,
+                        });
+                    }
+                    continue;
+                }
+                if pst.get(pst.key_of(last)).is_none() {
+                    continue;
+                }
+                for &parent in pst.parents_of(last) {
+                    let mut partial = rev_path.clone();
+                    partial.push(parent);
+                    if best.is_finite() && lower_bound(&partial) > best {
+                        continue;
+                    }
+                    stack.push(partial);
+                }
+            }
+        }
+        out.sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.corners.cmp(&b.corners)));
+        out
+    }
 
     fn grid(n: i64, pitch: i64) -> GridModel {
         GridModel::new(
@@ -300,8 +498,9 @@ mod tests {
         g.block_rect(&Rect::new(-5, 35, 75, 45), Dir::Vertical);
         let p = select(&g, 0, (0, 0), (0, 10));
         if let Some(path) = p {
-            // Any returned path must be geometrically valid (realize()
-            // already guaranteed it); check it clears the wall band.
+            // Any returned path must be geometrically valid (the walk
+            // checked every run and corner); check it clears the wall
+            // band.
             for w in path.points.windows(2) {
                 let (a, b) = (w[0], w[1]);
                 if a.x == b.x && a.x <= 70 {
@@ -577,6 +776,83 @@ mod tests {
             (skipped, over_cap, no_realization, cap_losses),
             (63, 208, 0, 64),
             "(skipped, over the cap, no realizable candidate, cap losses)"
+        );
+    }
+
+    #[test]
+    fn walk_enumerates_like_the_list_then_realize_reference_at_every_cap() {
+        let mut rng = Mix(0xca_95e7);
+        let mut scratch = SearchScratch::new();
+        let (mut compared, mut capped, mut blocked) = (0, 0, 0);
+        for case in 0..240 {
+            let (g, a, b) = if case % 2 == 0 {
+                random_grid(&mut rng)
+            } else {
+                staircase_grid(&mut rng)
+            };
+            let window = if rng.below(4) == 0 {
+                SearchWindow::full(&g)
+            } else {
+                SearchWindow::around(&g, a, b, rng.below(8))
+            };
+            let out = search_min_corner_paths(&g, 1, a, b, &window, &mut scratch);
+            let terminals: Vec<(usize, usize)> = (0..1 + rng.below(60))
+                .map(|_| (rng.below(g.nv()), rng.below(g.nh())))
+                .collect();
+            let (t1, t2) = (g.point(a.0, a.1), g.point(b.0, b.1));
+            let key = |c: CandidatePath| (c.tracks, c.points, c.corners, c.cost.to_bits());
+            for weights in [CostWeights::default(), CostWeights::dense()] {
+                let ev = CostEvaluator::new(&g, &terminals, weights, 10);
+                for pst in [&out.from_v, &out.from_h] {
+                    if pst.corners.is_none() {
+                        continue;
+                    }
+                    for cap in [1, 3, 16, 256] {
+                        let walk = enumerate_paths(&g, 1, pst, t1, t2, &ev, cap);
+                        let reference = enumerate_paths_reference(&g, 1, pst, t1, t2, &ev, cap);
+                        let ctx = format!("case {case}, {weights:?}, cap {cap}");
+                        assert_eq!(
+                            walk.into_iter().map(key).collect::<Vec<_>>(),
+                            reference.into_iter().map(key).collect::<Vec<_>>(),
+                            "{ctx}"
+                        );
+                        compared += 1;
+                    }
+                    let all = all_track_sequences(pst, 4000).map_or(0, |s| s.len());
+                    let realized = enumerate_paths(&g, 1, pst, t1, t2, &ev, usize::MAX).len();
+                    capped += usize::from(realized > 16);
+                    blocked += usize::from(all > realized);
+                }
+                // The selector is the first minimum over both PSTs' lists.
+                let mut reference: Option<CandidatePath> = None;
+                for pst in [&out.from_v, &out.from_h] {
+                    if out.corners.is_none() || pst.corners != out.corners {
+                        continue;
+                    }
+                    for c in enumerate_paths_reference(&g, 1, pst, t1, t2, &ev, 256) {
+                        if reference
+                            .as_ref()
+                            .is_none_or(|r| c.cost.total_cmp(&r.cost).is_lt())
+                        {
+                            reference = Some(c);
+                        }
+                    }
+                }
+                assert_eq!(
+                    select_best_path(&g, 1, &out, t1, t2, &ev).map(key),
+                    reference.map(key),
+                    "case {case}, {weights:?}"
+                );
+            }
+        }
+        println!(
+            "walk vs reference: {compared} capped enumerations, {capped} PSTs over 16 \
+             realized candidates, {blocked} with blocked sequences"
+        );
+        // The instances must exercise the cap and blocked recombinations.
+        assert!(
+            compared >= 2000 && capped >= 100 && blocked >= 100,
+            "{compared} compared, {capped} over a cap of 16, {blocked} with blocked sequences"
         );
     }
 

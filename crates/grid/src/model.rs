@@ -542,35 +542,36 @@ impl GridModel {
         Some((lo, hi))
     }
 
-    /// Number of used grid points (either plane) within the closed index
-    /// window `[i0, i1] × [j0, j1]`, for congestion / proximity costs.
-    pub fn used_in_window(&self, i0: usize, i1: usize, j0: usize, j1: usize) -> usize {
-        let mut n = 0;
-        for j in j0..=j1.min(self.nh().saturating_sub(1)) {
-            for i in i0..=i1.min(self.nv().saturating_sub(1)) {
-                if self.state(Dir::Horizontal, i, j).is_used()
-                    || self.state(Dir::Vertical, i, j).is_used()
-                {
-                    n += 1;
+    /// The numerators of the selection cost's `drg` and `acf` terms over
+    /// the closed index window `[i0, i1] × [j0, j1]`, clipped to the
+    /// grid: `(used, congested)`, where `used` counts the intersections
+    /// a routed net uses on either plane and `congested` those not free
+    /// on both planes (used or blocked).
+    ///
+    /// One pass over the window's horizontal tracks counts `congested`
+    /// a [`GridModel::corner_free_word`] at a time and reads the cell
+    /// enum only where a corner bit is clear.
+    pub fn window_counts(&self, i0: usize, i1: usize, j0: usize, j1: usize) -> (usize, usize) {
+        let i1 = i1.min(self.nv().saturating_sub(1));
+        let j1 = j1.min(self.nh().saturating_sub(1));
+        let (mut used, mut congested) = (0, 0);
+        for j in j0..=j1 {
+            for w in i0 / 64..=i1 / 64 {
+                let lo = if w == i0 / 64 { i0 % 64 } else { 0 };
+                let hi = if w == i1 / 64 { i1 % 64 } else { 63 };
+                let mut busy =
+                    !self.corner_free_word(Dir::Horizontal, j, w) & mask_ge(lo) & mask_le(hi);
+                congested += busy.count_ones() as usize;
+                while busy != 0 {
+                    let idx = self.idx(w * 64 + busy.trailing_zeros() as usize, j);
+                    busy &= busy - 1;
+                    if self.state[0][idx].is_used() || self.state[1][idx].is_used() {
+                        used += 1;
+                    }
                 }
             }
         }
-        n
-    }
-
-    /// Number of non-free (used or blocked) grid points in the window,
-    /// over both planes — the numerator of the paper's *area congestion
-    /// factor*.
-    pub fn congested_in_window(&self, i0: usize, i1: usize, j0: usize, j1: usize) -> usize {
-        let mut n = 0;
-        for j in j0..=j1.min(self.nh().saturating_sub(1)) {
-            for i in i0..=i1.min(self.nv().saturating_sub(1)) {
-                if !self.is_free(Dir::Horizontal, i, j) || !self.is_free(Dir::Vertical, i, j) {
-                    n += 1;
-                }
-            }
-        }
-        n
+        (used, congested)
     }
 
     /// Fraction of intersections that are free on plane `dir` (1.0 for an
@@ -703,8 +704,84 @@ mod tests {
                                                  // Interior row y=30; blocked cells x = 20 (crossing segment),
                                                  // 30 (inside), 40 (crossing segment).
         g.block_rect(&Rect::new(25, 25, 40, 40), Dir::Horizontal);
-        assert_eq!(g.used_in_window(0, 4, 0, 4), 3);
-        assert_eq!(g.congested_in_window(0, 4, 0, 4), 3 + 3);
+        assert_eq!(g.window_counts(0, 4, 0, 4), (3, 3 + 3));
+    }
+
+    /// Per-cell reference for [`GridModel::window_counts`]: the two
+    /// window scans it replaced, in one loop.
+    fn window_counts_ref(
+        g: &GridModel,
+        i0: usize,
+        i1: usize,
+        j0: usize,
+        j1: usize,
+    ) -> (usize, usize) {
+        let (mut used, mut congested) = (0, 0);
+        for j in j0..=j1.min(g.nh() - 1) {
+            for i in i0..=i1.min(g.nv() - 1) {
+                let (h, v) = (g.state(Dir::Horizontal, i, j), g.state(Dir::Vertical, i, j));
+                used += usize::from(h.is_used() || v.is_used());
+                congested += usize::from(!h.is_free() || !v.is_free());
+            }
+        }
+        (used, congested)
+    }
+
+    #[test]
+    fn window_counts_match_a_per_cell_scan() {
+        // SplitMix64: a seeded stream without an external crate.
+        let mut state = 0x0057_a7e5_u64;
+        let mut below = |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut windows = 0;
+        for case in 0..64 {
+            // Rows of 1 to 3 words: windows cross bits 63/64 and 127/128.
+            let nv = [1, 5, 63, 64, 65, 128, 129, 150][case % 8];
+            let nh = [1, 3, 64, 70, 130][case / 8 % 5];
+            let span = |n: usize| TrackSet::from_pitch(Interval::new(0, 10 * (n as i64 - 1)), 10);
+            let mut g = GridModel::new(Rect::new(0, 0, 1490, 1290), span(nh), span(nv));
+            // Obstacles land on one plane at a time; wiring of net 1
+            // (the searching net's own) and of foreign nets 2..=4 on
+            // either plane; some cells are freed again.
+            let cells = nv * nh * (1 + case % 4) / 4;
+            for _ in 0..cells {
+                let dir = [Dir::Horizontal, Dir::Vertical][below(2)];
+                let s = match below(6) {
+                    0 | 1 => CellState::Blocked,
+                    2 => CellState::Free,
+                    n => CellState::Used(n as u32 - 2),
+                };
+                g.set_state(dir, below(nv), below(nh), s);
+            }
+            let mut check = |i0: usize, i1: usize, j0: usize, j1: usize| {
+                assert_eq!(
+                    g.window_counts(i0, i1, j0, j1),
+                    window_counts_ref(&g, i0, i1, j0, j1),
+                    "case {case} ({nv}x{nh}) window [{i0},{i1}]x[{j0},{j1}]"
+                );
+                windows += 1;
+            };
+            // Cost windows of radius r around corners at every die edge
+            // and corner, clipped below by saturation and above by the
+            // count itself.
+            for r in [0, 3, 7, 70] {
+                for ci in [0, nv / 2, nv - 1] {
+                    for cj in [0, nh / 2, nh - 1] {
+                        check(ci.saturating_sub(r), ci + r, cj.saturating_sub(r), cj + r);
+                    }
+                }
+            }
+            for _ in 0..40 {
+                let (i0, j0) = (below(nv), below(nh));
+                check(i0, i0 + below(nv + 8), j0, j0 + below(nh + 8));
+            }
+        }
+        assert_eq!(windows, 64 * (4 * 9 + 40));
     }
 
     #[test]

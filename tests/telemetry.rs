@@ -79,12 +79,50 @@ fn overcell_telemetry_carries_phases_and_rip_counters() {
         "level_b.attempts_ok",
         "level_b.attempts_failed_clipped",
         "level_b.attempts_failed_full",
+        "level_b.select_nodes",
+        "level_b.select_candidates",
     ] {
         assert!(t.counter(counter).is_some(), "missing counter `{counter}`");
     }
     // The exec pool reported per-worker activity for the parallel
     // stages (Level A channels fan out across it).
     assert!(t.counter("exec.tasks").is_some_and(|v| v > 0));
+}
+
+#[test]
+fn selection_work_counters_are_exact_at_any_worker_count() {
+    let work = |threads: usize| {
+        let (_, telemetry) = routes_text(
+            FlowKind::OverCell,
+            FlowOptions::new().telemetry(true),
+            threads,
+        );
+        let t = telemetry.expect("telemetry attached");
+        [
+            "level_b.select_nodes",
+            "level_b.select_candidates",
+            "level_b.attempts_ok",
+        ]
+        .map(|name| {
+            t.counter(name)
+                .unwrap_or_else(|| panic!("missing counter `{name}`"))
+        })
+    };
+    let [nodes, candidates, selections] = work(1);
+    // Every successful attempt realized at least one candidate, and every
+    // candidate is a visited node.
+    assert!(
+        candidates >= selections && selections > 0,
+        "{candidates} < {selections}"
+    );
+    assert!(nodes >= candidates, "{nodes} < {candidates}");
+    for threads in [2, 4] {
+        assert_eq!(
+            work(threads),
+            [nodes, candidates, selections],
+            "{threads} threads"
+        );
+    }
 }
 
 /// Two nets contending for one gap in a wall across the die: the second
@@ -146,6 +184,8 @@ fn level_b_sub_spans_and_attempt_counters_are_recorded() {
         "level_b.attempts_ok",
         "level_b.attempts_failed_clipped",
         "level_b.attempts_failed_full",
+        "level_b.select_nodes",
+        "level_b.select_candidates",
     ] {
         assert!(
             t.counter(counter).is_some_and(|v| v > 0),
