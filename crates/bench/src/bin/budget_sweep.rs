@@ -6,24 +6,15 @@
 //! channel) on the ami33-equivalent and reports how set A shrinks and
 //! layout area falls as the budget tightens.
 //!
-//! ```text
-//! budget_sweep [--json FILE]
-//! ```
-//!
-//! `--json` additionally writes both sweeps as a machine-readable
-//! snapshot (`ocr-bench-v1`). Every number in it is deterministic, so
-//! the checked-in snapshot doubles as a regression fence: a diff means
-//! routing behaviour changed.
+//! Every number printed is deterministic; CI compares the output with
+//! `crates/bench/golden/budget_sweep.txt`.
 
-use ocr_bench::{assert_clean, harness};
+use ocr_bench::assert_clean;
 use ocr_core::{OverCellFlow, PartitionStrategy, RunSession};
 use ocr_exec::RunControl;
 use ocr_gen::suite;
 
 fn main() {
-    let json_path = harness::json_path("budget_sweep");
-    let mut area_rows: Vec<String> = Vec::new();
-    let mut step_rows: Vec<String> = Vec::new();
     let chip = suite::ami33_like();
     println!(
         "Channel-area budget sweep (ami33): tighter budget → more nets over-cell → smaller die"
@@ -55,15 +46,6 @@ fn main() {
             res.metrics.wire_length,
             res.metrics.vias
         );
-        area_rows.push(format!(
-            "    {{\"budget\": \"{label}\", \"a_nets\": {}, \"b_nets\": {}, \"area\": {}, \
-             \"wire_length\": {}, \"vias\": {}}}",
-            res.level_a_nets.len(),
-            res.level_b_nets.len(),
-            res.metrics.layout_area,
-            res.metrics.wire_length,
-            res.metrics.vias
-        ));
     }
 
     // The other budget: run control's deterministic *step* budget.
@@ -98,24 +80,6 @@ fn main() {
             } else {
                 "no"
             }
-        );
-        step_rows.push(format!(
-            "    {{\"budget\": \"{label}\", \"used\": {}, \"routed\": {routed}, \
-             \"degraded\": {degraded}, \"tripped\": {}}}",
-            session.control.steps(),
-            session.control.is_tripped()
-        ));
-    }
-
-    if let Some(path) = json_path {
-        harness::write_snapshot(
-            &path,
-            "budget_sweep",
-            &[
-                ("chip", "\"ami33\"".to_string()),
-                ("area_sweep", harness::json_rows(&area_rows)),
-                ("step_sweep", harness::json_rows(&step_rows)),
-            ],
         );
     }
 }

@@ -1,10 +1,11 @@
 //! Scale stress: the over-cell flow on 1×, 2× and 4× ami33-sized chips,
-//! with wall-clock timing and completion reporting. Demonstrates the
-//! O(n·h·v) behaviour end-to-end at sizes beyond the paper's.
+//! routed to completion with a clean oracle report at sizes beyond the
+//! paper's. The output is deterministic (CI compares it with
+//! `crates/bench/golden/stress.txt`); perfbench's `scale8` workload
+//! times the ×8 chip.
 
 use ocr_core::OverCellFlow;
 use ocr_gen::{generate, BenchmarkSpec};
-use std::time::Instant;
 
 fn spec(scale: usize) -> BenchmarkSpec {
     BenchmarkSpec {
@@ -23,28 +24,25 @@ fn spec(scale: usize) -> BenchmarkSpec {
 
 fn main() {
     println!(
-        "{:<10} {:>6} {:>6} {:>7} {:>10} {:>9} {:>9} {:>8}",
-        "chip", "cells", "nets", "pins", "area", "wl", "vias", "time"
+        "{:<10} {:>6} {:>6} {:>7} {:>10} {:>9} {:>9}",
+        "chip", "cells", "nets", "pins", "area", "wl", "vias"
     );
     for scale in [1usize, 2, 4] {
         let chip = generate(&spec(scale));
-        let t0 = Instant::now();
         let res = OverCellFlow::default()
             .run(&chip.layout, &chip.placement)
             .expect("flow");
-        let dt = t0.elapsed();
         assert!(res.design.failed.is_empty(), "{}: failures", chip.spec.name);
         ocr_bench::assert_clean(&chip.spec.name, &res);
         println!(
-            "{:<10} {:>6} {:>6} {:>7} {:>10} {:>9} {:>9} {:>7.2}s",
+            "{:<10} {:>6} {:>6} {:>7} {:>10} {:>9} {:>9}",
             chip.spec.name,
             chip.layout.cells.len(),
             chip.layout.nets.len(),
             chip.layout.total_pins(),
             res.metrics.layout_area,
             res.metrics.wire_length,
-            res.metrics.vias,
-            dt.as_secs_f64()
+            res.metrics.vias
         );
     }
 }

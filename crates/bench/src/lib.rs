@@ -11,7 +11,13 @@
 //! * `fig1` — the Level B instance + Track Intersection Graph walk-through
 //!   (paper Figure 1);
 //! * `fig2` — the Path Selection Trees of the same instance (Figure 2);
-//! * `fig3` — SVG of the ami33-equivalent Level B routing (Figure 3).
+//! * `fig3` — SVG of the ami33-equivalent Level B routing (Figure 3);
+//! * `budget_sweep`, `ablation`, `crosstalk`, `ordering_portfolio` and
+//!   `stress` — the §5 and §1 claims, the design-choice ablations, the
+//!   ordering strategies and the scale-ups.
+//!
+//! Every binary but `fig3` prints deterministic text, pinned byte for
+//! byte in `golden/<name>.txt`.
 
 pub mod harness;
 

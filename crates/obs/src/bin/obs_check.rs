@@ -5,7 +5,6 @@
 //! ```text
 //! obs-check <stats.json> [--min-chips N]
 //! obs-check <stats.json> --service [--require COUNTER]...
-//! obs-check <bench.json> --bench <name>
 //! ```
 //!
 //! Stats-mode checks:
@@ -27,15 +26,6 @@
 //! * `runs` is a non-empty array, every run labeled with chip + flow;
 //! * every counter named by a `--require` flag (repeatable) is declared
 //!   in at least one run.
-//!
-//! With `--bench <name>` the file is instead validated as a committed
-//! `BENCH_<name>.json` snapshot:
-//!
-//! * the document parses and declares `"schema": "ocr-bench-v1"`;
-//! * its `bench` field equals `<name>` (a snapshot renamed on disk or
-//!   written by the wrong benchmark is stale, not merely mislabeled);
-//! * at least one top-level field is a non-empty array of objects (the
-//!   measurement rows).
 //!
 //! Exits 0 when all checks pass, 1 (with a message) otherwise.
 
@@ -60,7 +50,6 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<String, String> {
     let mut path: Option<&str> = None;
     let mut min_chips: usize = 0;
-    let mut bench: Option<&str> = None;
     let mut service = false;
     let mut require: Vec<&str> = Vec::new();
     let mut i = 0;
@@ -73,10 +62,6 @@ fn run(args: &[String]) -> Result<String, String> {
                     .parse::<usize>()
                     .map_err(|e| format!("bad --min-chips: {e}"))?;
                 min_chips = v;
-                i += 2;
-            }
-            "--bench" => {
-                bench = Some(args.get(i + 1).ok_or("--bench requires a name")?);
                 i += 2;
             }
             "--service" => {
@@ -99,19 +84,14 @@ fn run(args: &[String]) -> Result<String, String> {
     if !require.is_empty() && !service {
         return Err("--require only applies to --service".into());
     }
-    if service && bench.is_some() {
-        return Err("--service and --bench are mutually exclusive".into());
-    }
-    let path = path.ok_or(
-        "usage: obs-check <stats.json> [--min-chips N] | --service [--require C]... \
-         | --bench <name>",
-    )?;
+    let path =
+        path.ok_or("usage: obs-check <stats.json> [--min-chips N] | --service [--require C]...")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    match (bench, service) {
-        (Some(name), _) => check_bench(&doc, name),
-        (None, true) => check_service(&doc, &require),
-        (None, false) => check(&doc, min_chips),
+    if service {
+        check_service(&doc, &require)
+    } else {
+        check(&doc, min_chips)
     }
 }
 
@@ -131,44 +111,6 @@ fn has_counter(run: &Value, name: &str) -> bool {
             cs.iter()
                 .any(|c| c.get("name").and_then(Value::as_str) == Some(name))
         })
-}
-
-/// Validates a committed `BENCH_<name>.json` snapshot: right schema,
-/// right bench name, and at least one non-empty array of measurement
-/// rows (benchmarks differ in what they call it — `rows`, `area_sweep`,
-/// … — so any top-level array of objects qualifies).
-fn check_bench(doc: &Value, name: &str) -> Result<String, String> {
-    if doc.get("schema").and_then(Value::as_str) != Some("ocr-bench-v1") {
-        return Err("missing or unexpected `schema` (want \"ocr-bench-v1\")".into());
-    }
-    match doc.get("bench").and_then(Value::as_str) {
-        Some(b) if b == name => {}
-        Some(b) => return Err(format!("`bench` is \"{b}\", expected \"{name}\"")),
-        None => return Err("missing `bench` name".into()),
-    }
-    let Value::Obj(members) = doc else {
-        return Err("document is not an object".into());
-    };
-    let mut rows = 0usize;
-    let mut tables = 0usize;
-    for (key, value) in members {
-        if let Value::Arr(items) = value {
-            if items.is_empty() {
-                return Err(format!("`{key}` is an empty array — no measurements"));
-            }
-            if let Some(bad) = items.iter().position(|r| !matches!(r, Value::Obj(_))) {
-                return Err(format!("`{key}[{bad}]` is not a row object"));
-            }
-            rows += items.len();
-            tables += 1;
-        }
-    }
-    if tables == 0 {
-        return Err("no measurement array in the snapshot".into());
-    }
-    Ok(format!(
-        "bench `{name}`: {rows} row(s) in {tables} table(s) OK"
-    ))
 }
 
 /// Validates service telemetry (`ocr serve`'s `serve-stats.json`):
@@ -375,52 +317,5 @@ mod tests {
         assert!(err.contains("missing `chip`"), "{err}");
         let empty = r#"{"schema":"ocr-stats-v1","runs":[]}"#;
         assert!(check_service(&doc(empty), &[]).is_err());
-    }
-
-    const GOOD_BENCH: &str = r#"{"schema":"ocr-bench-v1","bench":"inner_loop","runs":5,
-        "rows":[{"chip":"ami33","expanded":10262,"level_b_ns":7,"vertices_per_sec":1.0}]}"#;
-
-    #[test]
-    fn clean_bench_snapshot_passes() {
-        let ok = check_bench(&doc(GOOD_BENCH), "inner_loop").unwrap();
-        assert!(ok.contains("1 row(s)"), "{ok}");
-    }
-
-    #[test]
-    fn bench_name_mismatch_fails() {
-        let err = check_bench(&doc(GOOD_BENCH), "par_speedup").unwrap_err();
-        assert!(err.contains("par_speedup"), "{err}");
-    }
-
-    #[test]
-    fn bench_schema_mismatch_fails() {
-        let bad = GOOD_BENCH.replace("ocr-bench-v1", "ocr-stats-v1");
-        assert!(check_bench(&doc(&bad), "inner_loop").is_err());
-    }
-
-    #[test]
-    fn bench_without_rows_fails() {
-        let bad = GOOD_BENCH.replace(
-            r#""rows":[{"chip":"ami33","expanded":10262,"level_b_ns":7,"vertices_per_sec":1.0}]"#,
-            r#""rows":[]"#,
-        );
-        let err = check_bench(&doc(&bad), "inner_loop").unwrap_err();
-        assert!(err.contains("empty array"), "{err}");
-        let none = check_bench(
-            &doc(r#"{"schema":"ocr-bench-v1","bench":"inner_loop","runs":5}"#),
-            "inner_loop",
-        )
-        .unwrap_err();
-        assert!(none.contains("no measurement array"), "{none}");
-    }
-
-    #[test]
-    fn bench_with_non_object_rows_fails() {
-        let bad = GOOD_BENCH.replace(
-            r#"[{"chip":"ami33","expanded":10262,"level_b_ns":7,"vertices_per_sec":1.0}]"#,
-            "[1, 2, 3]",
-        );
-        let err = check_bench(&doc(&bad), "inner_loop").unwrap_err();
-        assert!(err.contains("not a row object"), "{err}");
     }
 }
