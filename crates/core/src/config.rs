@@ -16,10 +16,6 @@ pub struct LevelBConfig {
     /// this many tracks on every side (the paper's rectangular region
     /// "Π" around the two terminals).
     pub window_margin: usize,
-    /// How many times the window may double before a net is declared
-    /// unroutable (each expansion doubles the margin; the final attempt
-    /// searches the whole grid).
-    pub max_window_expansions: usize,
     /// Track pitch override for the Level B grid (`None` = design-rule
     /// over-cell pitch).
     pub pitch: Option<Coord>,
@@ -57,7 +53,6 @@ impl Default for LevelBConfig {
             weights: CostWeights::default(),
             ordering: NetOrdering::LongestFirst,
             window_margin: 4,
-            max_window_expansions: 4,
             pitch: None,
             sensitive_nets: Vec::new(),
             rip_up_budget: 16,

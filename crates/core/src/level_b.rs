@@ -29,6 +29,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// [`LevelBConfig::rip_up_budget`] bounds the rips of the whole run.
 const MAX_RETRIES_PER_NET: usize = 4;
 
+/// How many times the search window may double before a net is declared
+/// unroutable (each expansion doubles the margin; the final attempt
+/// searches the whole grid).
+const MAX_WINDOW_EXPANSIONS: usize = 4;
+
 /// Result of routing a Level B net set.
 #[derive(Clone, Debug)]
 pub struct LevelBResult {
@@ -947,8 +952,8 @@ impl<'a> LevelBRouter<'a> {
             .collect();
         let mut attempt = 0usize;
         let mut prev_window: Option<SearchWindow> = None;
-        while attempt <= self.config.max_window_expansions {
-            let last = attempt == self.config.max_window_expansions;
+        while attempt <= MAX_WINDOW_EXPANSIONS {
+            let last = attempt == MAX_WINDOW_EXPANSIONS;
             let window = if last {
                 SearchWindow::full(&self.grid)
             } else {
@@ -961,7 +966,7 @@ impl<'a> LevelBRouter<'a> {
             // full-window attempt instead of burning RunControl steps
             // and MBFS passes on byte-identical searches.
             if !last && (window == SearchWindow::full(&self.grid) || Some(window) == prev_window) {
-                attempt = self.config.max_window_expansions;
+                attempt = MAX_WINDOW_EXPANSIONS;
                 continue;
             }
             // One deterministic step per search-window attempt. On a
@@ -1519,7 +1524,7 @@ mod tests {
         // re-search a byte-identical window. The router must detect the
         // saturation, jump straight to the final full-window attempt,
         // and charge exactly one RunControl step instead of
-        // max_window_expansions + 1.
+        // MAX_WINDOW_EXPANSIONS + 1.
         let (mut l, nets) = layout_with_nets(&[&[Point::new(20, 20), Point::new(380, 380)]]);
         l.add_obstacle(Obstacle::new(
             Rect::new(-5, 195, 405, 205),

@@ -22,14 +22,15 @@ use ocr_grid::GridModel;
 
 /// Renders the graph's edges for `net` as text: one line per horizontal
 /// track listing the vertical tracks it shares a usable edge with (the
-/// textual equivalent of the paper's Figure 1).
+/// textual equivalent of the paper's Figure 1). Tracks are labelled
+/// 1-based, `h1`.. and `v1`.., as the paper and its path notation do.
 pub fn render_adjacency(grid: &GridModel, net: u32) -> String {
     let mut s = String::new();
     for j in 0..grid.nh() {
-        s.push_str(&format!("h{j}:"));
+        s.push_str(&format!("h{}:", j + 1));
         for i in 0..grid.nv() {
             if grid.corner_usable(net, i, j) {
-                s.push_str(&format!(" v{i}"));
+                s.push_str(&format!(" v{}", i + 1));
             }
         }
         s.push('\n');
@@ -51,7 +52,7 @@ mod tests {
         )
     }
 
-    /// The vertical tracks listed for horizontal track `j`.
+    /// The line of 0-based horizontal track `j` (labelled `h{j+1}`).
     fn row(text: &str, j: usize) -> &str {
         text.lines().nth(j).unwrap()
     }
@@ -62,7 +63,7 @@ mod tests {
         let text = render_adjacency(&g, 0);
         assert_eq!(text.lines().count(), 5);
         assert_eq!(text.matches(" v").count(), 25);
-        assert_eq!(row(&text, 2), "h2: v0 v1 v2 v3 v4");
+        assert_eq!(row(&text, 2), "h3: v1 v2 v3 v4 v5");
         // Each track is a single passable run.
         assert_eq!(g.free_run(0, Dir::Horizontal, 2, 2, 0, 4), Some((0, 4)));
     }
@@ -79,8 +80,8 @@ mod tests {
         assert_eq!(g.free_run(0, Dir::Vertical, 2, 2, 0, 4), Some((0, 4)));
         // The corners on the blocked cells lose their edges.
         let text = render_adjacency(&g, 0);
-        assert_eq!(row(&text, 2), "h2: v0 v4");
-        assert_eq!(row(&text, 1), "h1: v0 v1 v2 v3 v4");
+        assert_eq!(row(&text, 2), "h3: v1 v5");
+        assert_eq!(row(&text, 1), "h2: v1 v2 v3 v4 v5");
         assert_eq!(text.matches(" v").count(), 22);
     }
 
@@ -90,8 +91,8 @@ mod tests {
         g.occupy_run(Dir::Horizontal, 2, 0, 4, 7);
         assert_eq!(g.free_run(7, Dir::Horizontal, 2, 2, 0, 4), Some((0, 4)));
         assert_eq!(g.free_run(8, Dir::Horizontal, 2, 2, 0, 4), None);
-        assert_eq!(row(&render_adjacency(&g, 7), 2), "h2: v0 v1 v2 v3 v4");
-        assert_eq!(row(&render_adjacency(&g, 8), 2), "h2:");
+        assert_eq!(row(&render_adjacency(&g, 7), 2), "h3: v1 v2 v3 v4 v5");
+        assert_eq!(row(&render_adjacency(&g, 8), 2), "h3:");
     }
 
     #[test]
@@ -101,7 +102,7 @@ mod tests {
         // there is inside or adjacent to an interior-crossing segment).
         g.block_rect(&Rect::new(5, 5, 35, 35), Dir::Vertical);
         let text = render_adjacency(&g, 0);
-        assert!(text.contains("h0: v0 v4"));
-        assert!(text.contains("h2: v0 v4"));
+        assert!(text.contains("h1: v1 v5"));
+        assert!(text.contains("h3: v1 v5"));
     }
 }

@@ -1,15 +1,10 @@
 //! Design-rule checks: shorts, spacing, min-width slivers, via landing,
 //! die containment, and obstacle intrusion.
 
-use crate::index::{build_drawn, gap2, spacing2, spacing_required, Drawn, PairSweep};
+use crate::index::{build_drawn, for_each_near_pair, gap2, spacing2, spacing_required, Drawn};
 use crate::violation::Violation;
 use ocr_geom::{Layer, LayerSet, Point, Rect};
 use ocr_netlist::{Layout, NetId, NetRoute, RouteSeg, RoutedDesign};
-
-/// Sweep positions per spatial bin of the spacing check. Small enough to
-/// give the pool balanced stealable units on real designs, large enough
-/// that bin bookkeeping is negligible.
-const SPACING_BIN: usize = 512;
 
 /// `true` when the segment's centerline passes through `p`.
 fn seg_contains(seg: &RouteSeg, p: Point) -> bool {
@@ -47,30 +42,20 @@ pub fn check_spacing(
         .map(|l| spacing2(&layout.rules, l))
         .max()
         .unwrap_or(0);
-    // Spatially-binned pair sweep: bins fan out across the ocr-exec
-    // pool and merge in bin order, which is itself the ascending sweep
-    // order — the collected sequence is identical to a sequential
-    // sweep's regardless of worker count.
-    let sweep = PairSweep::new(&items, SPACING_BIN);
     ocr_obs::count("verify.sweep.items", items.len() as u64);
-    ocr_obs::count("verify.sweep.bins", sweep.bins().len() as u64);
-    let per_bin: Vec<Vec<Violation>> = ocr_exec::parallel_map(sweep.bins(), |&bin| {
-        let mut found = Vec::new();
-        let mut pairs = 0u64;
-        sweep.for_each_pair_in_bin(&items, max_s2, bin, |i, j| {
-            pairs += 1;
-            if let Some(v) = pair_violation(layout, drawn_layers, &items[i], &items[j]) {
-                found.push(v);
-            }
-        });
-        ocr_obs::count("verify.sweep.pairs", pairs);
-        found
+    let mut found = Vec::new();
+    let mut pairs = 0u64;
+    for_each_near_pair(&items, max_s2, |i, j| {
+        pairs += 1;
+        if let Some(v) = pair_violation(layout, drawn_layers, &items[i], &items[j]) {
+            found.push(v);
+        }
     });
-    let mut found: Vec<Violation> = per_bin.into_iter().flatten().collect();
-    // The sweep visits each offending pair once per overlap region; a
-    // pair of long parallel wires still yields one pair, but dedupe
+    ocr_obs::count("verify.sweep.pairs", pairs);
+    // The sweep visits each pair of drawn items once, so two nets that
+    // meet in several places yield several findings; dedupe
     // same-(nets, layer, kind) repeats to keep reports readable.
-    found.sort_by(|u, v| format!("{u:?}").cmp(&format!("{v:?}")));
+    found.sort_by_cached_key(|v| format!("{v:?}"));
     found.dedup_by(|u, v| {
         let key = |w: &Violation| match *w {
             Violation::Short { a, b, layer, .. } => (a, b, layer, 0u8),

@@ -1,5 +1,5 @@
-//! Drawn-geometry extraction and the spatial sweep used by the short
-//! and spacing checks.
+//! Drawn-geometry extraction and the sequential plane sweep that finds
+//! the candidate pairs of the short and spacing checks.
 //!
 //! All drawn rectangles are kept in **doubled coordinates** so that the
 //! half-width expansion of a centerline stays integral: a segment of
@@ -8,7 +8,7 @@
 //! `w/2` doubles to `w`). Gaps measured in doubled coordinates are twice
 //! the layout-unit gap.
 
-use ocr_geom::{Coord, Layer, LayerSet, Point};
+use ocr_geom::{Coord, Dir, Layer, LayerSet, Point};
 use ocr_netlist::{DesignRules, Layout, NetId, RoutedDesign};
 
 /// One drawn rectangle of metal, in doubled coordinates.
@@ -97,116 +97,47 @@ pub fn gap2(a: &Drawn, b: &Drawn) -> (i64, i64) {
     (dx, dy)
 }
 
-/// A spatially-binned plane sweep over the drawn geometry, prepared
-/// once and then evaluated bin-by-bin (in parallel across the `ocr-exec`
-/// pool by [`crate::verify_with`]).
+/// Calls `f(j, i)` once for every unordered pair of same-layer items
+/// whose doubled `x` and `y` gaps are both below `margin2`. `j` and `i`
+/// are indices into `items`; the caller does the exact distance test.
 ///
-/// Items are grouped per layer and sorted by `x0`; the sorted order is
-/// cut into contiguous **bins** that never straddle a layer group. A
-/// candidate pair `(j, i)` (with `j` earlier in the sorted order) is
-/// discovered exactly once, by the bin containing `i`: each `i` scans
-/// backwards through its layer group and stops at the first position
-/// whose *prefix-maximum* `x1` is already out of range. The pair set is
-/// therefore identical to a classical single-threaded active-list sweep,
-/// independent of the bin size and of how bins are scheduled.
-pub struct PairSweep {
-    /// Item indices grouped by layer, sorted by `x0` within each group.
-    order: Vec<usize>,
-    /// Prefix maximum of `x1` within each layer group, aligned to
-    /// [`PairSweep::order`].
-    pmax_x1: Vec<i64>,
-    /// Start offset (into `order`) of the layer group each position
-    /// belongs to, aligned to [`PairSweep::order`].
-    group_start: Vec<usize>,
-    /// Contiguous `[lo, hi)` chunks of `order`, each within one layer
-    /// group.
-    bins: Vec<(usize, usize)>,
-}
-
-impl PairSweep {
-    /// Prepares the sweep over `items`, cutting each layer group into
-    /// bins of at most `bin_size` sweep positions.
-    pub fn new(items: &[Drawn], bin_size: usize) -> PairSweep {
-        let bin_size = bin_size.max(1);
-        let mut by_layer: [Vec<usize>; 4] = Default::default();
-        for (i, d) in items.iter().enumerate() {
-            by_layer[d.layer.index()].push(i);
-        }
-        let mut order = Vec::with_capacity(items.len());
-        let mut pmax_x1 = Vec::with_capacity(items.len());
-        let mut group_start = Vec::with_capacity(items.len());
-        let mut bins = Vec::new();
-        for group in by_layer.iter_mut() {
-            group.sort_unstable_by_key(|&i| items[i].x0);
-            let start = order.len();
-            let mut running_max = i64::MIN;
-            for &i in group.iter() {
-                running_max = running_max.max(items[i].x1);
-                order.push(i);
-                pmax_x1.push(running_max);
-                group_start.push(start);
-            }
-            let mut lo = start;
-            while lo < order.len() {
-                let hi = lo.saturating_add(bin_size).min(order.len());
-                bins.push((lo, hi));
-                lo = hi;
-            }
-        }
-        PairSweep {
-            order,
-            pmax_x1,
-            group_start,
-            bins,
-        }
+/// Each layer group is swept across its [`Layer::preferred_dir`]: by `y`
+/// on the horizontal layers, by `x` on the vertical ones. Each item scans
+/// back through its group and stops at the first position whose prefix
+/// maximum of the far edge on that axis is already out of range. Wires
+/// run along the sweep front, so a long wire does not keep that maximum
+/// high and the scan stays short.
+pub fn for_each_near_pair(items: &[Drawn], margin2: i64, mut f: impl FnMut(usize, usize)) {
+    let mut by_layer: [Vec<usize>; 4] = Default::default();
+    for (i, d) in items.iter().enumerate() {
+        by_layer[d.layer.index()].push(i);
     }
-
-    /// The bins to evaluate; pass each to
-    /// [`PairSweep::for_each_pair_in_bin`].
-    pub fn bins(&self) -> &[(usize, usize)] {
-        &self.bins
-    }
-
-    /// Calls `f(j, i)` for every near pair whose later element `i` falls
-    /// in `bin`. `j` and `i` are indices into the original `items`
-    /// slice; the caller does the exact distance test.
-    pub fn for_each_pair_in_bin(
-        &self,
-        items: &[Drawn],
-        margin2: i64,
-        bin: (usize, usize),
-        mut f: impl FnMut(usize, usize),
-    ) {
-        for pos in bin.0..bin.1 {
-            let i = self.order[pos];
-            let cur = &items[i];
-            for qos in (self.group_start[pos]..pos).rev() {
-                if self.pmax_x1[qos] + margin2 <= cur.x0 {
+    let mut pmax_hi = Vec::new();
+    for (layer, group) in Layer::ALL.into_iter().zip(by_layer.iter_mut()) {
+        let across = |d: &Drawn| match layer.preferred_dir() {
+            Dir::Horizontal => (d.y0, d.y1),
+            Dir::Vertical => (d.x0, d.x1),
+        };
+        group.sort_unstable_by_key(|&i| across(&items[i]).0);
+        pmax_hi.clear();
+        let mut running_max = i64::MIN;
+        for &i in group.iter() {
+            running_max = running_max.max(across(&items[i]).1);
+            pmax_hi.push(running_max);
+        }
+        for (pos, &i) in group.iter().enumerate() {
+            let lo = across(&items[i]).0;
+            for qos in (0..pos).rev() {
+                if pmax_hi[qos] + margin2 <= lo {
                     break;
                 }
-                let j = self.order[qos];
-                if items[j].x1 + margin2 <= cur.x0 {
-                    continue;
-                }
-                // y prefilter; the caller does the exact distance test.
-                let (_, dy) = gap2(cur, &items[j]);
-                if dy < margin2 {
+                let j = group[qos];
+                let (dx, dy) = gap2(&items[j], &items[i]);
+                if dx < margin2 && dy < margin2 {
                     f(j, i);
                 }
             }
         }
-    }
-}
-
-/// Calls `f(i, j)` for every pair of same-layer items whose doubled
-/// x-gap is below `margin2`, sequentially. Equivalent to evaluating
-/// every bin of a [`PairSweep`] in order; kept as the reference
-/// implementation for the equivalence tests below.
-#[cfg(test)]
-pub fn for_each_near_pair(items: &[Drawn], margin2: i64, mut f: impl FnMut(usize, usize)) {
-    let sweep = PairSweep::new(items, usize::MAX);
-    for &bin in sweep.bins() {
-        sweep.for_each_pair_in_bin(items, margin2, bin, &mut f);
     }
 }
 
@@ -225,16 +156,20 @@ mod tests {
     use super::*;
     use ocr_netlist::NetId;
 
-    /// A deterministic pseudo-random scatter of drawn rectangles across
-    /// all four layers (plain LCG — no RNG dependency in this crate).
-    fn scatter(n: usize) -> Vec<Drawn> {
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
+    /// A plain LCG (no RNG dependency in this crate).
+    fn lcg(mut state: u64) -> impl FnMut() -> i64 {
+        move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             (state >> 33) as i64
-        };
+        }
+    }
+
+    /// A deterministic pseudo-random scatter of drawn rectangles across
+    /// all four layers.
+    fn scatter(n: usize) -> Vec<Drawn> {
+        let mut next = lcg(0x2545_F491_4F6C_DD1D);
         (0..n)
             .map(|k| {
                 let x0 = next() % 2_000;
@@ -253,54 +188,85 @@ mod tests {
             .collect()
     }
 
-    fn pair_set(items: &[Drawn], margin2: i64, bin_size: usize) -> Vec<(usize, usize)> {
-        let sweep = PairSweep::new(items, bin_size);
+    /// Every unordered same-layer pair with both gaps below `margin2`,
+    /// by brute force over all pairs.
+    fn brute_force(items: &[Drawn], margin2: i64) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
-        for &bin in sweep.bins() {
-            sweep.for_each_pair_in_bin(items, margin2, bin, |i, j| pairs.push((i, j)));
+        for i in 0..items.len() {
+            for j in i + 1..items.len() {
+                let (dx, dy) = gap2(&items[i], &items[j]);
+                if items[i].layer == items[j].layer && dx < margin2 && dy < margin2 {
+                    pairs.push((i, j));
+                }
+            }
         }
+        pairs
+    }
+
+    /// The sweep's pairs, each as `(min, max)`, sorted but not deduped, so
+    /// a pair visited twice shows as an extra entry.
+    fn swept(items: &[Drawn], margin2: i64) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for_each_near_pair(items, margin2, |j, i| pairs.push((j.min(i), j.max(i))));
         pairs.sort_unstable();
         pairs
     }
 
+    /// Wires shaped like routed geometry: long along their layer's
+    /// preferred direction, on a track pitch, with via pads at their
+    /// ends, plus one die-wide Metal3 wire that every later Metal3 item
+    /// would scan past in an `x0`-sorted sweep.
+    fn route_like(n: usize) -> Vec<Drawn> {
+        let mut next = lcg(0x9E37_79B9_7F4A_7C15);
+        // The centerline `(x0, y0)-(x1, y1)` grown by `h` on every side.
+        let drawn = |net, layer, (x0, y0, x1, y1): (i64, i64, i64, i64), h| Drawn {
+            net: NetId(net),
+            layer,
+            x0: x0 - h,
+            y0: y0 - h,
+            x1: x1 + h,
+            y1: y1 + h,
+        };
+        let mut items = vec![drawn(99, Layer::Metal3, (0, 1_000, 4_000, 1_000), 4)];
+        for k in 0..n {
+            let layer = Layer::ALL[(next() % 4) as usize];
+            let net = (k % 23) as u32;
+            let track = 20 * (next() % 200);
+            let (a, b) = (next() % 4_000, next() % 4_000);
+            let (lo, hi) = (a.min(b), a.max(b).min(a.min(b) + 800));
+            let (x0, y0, x1, y1) = match layer.preferred_dir() {
+                Dir::Horizontal => (lo, track, hi, track),
+                Dir::Vertical => (track, lo, track, hi),
+            };
+            items.push(drawn(net, layer, (x0, y0, x1, y1), 4));
+            items.push(drawn(net, layer, (x0, y0, x0, y0), 6));
+            items.push(drawn(net, layer, (x1, y1, x1, y1), 6));
+        }
+        items
+    }
+
     #[test]
-    fn binned_sweep_matches_reference_for_every_bin_size() {
+    fn sweep_matches_brute_force_on_scatter() {
         let items = scatter(300);
-        let margin2 = 24;
-        let mut reference = Vec::new();
-        for_each_near_pair(&items, margin2, |i, j| reference.push((i, j)));
-        reference.sort_unstable();
-        assert!(!reference.is_empty(), "scatter must produce near pairs");
-        for bin_size in [1, 7, 64, 300, 100_000] {
-            assert_eq!(
-                pair_set(&items, margin2, bin_size),
-                reference,
-                "bin {bin_size}"
+        for margin2 in [1, 24, 40] {
+            let reference = brute_force(&items, margin2);
+            assert!(!reference.is_empty(), "scatter must produce near pairs");
+            assert_eq!(swept(&items, margin2), reference, "margin {margin2}");
+        }
+    }
+
+    #[test]
+    fn sweep_matches_brute_force_on_route_shaped_wires() {
+        let items = route_like(400);
+        // Pads on one track sit 8 apart and wires on adjacent tracks 12,
+        // so margins 8 and 12 put gaps exactly on the bound.
+        for margin2 in [1, 8, 12, 24] {
+            let reference = brute_force(&items, margin2);
+            assert!(
+                reference.iter().any(|&(i, _)| i == 0),
+                "the die-wide wire must have near pairs"
             );
-        }
-    }
-
-    #[test]
-    fn pairs_are_same_layer_and_visited_once() {
-        let items = scatter(200);
-        let pairs = pair_set(&items, 40, 16);
-        let mut seen = pairs.clone();
-        seen.dedup();
-        assert_eq!(seen.len(), pairs.len(), "no duplicate pairs");
-        for (i, j) in pairs {
-            assert_ne!(i, j);
-            assert_eq!(items[i].layer, items[j].layer);
-        }
-    }
-
-    #[test]
-    fn bins_never_straddle_layer_groups() {
-        let items = scatter(257);
-        let sweep = PairSweep::new(&items, 10);
-        for &(lo, hi) in sweep.bins() {
-            assert!(lo < hi);
-            let l = items[sweep.order[lo]].layer;
-            assert!((lo..hi).all(|p| items[sweep.order[p]].layer == l));
+            assert_eq!(swept(&items, margin2), reference, "margin {margin2}");
         }
     }
 }

@@ -325,4 +325,7 @@ echo "==> perfbench (self-tests + exact work-count gate against perfbench/counts
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 cargo run -q --release --manifest-path perfbench/Cargo.toml -- --check
 
+echo "==> Rust line count of crates/ + src/ (informational, tracked in ROADMAP.md)"
+find crates src -name '*.rs' | xargs cat | wc -l
+
 echo "==> ci: all green"
