@@ -2,7 +2,6 @@
 
 use crate::cost::CostWeights;
 use crate::order::NetOrdering;
-use ocr_geom::Coord;
 
 /// Configuration of the Level B over-cell router.
 #[derive(Clone, Debug, PartialEq)]
@@ -12,13 +11,6 @@ pub struct LevelBConfig {
     /// Net processing order (the paper defaults to longest distance
     /// first; a user criterion such as criticality can be exercised).
     pub ordering: NetOrdering,
-    /// Initial search window: the terminals' bounding box expanded by
-    /// this many tracks on every side (the paper's rectangular region
-    /// "Π" around the two terminals).
-    pub window_margin: usize,
-    /// Track pitch override for the Level B grid (`None` = design-rule
-    /// over-cell pitch).
-    pub pitch: Option<Coord>,
     /// Nets whose routed wiring other paths should keep away from
     /// (activates the `w24` cost term — the paper's "prevent parallel
     /// routing of sensitive nets" example). Empty by default.
@@ -52,8 +44,6 @@ impl Default for LevelBConfig {
         LevelBConfig {
             weights: CostWeights::default(),
             ordering: NetOrdering::LongestFirst,
-            window_margin: 4,
-            pitch: None,
             sensitive_nets: Vec::new(),
             rip_up_budget: 16,
             maze_fallback: true,

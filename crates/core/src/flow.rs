@@ -34,7 +34,7 @@ use crate::ckpt::RunSession;
 use crate::config::LevelBConfig;
 use crate::degrade::{Degradation, DegradeReason};
 use crate::error::RouteError;
-use crate::level_b::LevelBRouter;
+use crate::level_b::{LevelBResult, LevelBRouter};
 use crate::partition::{partition_nets, PartitionStrategy};
 use crate::stats::RoutingStats;
 use ocr_channel::{ChannelFrame, ChannelRouterKind, ChipChannelOptions, ChipChannelResult};
@@ -352,7 +352,7 @@ pub(crate) fn run_with_telemetry(
 /// Assembles the [`FlowResult`] every flow returns from the (possibly
 /// merged) chip-channel result — the one place metrics and the optional
 /// oracle report are computed.
-pub(crate) fn assemble_result(
+fn assemble_result(
     a: ChipChannelResult,
     level_a_nets: Vec<NetId>,
     level_b_nets: Vec<NetId>,
@@ -448,9 +448,8 @@ fn interrupted_result(
 
 /// Splits the nets into sets A and B under the flow's partition
 /// strategy (the `AreaBudget` strategy takes its priority from the
-/// criticality order). Shared by [`OverCellFlow::run`] and the
-/// portfolio, which partitions once and runs only Level B per strategy.
-pub(crate) fn partition_sets(
+/// criticality order).
+fn partition_sets(
     partition: &PartitionStrategy,
     layout: &Layout,
     placement: &RowPlacement,
@@ -529,11 +528,30 @@ impl OverCellFlow {
         })
     }
 
+    /// One [`LevelBRouter`] run under the session's control.
     fn run_inner(
         &self,
         layout: &Layout,
         placement: &RowPlacement,
         session: &RunSession,
+    ) -> Result<FlowResult, RouteError> {
+        self.run_stages(layout, placement, session, |expanded, set_b, config| {
+            let _span = ocr_obs::span("flow.level_b");
+            LevelBRouter::new(expanded, set_b, config)?.route_all_with(session)
+        })
+    }
+
+    /// The over-cell stage path: partition, Level A, then `level_b` over
+    /// the expanded layout with set B and the flow's Level B
+    /// configuration (salvage folded in), then merge and assemble. A
+    /// plain run passes one [`LevelBRouter`] run; the
+    /// [portfolio](crate::portfolio) passes its roster fan-out.
+    pub(crate) fn run_stages(
+        &self,
+        layout: &Layout,
+        placement: &RowPlacement,
+        session: &RunSession,
+        level_b: impl FnOnce(&Layout, &[NetId], LevelBConfig) -> Result<LevelBResult, RouteError>,
     ) -> Result<FlowResult, RouteError> {
         if session.control.is_tripped() {
             return interrupted_result(layout, placement, self.options, session);
@@ -553,14 +571,10 @@ impl OverCellFlow {
             }
         };
         // Level B: over the entire (expanded) layout area.
-        let mut level_b = self.level_b.clone();
-        level_b.salvage = level_b.salvage || self.options.salvage;
-        let salvage = level_b.salvage;
-        let b = {
-            let _span = ocr_obs::span("flow.level_b");
-            let mut router = LevelBRouter::new(&a.expanded, &set_b, level_b)?;
-            router.route_all_with(session)?
-        };
+        let mut config = self.level_b.clone();
+        config.salvage = config.salvage || self.options.salvage;
+        let salvage = config.salvage;
+        let b = level_b(&a.expanded, &set_b, config)?;
         // A tripped run always reports its degradation, salvage or not —
         // budget/cancel trips must never look like a complete result.
         let tripped = session.control.is_tripped();

@@ -34,6 +34,11 @@ const MAX_RETRIES_PER_NET: usize = 4;
 /// searches the whole grid).
 const MAX_WINDOW_EXPANSIONS: usize = 4;
 
+/// Initial search window: the terminals' bounding box expanded by this
+/// many tracks on every side (the paper's rectangular region "Π" around
+/// the two terminals).
+const INITIAL_WINDOW_MARGIN: usize = 4;
+
 /// Result of routing a Level B net set.
 #[derive(Clone, Debug)]
 pub struct LevelBResult {
@@ -114,11 +119,7 @@ impl<'a> LevelBRouter<'a> {
             .weights
             .validate()
             .map_err(RouteError::InvalidWeights)?;
-        let mut builder = GridBuilder::new(layout);
-        if let Some(p) = config.pitch {
-            builder = builder.pitch(p);
-        }
-        let mut grid = builder.build(nets);
+        let mut grid = GridBuilder::new(layout).build(nets);
         let mut unrouted_cells = Vec::new();
         let mut doomed_terminals = 0usize;
         let mut doomed_nets = std::collections::HashSet::new();
@@ -941,7 +942,7 @@ impl<'a> LevelBRouter<'a> {
             .grid
             .snap(to)
             .ok_or(RouteError::TerminalOffGrid { net, at: to })?;
-        let mut margin = self.config.window_margin;
+        let mut margin = INITIAL_WINDOW_MARGIN;
         let mut terminals: Vec<(usize, usize)> = Vec::new();
         let sensitive: Vec<u32> = self
             .config
@@ -1500,15 +1501,7 @@ mod tests {
             Rect::new(125, 50, 135, 350),
             LayerSet::level_b(),
         ));
-        let mut r = LevelBRouter::new(
-            &l,
-            &nets,
-            LevelBConfig {
-                window_margin: 1,
-                ..LevelBConfig::default()
-            },
-        )
-        .expect("router");
+        let mut r = LevelBRouter::new(&l, &nets, LevelBConfig::default()).expect("router");
         let res = r.route_all().expect("routes");
         assert_eq!(res.stats.nets_failed, 0);
         assert!(res.stats.window_expansions > 0, "window had to grow");
@@ -1569,7 +1562,6 @@ mod tests {
             &nets,
             LevelBConfig {
                 rip_up_budget: 0,
-                window_margin: 1,
                 ..LevelBConfig::default()
             },
         )
@@ -1633,31 +1625,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pitch_override_changes_grid_density() {
-        let (l, nets) = layout_with_nets(&[&[Point::new(20, 30), Point::new(300, 200)]]);
-        let coarse = LevelBRouter::new(
-            &l,
-            &nets,
-            LevelBConfig {
-                pitch: Some(50),
-                ..LevelBConfig::default()
-            },
-        )
-        .expect("router");
-        let fine = LevelBRouter::new(
-            &l,
-            &nets,
-            LevelBConfig {
-                pitch: Some(10),
-                ..LevelBConfig::default()
-            },
-        )
-        .expect("router");
-        assert!(coarse.grid().nv() < fine.grid().nv());
-        assert!(coarse.grid().nh() < fine.grid().nh());
     }
 
     #[test]

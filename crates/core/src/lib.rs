@@ -73,10 +73,7 @@ pub use flow::{
     OverCellFlow,
 };
 pub use level_b::{LevelBResult, LevelBRouter};
-pub use order::{
-    ordering_from_name, CongestionAware, CriticalityAware, LongestDistance, NetOrdering,
-    OrderingStrategy, SeededShuffle, ORDER_API,
-};
+pub use order::{ordering_from_name, NetOrdering};
 pub use partition::{partition_nets, partition_nets_area_budget, PartitionStrategy};
 pub use portfolio::{portfolio_roster, PortfolioReport, StrategyOutcome};
 pub use stats::RoutingStats;

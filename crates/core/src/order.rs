@@ -5,187 +5,174 @@
 //! The option of a user specified ordering criterion, such as net
 //! criticality, can be exercised."
 //!
-//! # The `ocr-order-v1` strategy API
+//! [`NetOrdering`] is the closed set of orderings the router knows, one
+//! variant per policy. Each has a stable name (`ocr-order-v1`, used by
+//! the CLI `--order` flag, `ocr-jobs-v1` manifests and `order.*`
+//! telemetry) that [`ordering_from_name`] parses back:
 //!
-//! Net order dominates how much rip-up the serial Level B router pays,
-//! so ordering is a first-class pluggable surface: implement
-//! [`OrderingStrategy`] and hand it to the router through
-//! [`NetOrdering::Strategy`]. Four strategies ship in-tree:
-//!
-//! * [`LongestDistance`] — the paper's longest-half-perimeter-first
-//!   default. Produces the byte-identical order of
-//!   [`NetOrdering::LongestFirst`].
-//! * [`CongestionAware`] — most-contended nets first, where contention
-//!   is the number of other nets whose bounding boxes overlap a net's
+//! * `longest` — the paper's longest-half-perimeter-first default;
+//! * `shortest` — shortest first (ablation comparator);
+//! * `criticality-hpwl` — highest criticality first, then longest
+//!   (named in code only, no parse name);
+//! * `congestion` — most-contended nets first, where contention is the
+//!   number of other nets whose bounding boxes overlap a net's
 //!   horizontal span (the same interval-overlap quantity the channel
-//!   router's density calculation maximises over columns).
-//! * [`CriticalityAware`] — user criticality first, then terminal
-//!   fan-out, then *tightest* search window first so high-stakes nets
-//!   route while the grid is empty.
-//! * [`SeededShuffle`] — a deterministic xoshiro256++ shuffle of the
+//!   router's density calculation maximises over columns);
+//! * `criticality` — user criticality first, then terminal fan-out,
+//!   then *tightest* search window first so high-stakes nets route
+//!   while the grid is empty;
+//! * `shuffle:SEED` — a deterministic xoshiro256++ shuffle of the
 //!   canonical net order; distinct seeds give independent restarts for
-//!   the run-all portfolio (see [`crate::portfolio`]).
+//!   the run-all portfolio (see [`crate::portfolio`]);
+//! * `user` — an explicit list, the rest longest first.
 //!
-//! Every strategy must be a *total* deterministic function of the
-//! layout and net set: equal inputs give equal output on every thread
-//! count, and ties on the primary key are always broken by `NetId` so
-//! no ordering silently leans on sort stability.
+//! Every ordering is a *total* deterministic function of the layout and
+//! net set: equal inputs give equal output on every thread count, and
+//! ties on the primary key are always broken by `NetId` so no ordering
+//! silently leans on sort stability.
 
 use ocr_netlist::{Layout, NetId};
-use std::sync::Arc;
+use std::cmp::Reverse;
 
-/// Version tag of the ordering-strategy API surface.
-pub const ORDER_API: &str = "ocr-order-v1";
+/// Net processing order policies.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum NetOrdering {
+    /// Longest half-perimeter first (the paper's default).
+    LongestFirst,
+    /// Shortest half-perimeter first (ablation comparator).
+    ShortestFirst,
+    /// Highest [`criticality`](ocr_netlist::Net::criticality) first,
+    /// ties broken longest-first.
+    Criticality,
+    /// Explicit user order; nets absent from the list go last in
+    /// longest-first order.
+    User(Vec<NetId>),
+    /// Most-contended nets first. Routing them first claims tracks in
+    /// the fought-over region before it silts up. Ties fall back
+    /// longest-first. Pinless nets have no span and go last.
+    Congestion,
+    /// Criticality, then fan-out, then tightest window first: among
+    /// equally critical nets, more terminals go earlier (multi-terminal
+    /// Steiner topologies have the least slack), and among those the
+    /// *shortest* half-perimeter, whose tight window has the fewest
+    /// detour options, gets the empty grid.
+    CriticalityFanout,
+    /// Fisher–Yates shuffle of the ascending-`NetId` order, driven by
+    /// xoshiro256++ seeded from the value. Equal seeds give equal
+    /// orders on every platform and thread count.
+    Shuffle(u64),
+}
 
-/// A pluggable net-ordering policy for the serial Level B router.
+/// Parses an ordering name.
 ///
-/// Implementations must be pure: the returned permutation may depend
-/// only on `layout` and `nets` (and the strategy's own immutable
-/// configuration, e.g. a shuffle seed), never on global state, time, or
-/// thread interleaving. The returned vector must be a permutation of
-/// `nets`; the router routes it front to back.
-pub trait OrderingStrategy: Send + Sync + std::fmt::Debug {
-    /// Stable machine-readable name (used by the CLI `--order` flag,
-    /// `ocr-jobs-v1` manifests, and `order.*` telemetry).
-    fn name(&self) -> String;
-
-    /// Returns `nets` permuted into processing order.
-    fn order(&self, layout: &Layout, nets: &[NetId]) -> Vec<NetId>;
-}
-
-/// Longest half-perimeter first — the paper's default criterion.
-///
-/// Byte-identical to [`NetOrdering::LongestFirst`]; ties broken by
-/// ascending `NetId`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LongestDistance;
-
-impl OrderingStrategy for LongestDistance {
-    fn name(&self) -> String {
-        "longest".to_string()
-    }
-
-    fn order(&self, layout: &Layout, nets: &[NetId]) -> Vec<NetId> {
-        let mut v = nets.to_vec();
-        v.sort_unstable_by_key(|&n| (std::cmp::Reverse(layout.net_hpwl(n)), n.0));
-        v
+/// Accepted names: `longest`, `shortest`, `congestion`, `criticality`,
+/// `shuffle` (seed 1), and `shuffle:SEED`. Returns `None` for anything
+/// else — including `portfolio`, which runs several orderings and
+/// keeps the minimum rather than being an ordering itself.
+pub fn ordering_from_name(name: &str) -> Option<NetOrdering> {
+    match name {
+        "longest" => Some(NetOrdering::LongestFirst),
+        "shortest" => Some(NetOrdering::ShortestFirst),
+        "congestion" => Some(NetOrdering::Congestion),
+        "criticality" => Some(NetOrdering::CriticalityFanout),
+        "shuffle" => Some(NetOrdering::Shuffle(1)),
+        _ => {
+            let seed = name.strip_prefix("shuffle:")?;
+            Some(NetOrdering::Shuffle(seed.parse().ok()?))
+        }
     }
 }
 
-/// Most-contended nets first.
-///
-/// A net's contention is the number of *other* nets in the set whose
-/// bounding boxes overlap its horizontal span — the interval-overlap
-/// count whose column-wise maximum is the channel router's density.
-/// Routing the most contended nets first claims tracks in the fought-
-/// over region before it silts up. Ties fall back longest-first, then
-/// ascending `NetId`. Pinless nets have no span and go last.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CongestionAware;
-
-impl OrderingStrategy for CongestionAware {
-    fn name(&self) -> String {
-        "congestion".to_string()
+impl NetOrdering {
+    /// The policy's stable name.
+    pub fn name(&self) -> String {
+        match self {
+            NetOrdering::LongestFirst => "longest".to_string(),
+            NetOrdering::ShortestFirst => "shortest".to_string(),
+            NetOrdering::Criticality => "criticality-hpwl".to_string(),
+            NetOrdering::User(_) => "user".to_string(),
+            NetOrdering::Congestion => "congestion".to_string(),
+            NetOrdering::CriticalityFanout => "criticality".to_string(),
+            NetOrdering::Shuffle(seed) => format!("shuffle:{seed}"),
+        }
     }
 
-    fn order(&self, layout: &Layout, nets: &[NetId]) -> Vec<NetId> {
-        let spans: Vec<(NetId, Option<(i64, i64)>)> = nets
-            .iter()
-            .map(|&n| (n, layout.net_bbox(n).map(|b| (b.x0(), b.x1()))))
-            .collect();
-        let contention = |span: Option<(i64, i64)>| -> u64 {
-            let Some((x0, x1)) = span else { return 0 };
-            let overlapping = spans
-                .iter()
-                .filter(|(_, other)| matches!(other, Some((o0, o1)) if *o0 <= x1 && x0 <= *o1))
-                .count() as u64;
-            overlapping.saturating_sub(1)
-        };
-        let mut v: Vec<(u64, NetId)> = spans
-            .iter()
-            .map(|&(n, span)| (contention(span), n))
-            .collect();
-        v.sort_unstable_by_key(|&(c, n)| {
-            (
-                std::cmp::Reverse(c),
-                std::cmp::Reverse(layout.net_hpwl(n)),
-                n.0,
-            )
-        });
-        v.into_iter().map(|(_, n)| n).collect()
-    }
-}
-
-/// Criticality, fan-out, then tightest window first.
-///
-/// High-criticality nets route first (as the paper's "user specified
-/// ordering criterion, such as net criticality"); among equals, nets
-/// with more terminals go earlier (multi-terminal Steiner topologies
-/// have the least slack), and among those the *shortest* half-perimeter
-/// goes first — a tight search window has the fewest detour options, so
-/// it gets the empty grid. Final tie-break: ascending `NetId`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CriticalityAware;
-
-impl OrderingStrategy for CriticalityAware {
-    fn name(&self) -> String {
-        "criticality".to_string()
-    }
-
-    fn order(&self, layout: &Layout, nets: &[NetId]) -> Vec<NetId> {
-        let mut v = nets.to_vec();
-        v.sort_unstable_by_key(|&n| {
-            (
-                std::cmp::Reverse(layout.net(n).criticality),
-                std::cmp::Reverse(layout.net(n).pin_count()),
-                layout.net_hpwl(n),
-                n.0,
-            )
-        });
-        v
-    }
-}
-
-/// Deterministic seeded shuffle — independent restarts for portfolios.
-///
-/// The nets are first put in canonical ascending-`NetId` order (so the
-/// result is independent of the caller's slice order), then permuted by
-/// a Fisher–Yates shuffle driven by xoshiro256++ seeded from `seed`.
-/// Equal seeds give equal orders on every platform and thread count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SeededShuffle {
-    /// Shuffle seed; each distinct value is an independent restart.
-    pub seed: u64,
-}
-
-impl SeededShuffle {
-    /// Strategy shuffling with the given seed.
-    pub fn new(seed: u64) -> SeededShuffle {
-        SeededShuffle { seed }
-    }
-}
-
-impl OrderingStrategy for SeededShuffle {
-    fn name(&self) -> String {
-        format!("shuffle:{}", self.seed)
-    }
-
-    fn order(&self, _layout: &Layout, nets: &[NetId]) -> Vec<NetId> {
-        let mut v = nets.to_vec();
-        v.sort_unstable_by_key(|n| n.0);
-        let mut rng = Xoshiro::seed_from_u64(self.seed);
-        // Fisher–Yates, high index down; `next_below` is unbiased.
-        for i in (1..v.len()).rev() {
-            let j = rng.next_below(i as u64 + 1) as usize;
-            v.swap(i, j);
+    /// Sorts `nets` according to the policy.
+    ///
+    /// Every arm sorts with an explicitly total key — the final
+    /// component is always the `NetId` — so the result never depends on
+    /// the input order of equal-keyed nets (`sort_unstable` proves it).
+    pub fn order(&self, layout: &Layout, nets: &[NetId]) -> Vec<NetId> {
+        let mut v: Vec<NetId> = nets.to_vec();
+        let hpwl = |n: NetId| layout.net_hpwl(n);
+        match self {
+            NetOrdering::LongestFirst => {
+                v.sort_unstable_by_key(|&n| (Reverse(hpwl(n)), n.0));
+            }
+            NetOrdering::ShortestFirst => {
+                v.sort_unstable_by_key(|&n| (hpwl(n), n.0));
+            }
+            NetOrdering::Criticality => {
+                v.sort_unstable_by_key(|&n| {
+                    (Reverse(layout.net(n).criticality), Reverse(hpwl(n)), n.0)
+                });
+            }
+            NetOrdering::User(order) => {
+                let pos = |n: NetId| order.iter().position(|&x| x == n);
+                v.sort_unstable_by_key(|&n| (pos(n).unwrap_or(usize::MAX), Reverse(hpwl(n)), n.0));
+            }
+            NetOrdering::Congestion => {
+                let spans: Vec<Option<(i64, i64)>> = nets
+                    .iter()
+                    .map(|&n| layout.net_bbox(n).map(|b| (b.x0(), b.x1())))
+                    .collect();
+                // Nets of the set whose spans overlap this one, itself
+                // excluded.
+                let contention = |span: Option<(i64, i64)>| -> u64 {
+                    let Some((x0, x1)) = span else { return 0 };
+                    let overlapping = spans
+                        .iter()
+                        .filter(|other| matches!(other, Some((o0, o1)) if *o0 <= x1 && x0 <= *o1))
+                        .count() as u64;
+                    overlapping.saturating_sub(1)
+                };
+                let mut keyed: Vec<(u64, NetId)> = nets
+                    .iter()
+                    .zip(&spans)
+                    .map(|(&n, &span)| (contention(span), n))
+                    .collect();
+                keyed.sort_unstable_by_key(|&(c, n)| (Reverse(c), Reverse(hpwl(n)), n.0));
+                v = keyed.into_iter().map(|(_, n)| n).collect();
+            }
+            NetOrdering::CriticalityFanout => {
+                v.sort_unstable_by_key(|&n| {
+                    let net = layout.net(n);
+                    (
+                        Reverse(net.criticality),
+                        Reverse(net.pin_count()),
+                        hpwl(n),
+                        n.0,
+                    )
+                });
+            }
+            NetOrdering::Shuffle(seed) => {
+                v.sort_unstable_by_key(|n| n.0);
+                let mut rng = Xoshiro::seed_from_u64(*seed);
+                // Fisher–Yates, high index down; `next_below` is unbiased.
+                for i in (1..v.len()).rev() {
+                    let j = rng.next_below(i as u64 + 1) as usize;
+                    v.swap(i, j);
+                }
+            }
         }
         v
     }
 }
 
-/// xoshiro256++ with SplitMix64 seeding — mirrors `ocr_gen::rng`, which
-/// this crate cannot depend on (the generator sits above the router in
-/// the workspace). Kept private; only [`SeededShuffle`] consumes it.
+/// xoshiro256++ with SplitMix64 seeding — mirrors `ocr_gen::rng`. A
+/// copy rather than a dependency: an `ocr-core → ocr-gen` edge would
+/// rewrite `perfbench/Cargo.lock`. Kept private; only
+/// [`NetOrdering::Shuffle`] consumes it.
 struct Xoshiro {
     s: [u64; 4],
 }
@@ -225,127 +212,19 @@ impl Xoshiro {
         loop {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(bound as u128);
-            let low = m as u64;
-            if low >= bound || low >= low.wrapping_neg() % bound {
+            if lemire_accepts(m as u64, bound) {
                 return (m >> 64) as u64;
             }
         }
     }
 }
 
-/// Parses an `ocr-order-v1` strategy name.
-///
-/// Accepted names: `longest`, `shortest`, `congestion`, `criticality`,
-/// `shuffle` (seed 1), and `shuffle:SEED`. Returns `None` for anything
-/// else — including `portfolio`, which runs several strategies and
-/// keeps the minimum rather than being a strategy itself.
-pub fn ordering_from_name(name: &str) -> Option<NetOrdering> {
-    match name {
-        "longest" => Some(NetOrdering::LongestFirst),
-        "shortest" => Some(NetOrdering::ShortestFirst),
-        "congestion" => Some(NetOrdering::strategy(CongestionAware)),
-        "criticality" => Some(NetOrdering::strategy(CriticalityAware)),
-        "shuffle" => Some(NetOrdering::strategy(SeededShuffle::new(1))),
-        _ => {
-            let seed = name.strip_prefix("shuffle:")?;
-            let seed: u64 = seed.parse().ok()?;
-            Some(NetOrdering::strategy(SeededShuffle::new(seed)))
-        }
-    }
+/// Lemire's acceptance test for the low word of `x · bound`: reject the
+/// `2⁶⁴ mod bound` low words that would over-weight some results. The
+/// threshold is computed only when `low < bound`, the rare case.
+fn lemire_accepts(low: u64, bound: u64) -> bool {
+    low >= bound || low >= bound.wrapping_neg() % bound
 }
-
-/// Net processing order policies.
-#[derive(Clone, Debug)]
-pub enum NetOrdering {
-    /// Longest half-perimeter first (the paper's default).
-    LongestFirst,
-    /// Shortest half-perimeter first (ablation comparator).
-    ShortestFirst,
-    /// Highest [`criticality`](ocr_netlist::Net::criticality) first,
-    /// ties broken longest-first.
-    Criticality,
-    /// Explicit user order; nets absent from the list go last in
-    /// longest-first order.
-    User(Vec<NetId>),
-    /// A pluggable [`OrderingStrategy`] (the `ocr-order-v1` surface).
-    Strategy(Arc<dyn OrderingStrategy>),
-}
-
-impl NetOrdering {
-    /// Wraps a strategy value into the [`NetOrdering::Strategy`] variant.
-    pub fn strategy<S: OrderingStrategy + 'static>(s: S) -> NetOrdering {
-        NetOrdering::Strategy(Arc::new(s))
-    }
-
-    /// The policy's stable name (strategies report their own).
-    pub fn name(&self) -> String {
-        match self {
-            NetOrdering::LongestFirst => "longest".to_string(),
-            NetOrdering::ShortestFirst => "shortest".to_string(),
-            NetOrdering::Criticality => "criticality-hpwl".to_string(),
-            NetOrdering::User(_) => "user".to_string(),
-            NetOrdering::Strategy(s) => s.name(),
-        }
-    }
-
-    /// Sorts `nets` according to the policy.
-    ///
-    /// Every arm sorts with an explicitly total key — the final
-    /// component is always the `NetId` — so the result never depends on
-    /// the input order of equal-keyed nets (`sort_unstable` proves it).
-    pub fn order(&self, layout: &Layout, nets: &[NetId]) -> Vec<NetId> {
-        let mut v: Vec<NetId> = nets.to_vec();
-        match self {
-            NetOrdering::LongestFirst => {
-                v.sort_unstable_by_key(|&n| (std::cmp::Reverse(layout.net_hpwl(n)), n.0));
-            }
-            NetOrdering::ShortestFirst => {
-                v.sort_unstable_by_key(|&n| (layout.net_hpwl(n), n.0));
-            }
-            NetOrdering::Criticality => {
-                v.sort_unstable_by_key(|&n| {
-                    (
-                        std::cmp::Reverse(layout.net(n).criticality),
-                        std::cmp::Reverse(layout.net_hpwl(n)),
-                        n.0,
-                    )
-                });
-            }
-            NetOrdering::User(order) => {
-                let pos = |n: NetId| order.iter().position(|&x| x == n);
-                v.sort_unstable_by_key(|&n| {
-                    (
-                        pos(n).unwrap_or(usize::MAX),
-                        std::cmp::Reverse(layout.net_hpwl(n)),
-                        n.0,
-                    )
-                });
-            }
-            NetOrdering::Strategy(s) => {
-                v = s.order(layout, nets);
-                debug_assert_eq!(v.len(), nets.len(), "strategy must permute its input");
-            }
-        }
-        v
-    }
-}
-
-/// Strategies compare by [`name`](NetOrdering::name); the built-in
-/// variants compare structurally.
-impl PartialEq for NetOrdering {
-    fn eq(&self, other: &NetOrdering) -> bool {
-        match (self, other) {
-            (NetOrdering::LongestFirst, NetOrdering::LongestFirst)
-            | (NetOrdering::ShortestFirst, NetOrdering::ShortestFirst)
-            | (NetOrdering::Criticality, NetOrdering::Criticality) => true,
-            (NetOrdering::User(a), NetOrdering::User(b)) => a == b,
-            (NetOrdering::Strategy(a), NetOrdering::Strategy(b)) => a.name() == b.name(),
-            _ => false,
-        }
-    }
-}
-
-impl Eq for NetOrdering {}
 
 #[cfg(test)]
 mod tests {
@@ -397,15 +276,6 @@ mod tests {
         assert_eq!(o[1], nets[2]); // fallback: longest first
     }
 
-    #[test]
-    fn longest_distance_strategy_matches_longest_first() {
-        let (l, nets) = layout3();
-        assert_eq!(
-            NetOrdering::strategy(LongestDistance).order(&l, &nets),
-            NetOrdering::LongestFirst.order(&l, &nets),
-        );
-    }
-
     /// Regression: with equal half-perimeters every policy must break
     /// the tie on `NetId`, independent of the caller's slice order.
     #[test]
@@ -428,10 +298,9 @@ mod tests {
             NetOrdering::ShortestFirst,
             NetOrdering::Criticality,
             NetOrdering::User(vec![]),
-            NetOrdering::strategy(LongestDistance),
-            NetOrdering::strategy(CongestionAware),
-            NetOrdering::strategy(CriticalityAware),
-            NetOrdering::strategy(SeededShuffle::new(7)),
+            NetOrdering::Congestion,
+            NetOrdering::CriticalityFanout,
+            NetOrdering::Shuffle(7),
         ] {
             let a = ordering.order(&l, &ids);
             let b = ordering.order(&l, &reversed);
@@ -459,7 +328,7 @@ mod tests {
         let b = mk(&mut l, "b", 10, 90);
         let c = mk(&mut l, "c", 20, 80);
         let lone = mk(&mut l, "lone", 700, 990);
-        let o = NetOrdering::strategy(CongestionAware).order(&l, &[a, b, c, lone]);
+        let o = NetOrdering::Congestion.order(&l, &[a, b, c, lone]);
         assert_eq!(o[3], lone, "uncontended net goes last despite longest span");
         assert_eq!(o[0], a, "among equals the longest span leads");
     }
@@ -477,7 +346,7 @@ mod tests {
         let tight = l.add_net("tight", NetClass::Signal);
         l.add_pin(tight, None, Point::new(0, 400), Layer::Metal2);
         l.add_pin(tight, None, Point::new(10, 410), Layer::Metal2);
-        let o = NetOrdering::strategy(CriticalityAware).order(&l, &[two, three, tight]);
+        let o = NetOrdering::CriticalityFanout.order(&l, &[two, three, tight]);
         assert_eq!(o, vec![three, tight, two]);
     }
 
@@ -485,8 +354,8 @@ mod tests {
     fn shuffle_is_seed_deterministic_and_seed_sensitive() {
         let (l, _) = layout3();
         let ids: Vec<NetId> = (0..64u32).map(NetId).collect();
-        let s1 = NetOrdering::strategy(SeededShuffle::new(1));
-        let s2 = NetOrdering::strategy(SeededShuffle::new(2));
+        let s1 = NetOrdering::Shuffle(1);
+        let s2 = NetOrdering::Shuffle(2);
         let a = s1.order(&l, &ids);
         assert_eq!(a, s1.order(&l, &ids), "same seed, same permutation");
         assert_ne!(a, s2.order(&l, &ids), "different seeds diverge");
@@ -521,19 +390,12 @@ mod tests {
     }
 
     #[test]
-    fn strategy_equality_is_by_name() {
-        assert_eq!(
-            NetOrdering::strategy(SeededShuffle::new(3)),
-            NetOrdering::strategy(SeededShuffle::new(3)),
-        );
-        assert_ne!(
-            NetOrdering::strategy(SeededShuffle::new(3)),
-            NetOrdering::strategy(SeededShuffle::new(4)),
-        );
-        assert_ne!(
-            NetOrdering::strategy(LongestDistance),
-            NetOrdering::LongestFirst,
-            "the enum variant and the strategy are distinct values",
-        );
+    fn lemire_rejects_the_biased_low_words() {
+        // 2⁶⁴ mod 3 = 1: low word 0 is the one biased value for bound 3.
+        assert!(!lemire_accepts(0, 3));
+        assert!(lemire_accepts(1, 3));
+        assert!(lemire_accepts(3, 3));
+        // A power of two divides 2⁶⁴: nothing is rejected.
+        assert!(lemire_accepts(0, 4));
     }
 }

@@ -15,7 +15,6 @@
 //! across sets (paper §2's terminal rule depends on this).
 
 use crate::error::RouteError;
-use ocr_geom::Coord;
 use ocr_netlist::{Layout, NetClass, NetId};
 
 /// How to split the net list into sets A and B.
@@ -25,18 +24,11 @@ pub enum PartitionStrategy {
     /// were routed in level A, while all other nets were routed in
     /// level B".
     ByClass,
-    /// Local nets (HPWL ≤ threshold) to A, long-distance nets to B.
-    ByLength {
-        /// HPWL threshold in DBU.
-        threshold: Coord,
-    },
     /// Everything over-cell: "channel areas can be eliminated and the
     /// entire set of interconnections can be routed in level B".
     AllB,
     /// Everything through channels (the two-layer baseline's view).
     AllA,
-    /// Explicit assignment: listed nets to A, the rest to B.
-    Explicit(Vec<NetId>),
     /// Area-budgeted: nets go to A (in criticality order) only while no
     /// channel's estimated density exceeds the budget — the paper's
     /// "layout area allocated for channels can be controlled through
@@ -70,10 +62,8 @@ pub fn partition_nets(
                 let class = layout.net(net).class;
                 class.is_level_a_default() || class == NetClass::Power
             }
-            PartitionStrategy::ByLength { threshold } => layout.net_hpwl(net) <= *threshold,
             PartitionStrategy::AllB => false,
             PartitionStrategy::AllA => true,
-            PartitionStrategy::Explicit(list) => list.contains(&net),
             PartitionStrategy::AreaBudget { .. } => {
                 return Err(RouteError::PartitionNeedsPlacement)
             }
@@ -202,7 +192,7 @@ pub fn partition_nets_area_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocr_geom::{Layer, Point, Rect};
+    use ocr_geom::{Coord, Layer, Point, Rect};
 
     fn layout() -> (Layout, Vec<NetId>) {
         let mut l = Layout::new(Rect::new(0, 0, 1000, 1000));
@@ -228,15 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn by_length_thresholds_on_hpwl() {
-        let (l, nets) = layout();
-        let (a, b) =
-            partition_nets(&l, &PartitionStrategy::ByLength { threshold: 100 }).expect("partition");
-        assert_eq!(a, vec![nets[0]]);
-        assert_eq!(b.len(), 3);
-    }
-
-    #[test]
     fn all_b_and_all_a_are_total() {
         let (l, nets) = layout();
         let (a, b) = partition_nets(&l, &PartitionStrategy::AllB).expect("partition");
@@ -245,15 +226,6 @@ mod tests {
         let (a2, b2) = partition_nets(&l, &PartitionStrategy::AllA).expect("partition");
         assert_eq!(a2.len(), nets.len());
         assert!(b2.is_empty());
-    }
-
-    #[test]
-    fn explicit_assignment_is_respected() {
-        let (l, nets) = layout();
-        let (a, b) =
-            partition_nets(&l, &PartitionStrategy::Explicit(vec![nets[1]])).expect("partition");
-        assert_eq!(a, vec![nets[1]]);
-        assert_eq!(b.len(), 3);
     }
 
     fn budget_chip() -> (Layout, ocr_netlist::RowPlacement, Vec<NetId>) {

@@ -1,12 +1,13 @@
-//! Deterministic run-all portfolio over net-ordering strategies.
+//! Deterministic run-all portfolio over net orderings.
 //!
 //! Net order dominates the serial Level B router's rip-up cost, and no
-//! single ordering wins on every chip. The portfolio runs `k`
-//! strategies from the `ocr-order-v1` roster to completion on the
-//! `ocr-exec` pool, each under its own step-counting
-//! [`RunControl`](ocr_exec::RunControl), and keeps the minimum. Level
-//! A is ordering-independent, so it runs exactly once; only Level B
-//! runs `k` times.
+//! single ordering wins on every chip. The portfolio runs `k` named
+//! [`NetOrdering`]s from its roster to completion on the `ocr-exec`
+//! pool, each under its own step-counting
+//! [`RunControl`](ocr_exec::RunControl), and keeps the minimum. It is
+//! the over-cell flow's own stage path with a different Level B stage,
+//! so partition and Level A (ordering-independent) run exactly once;
+//! only Level B runs `k` times.
 //!
 //! # The winner rule
 //!
@@ -32,9 +33,9 @@
 use crate::ckpt::RunSession;
 use crate::config::LevelBConfig;
 use crate::error::RouteError;
-use crate::flow::{assemble_result, partition_sets, run_with_telemetry, FlowResult, OverCellFlow};
+use crate::flow::{run_with_telemetry, FlowResult, OverCellFlow};
 use crate::level_b::{LevelBResult, LevelBRouter};
-use crate::order::{CongestionAware, CriticalityAware, NetOrdering, SeededShuffle};
+use crate::order::NetOrdering;
 use ocr_exec::RunControl;
 use ocr_netlist::{Layout, NetId, RowPlacement};
 
@@ -46,13 +47,13 @@ pub fn portfolio_roster(k: usize) -> Vec<NetOrdering> {
     let k = k.max(1);
     let mut roster = vec![
         NetOrdering::LongestFirst,
-        NetOrdering::strategy(CongestionAware),
-        NetOrdering::strategy(CriticalityAware),
+        NetOrdering::Congestion,
+        NetOrdering::CriticalityFanout,
     ];
     roster.truncate(k);
     let mut seed = 1;
     while roster.len() < k {
-        roster.push(NetOrdering::strategy(SeededShuffle::new(seed)));
+        roster.push(NetOrdering::Shuffle(seed));
         seed += 1;
     }
     roster
@@ -112,68 +113,66 @@ impl OverCellFlow {
     ) -> Result<(FlowResult, PortfolioReport), RouteError> {
         let mut report = None;
         let result = run_with_telemetry(self.options, || {
-            let (result, r) = self.run_portfolio_inner(layout, placement, k)?;
-            report = Some(r);
-            Ok(result)
+            let _span = ocr_obs::span("order.portfolio");
+            // Level A once (the channel stage is ordering-independent),
+            // then every strategy's Level B.
+            self.run_stages(
+                layout,
+                placement,
+                &RunSession::default(),
+                |expanded, set_b, base| {
+                    let (b, r) = run_roster(expanded, set_b, &base, k)?;
+                    report = Some(r);
+                    Ok(b)
+                },
+            )
         })?;
         Ok((result, report.expect("inner run sets the report on Ok")))
     }
+}
 
-    fn run_portfolio_inner(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        k: usize,
-    ) -> Result<(FlowResult, PortfolioReport), RouteError> {
-        let _span = ocr_obs::span("order.portfolio");
-        let (set_a, set_b) = partition_sets(&self.partition, layout, placement)?;
-        // Level A once: the channel stage is ordering-independent.
-        let mut a = {
-            let _span = ocr_obs::span("flow.level_a");
-            ocr_channel::route_chip_channels(layout, placement, &set_a, self.level_a)?
-        };
-        let mut base = self.level_b.clone();
-        base.salvage = base.salvage || self.options.salvage;
-        let roster = portfolio_roster(k);
-        let k = roster.len();
-        ocr_obs::count("order.strategies", k as u64);
+/// Runs the `k`-strategy roster to completion on the pool and returns
+/// the winner's Level B result with the per-strategy report.
+fn run_roster(
+    layout: &Layout,
+    set_b: &[NetId],
+    base: &LevelBConfig,
+    k: usize,
+) -> Result<(LevelBResult, PortfolioReport), RouteError> {
+    let roster = portfolio_roster(k);
+    let k = roster.len();
+    ocr_obs::count("order.strategies", k as u64);
 
-        // Every strategy runs to completion; hard errors propagate in
-        // roster order.
-        let runs = ocr_exec::parallel_map(&roster, |ordering| {
-            run_attempt(&a.expanded, &set_b, &base, ordering)
+    // Every strategy runs to completion; hard errors propagate in
+    // roster order.
+    let runs = ocr_exec::parallel_map(&roster, |ordering| {
+        run_attempt(layout, set_b, base, ordering)
+    });
+    let mut outcomes = Vec::with_capacity(k);
+    let mut results = Vec::with_capacity(k);
+    for (ordering, run) in roster.iter().zip(runs) {
+        let (b, steps) = run?;
+        outcomes.push(StrategyOutcome {
+            name: ordering.name(),
+            unrouted: b.stats.nets_failed,
+            steps,
         });
-        let mut outcomes = Vec::with_capacity(k);
-        let mut results = Vec::with_capacity(k);
-        for (ordering, run) in roster.iter().zip(runs) {
-            let (b, steps) = run?;
-            outcomes.push(StrategyOutcome {
-                name: ordering.name(),
-                unrouted: b.stats.nets_failed,
-                steps,
-            });
-            results.push(b);
-        }
-        let winner = (0..k)
-            .min_by_key(|&j| (outcomes[j].unrouted, outcomes[j].steps, j))
-            .expect("the roster is never empty");
-        let (winner_unrouted, winner_steps) = (outcomes[winner].unrouted, outcomes[winner].steps);
-        ocr_obs::count_max("order.winner.index", winner as u64);
-        ocr_obs::count_max("order.winner.steps", winner_steps);
-        ocr_obs::count_max("order.winner.unrouted", winner_unrouted as u64);
-        let report = PortfolioReport {
-            outcomes,
-            winner,
-            winner_unrouted,
-            winner_steps,
-        };
-
-        let b = results.swap_remove(winner);
-        let degradation = base.salvage.then_some(b.degraded);
-        a.design.merge(b.design);
-        let result = assemble_result(a, set_a, set_b, Some(b.stats), self.options, degradation);
-        Ok((result, report))
+        results.push(b);
     }
+    let winner = (0..k)
+        .min_by_key(|&j| (outcomes[j].unrouted, outcomes[j].steps, j))
+        .expect("the roster is never empty");
+    let (winner_unrouted, winner_steps) = (outcomes[winner].unrouted, outcomes[winner].steps);
+    ocr_obs::count_max("order.winner.index", winner as u64);
+    ocr_obs::count_max("order.winner.steps", winner_steps);
+    ocr_obs::count_max("order.winner.unrouted", winner_unrouted as u64);
+    let report = PortfolioReport {
+        outcomes,
+        winner,
+        winner_unrouted,
+        winner_steps,
+    };
+    Ok((results.swap_remove(winner), report))
 }
 
 /// One Level B run from scratch with `ordering` swapped into the base

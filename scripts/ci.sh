@@ -321,9 +321,11 @@ done
 echo "==> perfbench (self-tests + exact work-count gate against perfbench/counts.txt)"
 # The benchmark is a package of its own on the workspace crates: this
 # catches a core API change that breaks it, and --check fails on any
-# changed expanded-vertex, maze-cell or quality count.
-cargo test -q --release --manifest-path perfbench/Cargo.toml
-cargo run -q --release --manifest-path perfbench/Cargo.toml -- --check
+# changed expanded-vertex, maze-cell or quality count. --locked fails
+# a new or removed dependency edge between workspace crates instead of
+# letting cargo rewrite perfbench/Cargo.lock.
+cargo test -q --release --locked --manifest-path perfbench/Cargo.toml
+cargo run -q --release --locked --manifest-path perfbench/Cargo.toml -- --check
 
 echo "==> Rust line count of crates/ + src/ (informational, tracked in ROADMAP.md)"
 find crates src -name '*.rs' | xargs cat | wc -l

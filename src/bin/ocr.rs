@@ -740,9 +740,8 @@ fn route(args: &[String]) -> Result<(), String> {
     println!("flow: {kind}");
     if let Some(report) = &portfolio {
         println!(
-            "portfolio: ran {} ordering strategies ({})",
-            report.outcomes.len(),
-            overcell_router::core::ORDER_API
+            "portfolio: ran {} ordering strategies (ocr-order-v1)",
+            report.outcomes.len()
         );
         for (j, o) in report.outcomes.iter().enumerate() {
             let marker = if j == report.winner {

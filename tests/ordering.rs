@@ -1,6 +1,7 @@
-//! Ordering-strategy contract (DESIGN.md §12): every `ocr-order-v1`
-//! strategy is a pure permutation that keeps the flow oracle-clean, and
-//! the run-all portfolio is deterministic —
+//! Net-ordering contract (DESIGN.md §12): every named `NetOrdering`
+//! (`ocr-order-v1`) is a pure permutation that keeps the flow
+//! oracle-clean, `longest` by name is the default flow's order, and the
+//! run-all portfolio is deterministic —
 //!
 //! * `--order portfolio` output is byte-identical at any `OCR_THREADS`,
 //! * every per-strategy row is that strategy's standalone result, and
@@ -11,8 +12,8 @@
 //!   `longest`, the paper's default, on any suite chip.
 
 use overcell_router::core::{
-    ordering_from_name, portfolio_roster, FlowKind, FlowOptions, LongestDistance, NetOrdering,
-    OverCellFlow, PortfolioReport, RunSession, StrategyOutcome,
+    ordering_from_name, portfolio_roster, FlowKind, FlowOptions, NetOrdering, OverCellFlow,
+    PortfolioReport, RunSession, StrategyOutcome,
 };
 use overcell_router::exec::{with_threads, RunControl};
 use overcell_router::gen::suite;
@@ -46,11 +47,11 @@ fn longest_distance_strategy_matches_the_default_flow() {
             .build_with(FlowOptions::new().salvage(true))
             .run(&chip.layout, &chip.placement)
             .expect("default flow");
-        let explicit = route_with(&chip, NetOrdering::strategy(LongestDistance));
+        let explicit = route_with(&chip, ordering_from_name("longest").expect("longest"));
         assert_eq!(
             write_routes(&default.layout, &default.design),
             explicit,
-            "{}: the `longest` strategy must preserve the default order",
+            "{}: the `longest` ordering must preserve the default order",
             chip.spec.name
         );
     }
