@@ -5,14 +5,20 @@
 //!   wire-length-only selector;
 //! * **net ordering** — longest-distance-first (paper) vs
 //!   shortest-first vs criticality;
-//! * **dogleg splitting** in the Level A channel router;
+//! * **dogleg splitting** in the Level A channel router, beside the
+//!   greedy column sweep and the four-layer layer-pair router on the
+//!   same random channels;
 //! * **maze fallback** — how often the (incomplete) MBFS needs rescue.
 //!
-//! Each ablation reports completion, wire length, corners and routing
-//! vias on the ami33-equivalent.
+//! Each Level B ablation reports completion, wire length, corners and
+//! routing vias on the ami33-equivalent; the channel ablation reports
+//! tracks used against the density lower bound.
 
 use ocr_bench::rng::Rng;
-use ocr_channel::{left_edge_track_count, ChannelProblem, LeftEdgeOptions};
+use ocr_channel::{
+    left_edge_track_count, route_four_layer, route_greedy, ChannelProblem, GreedyOptions,
+    LeftEdgeOptions, MultilayerOptions,
+};
 use ocr_core::{
     config::LevelBConfig, cost::CostWeights, level_b::LevelBRouter, order::NetOrdering,
     partition_nets, PartitionStrategy,
@@ -90,10 +96,10 @@ fn main() {
     );
 
     println!();
-    println!("== Dogleg ablation (random channels, tracks used) ==");
+    println!("== Channel router ablation (random channels, tracks used) ==");
     println!(
-        "{:>6} {:>8} {:>10} {:>10}",
-        "width", "density", "dogleg", "plain"
+        "{:>6} {:>8} {:>10} {:>10} {:>8} {:>4}",
+        "width", "density", "dogleg", "plain", "greedy", "4L"
     );
     let mut rng = Rng::seed_from_u64(5);
     for width in [60usize, 120, 240] {
@@ -135,6 +141,17 @@ fn main() {
         )
         .map(|t| t.to_string())
         .unwrap_or_else(|_| "cyclic".into());
-        println!("{width:>6} {:>8} {dog:>10} {plain:>10}", p.density());
+        let greedy = route_greedy(&p, GreedyOptions::default())
+            .expect("greedy routes")
+            .plan
+            .tracks_used;
+        // Four layers: the larger track count of the two layer pairs.
+        let four = route_four_layer(&p, MultilayerOptions::default())
+            .expect("four-layer routes")
+            .max_tracks();
+        println!(
+            "{width:>6} {:>8} {dog:>10} {plain:>10} {greedy:>8} {four:>4}",
+            p.density()
+        );
     }
 }

@@ -1,5 +1,5 @@
-//! Shared harness for the benchmark binaries and criterion benches that
-//! regenerate the paper's tables and figures.
+//! Shared helpers for the binaries that regenerate the paper's tables
+//! and figures.
 //!
 //! Binaries (one per table/figure — see DESIGN.md §5):
 //!
@@ -12,14 +12,16 @@
 //!   (paper Figure 1);
 //! * `fig2` — the Path Selection Trees of the same instance (Figure 2);
 //! * `fig3` — SVG of the ami33-equivalent Level B routing (Figure 3);
+//! * `mbfs_vs_maze` — search nodes expanded by the TIG search vs the
+//!   maze routers (§3);
+//! * `scaling` — Level B work vs grid size and net count (§3.4), and
+//!   Steiner quality vs fanout (§3.3);
 //! * `budget_sweep`, `ablation`, `crosstalk`, `ordering_portfolio` and
 //!   `stress` — the §5 and §1 claims, the design-choice ablations, the
 //!   ordering strategies and the scale-ups.
 //!
 //! Every binary but `fig3` prints deterministic text, pinned byte for
-//! byte in `golden/<name>.txt`.
-
-pub mod harness;
+//! byte in `golden/<name>.txt`. Wall-clock timing is perfbench's job.
 
 pub use ocr_gen::rng;
 

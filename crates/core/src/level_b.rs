@@ -20,7 +20,7 @@ use crate::stats::RoutingStats;
 use crate::steiner::SteinerAccumulator;
 use ocr_exec::{RunControl, TripReason};
 use ocr_geom::{Dir, Layer, Point};
-use ocr_grid::{CellState, GridBuilder, GridModel};
+use ocr_grid::{build_grid, CellState, GridModel};
 use ocr_io::ckpt::{write_checkpoint, CheckpointDoc};
 use ocr_netlist::{Layout, NetId, NetRoute, RouteSeg, RoutedDesign, Via};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -119,7 +119,7 @@ impl<'a> LevelBRouter<'a> {
             .weights
             .validate()
             .map_err(RouteError::InvalidWeights)?;
-        let mut grid = GridBuilder::new(layout).build(nets);
+        let mut grid = build_grid(layout, nets);
         let mut unrouted_cells = Vec::new();
         let mut doomed_terminals = 0usize;
         let mut doomed_nets = std::collections::HashSet::new();

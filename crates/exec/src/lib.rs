@@ -5,8 +5,8 @@
 //! A hermetic, std-only **scoped work-stealing thread pool** for the
 //! over-cell router. The workspace builds fully offline, so this crate
 //! cannot depend on `rayon` or `crossbeam` — the same discipline as the
-//! in-tree PRNG in `ocr_gen::rng` and the bench harness in
-//! `ocr_bench::harness`. Everything here is built from
+//! in-tree PRNG in `ocr_gen::rng` and the JSON parser in
+//! `ocr_obs::json`. Everything here is built from
 //! [`std::thread::scope`] and atomics.
 //!
 //! ## Model

@@ -12,7 +12,7 @@
 //! * [`GridModel`] — the full two-layer (HV) routing surface with
 //!   per-intersection occupancy ([`CellState`]), obstacle rasterization
 //!   and terminal snapping;
-//! * [`GridBuilder`] — constructs the Level B grid for a
+//! * [`build_grid`] — constructs the Level B grid for a
 //!   [`Layout`](ocr_netlist::Layout): pitch-derived tracks plus one
 //!   horizontal and one vertical track through every Level B terminal
 //!   (the paper's "assignment of a pair of horizontal and vertical
@@ -40,6 +40,6 @@ pub mod builder;
 pub mod model;
 pub mod track;
 
-pub use builder::GridBuilder;
+pub use builder::build_grid;
 pub use model::{CellState, GridModel};
 pub use track::{TrackId, TrackSet};

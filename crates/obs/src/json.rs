@@ -71,11 +71,13 @@ impl Value {
 ///
 /// # Errors
 ///
-/// A human-readable message with a byte offset on malformed input.
+/// A human-readable message with a byte offset on malformed input,
+/// including arrays and objects nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -86,9 +88,17 @@ pub fn parse(text: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input from
+/// overflowing the stack; the documents this workspace writes nest a
+/// handful of levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -130,8 +140,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -313,9 +337,26 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["{", "[1,", "\"unterminated", "{\"a\" 1}", "12 34", "nul"] {
+        let deep = "[".repeat(100_000);
+        for bad in [
+            "{",
+            "[1,",
+            "\"unterminated",
+            "{\"a\" 1}",
+            "12 34",
+            "nul",
+            &deep,
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
     }
 
     #[test]

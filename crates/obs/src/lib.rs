@@ -5,9 +5,9 @@
 //! A hermetic, std-only **telemetry layer** for the over-cell router:
 //! scoped wall-clock spans, named monotonic counters, and a thread-safe
 //! collector that aggregates records across the `ocr-exec` worker pool.
-//! Like the PRNG in `ocr_gen::rng` and the bench harness in
-//! `ocr_bench::harness`, the workspace builds fully offline, so this
-//! crate depends on nothing but `std`.
+//! Like the PRNG in `ocr_gen::rng` and the thread pool in `ocr_exec`,
+//! the workspace builds fully offline, so this crate depends on nothing
+//! but `std`.
 //!
 //! ## Model
 //!

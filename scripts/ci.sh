@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: format, lint, build, test — fully offline.
 #
-# The workspace is hermetic (no external crates: seeded PRNG, bench
-# harness and verification oracle are all in-tree), so everything below
-# must pass with the network disabled.
+# The workspace is hermetic (no external crates: seeded PRNG, JSON
+# parser, thread pool and verification oracle are all in-tree), so
+# everything below must pass with the network disabled.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,19 +20,29 @@ cargo build --workspace --release
 
 echo "==> paper goldens (table, figure and claim binaries vs crates/bench/golden)"
 # Every deterministic reproduction binary's stdout is pinned byte for
-# byte: Tables 1-3, Figures 1-2, the budget sweep, the ablations, the
-# crosstalk survey, the ordering survey and the scale stress. A change
+# byte: Tables 1-3, Figures 1-2, the §3 search comparison, the §3.4
+# work scaling, the budget sweep, the ablations, the crosstalk survey,
+# the ordering survey and the scale stress. The list is the golden
+# directory itself, and every binary but fig3 (which writes SVG files)
+# must have a golden, so a new table binary cannot go unpinned. A change
 # that moves a paper number fails here until its golden is re-recorded
 # (./target/release/<bin> > crates/bench/golden/<bin>.txt). Run at one
 # worker and on the default pool, so each table is a thread-independence
-# check too. fig3 writes SVG files and is not compared.
+# check too.
+for src in crates/bench/src/bin/*.rs; do
+    bin="$(basename "$src" .rs)"
+    if [ "$bin" != fig3 ] && [ ! -f "crates/bench/golden/$bin.txt" ]; then
+        echo "ci: table binary $bin has no crates/bench/golden/$bin.txt" >&2
+        exit 1
+    fi
+done
 GOLDEN_DIR="$(mktemp -d)"
 for threads in 1 ""; do (
     [ -n "$threads" ] && export OCR_THREADS="$threads"
-    for bin in table1 table2 table3 fig1 fig2 budget_sweep ablation \
-        crosstalk ordering_portfolio stress; do
+    for golden in crates/bench/golden/*.txt; do
+        bin="$(basename "$golden" .txt)"
         ./target/release/$bin > "$GOLDEN_DIR/$bin.txt"
-        cmp "$GOLDEN_DIR/$bin.txt" "crates/bench/golden/$bin.txt"
+        cmp "$GOLDEN_DIR/$bin.txt" "$golden"
     done
 ); done
 rm -rf "$GOLDEN_DIR"
