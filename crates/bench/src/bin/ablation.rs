@@ -17,7 +17,7 @@
 use ocr_bench::rng::Rng;
 use ocr_channel::{
     left_edge_track_count, route_four_layer, route_greedy, ChannelProblem, GreedyOptions,
-    LeftEdgeOptions, MultilayerOptions,
+    LeftEdgeOptions,
 };
 use ocr_core::{
     config::LevelBConfig, cost::CostWeights, level_b::LevelBRouter, order::NetOrdering,
@@ -146,7 +146,7 @@ fn main() {
             .plan
             .tracks_used;
         // Four layers: the larger track count of the two layer pairs.
-        let four = route_four_layer(&p, MultilayerOptions::default())
+        let four = route_four_layer(&p)
             .expect("four-layer routes")
             .max_tracks();
         println!(

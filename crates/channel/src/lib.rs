@@ -55,9 +55,7 @@ pub use greedy::{route_greedy, GreedyOptions};
 pub use left_edge::{
     left_edge_track_count, route_channel_robust, route_left_edge, LeftEdgeOptions,
 };
-pub use multilayer::{
-    analytic_multilayer_tracks, route_four_layer, FourLayerPlan, MultilayerOptions,
-};
+pub use multilayer::{analytic_multilayer_tracks, route_four_layer, FourLayerPlan};
 pub use problem::ChannelProblem;
 pub use subnet::{build_subnets, Subnet};
 pub use three_layer::{emit_three_layer, route_three_layer, ThreeLayerPlan};

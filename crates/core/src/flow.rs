@@ -246,13 +246,13 @@ impl FlowKind {
     }
 
     /// The channel router of an all-channel flow (`None` for the
-    /// over-cell flow), with default options.
+    /// over-cell flow).
     fn channel_router(self) -> Option<ChannelRouterKind> {
         match self {
             FlowKind::OverCell => None,
-            FlowKind::Channel2 => Some(ChannelRouterKind::TwoLayer(Default::default())),
-            FlowKind::Channel3 => Some(ChannelRouterKind::ThreeLayer(Default::default())),
-            FlowKind::Channel4 => Some(ChannelRouterKind::FourLayer(Default::default())),
+            FlowKind::Channel2 => Some(ChannelRouterKind::TwoLayer),
+            FlowKind::Channel3 => Some(ChannelRouterKind::ThreeLayer),
+            FlowKind::Channel4 => Some(ChannelRouterKind::FourLayer),
         }
     }
 
@@ -473,13 +473,12 @@ fn partition_sets(
     }
 }
 
-/// The proposed two-level flow.
+/// The proposed two-level flow. Level A is always the two-layer
+/// metal1/metal2 channel router: metal3/metal4 belong to Level B.
 #[derive(Clone, Debug)]
 pub struct OverCellFlow {
     /// How to split nets into sets A and B.
     pub partition: PartitionStrategy,
-    /// Level A chip-channel options.
-    pub level_a: ChipChannelOptions,
     /// Level B router configuration.
     pub level_b: LevelBConfig,
     /// Shared flow options (oracle verification).
@@ -490,7 +489,6 @@ impl Default for OverCellFlow {
     fn default() -> Self {
         OverCellFlow {
             partition: PartitionStrategy::ByClass,
-            level_a: ChipChannelOptions::default(),
             level_b: LevelBConfig::default(),
             options: FlowOptions::default(),
         }
@@ -562,7 +560,12 @@ impl OverCellFlow {
         // heights are unusable), so the run degrades to all-failed.
         let mut a = {
             let _span = ocr_obs::span("flow.level_a");
-            match ocr_channel::route_chip_channels(layout, placement, &set_a, self.level_a) {
+            match ocr_channel::route_chip_channels(
+                layout,
+                placement,
+                &set_a,
+                ChipChannelOptions::default(),
+            ) {
                 Ok(a) => a,
                 Err(ocr_channel::ChannelError::Interrupted) => {
                     return interrupted_result(layout, placement, self.options, session);
@@ -609,22 +612,17 @@ impl Flow for OverCellFlow {
 /// HV+HV (the Table 3 real comparator).
 #[derive(Clone, Debug)]
 pub struct ChannelFlow {
-    /// Chip-channel options: the channel router and the column pitch
-    /// override.
+    /// Chip-channel options: the channel router.
     pub channel: ChipChannelOptions,
     /// Shared flow options (oracle verification).
     pub options: FlowOptions,
 }
 
 impl ChannelFlow {
-    /// A channel flow with the given router, the rules-derived pitch and
-    /// default options.
+    /// A channel flow with the given router and default options.
     pub fn new(router: ChannelRouterKind) -> Self {
         ChannelFlow {
-            channel: ChipChannelOptions {
-                router,
-                pitch: None,
-            },
+            channel: ChipChannelOptions { router },
             options: FlowOptions::default(),
         }
     }
@@ -739,6 +737,13 @@ mod tests {
     /// class) and long-distance signal nets.
     fn chip() -> (Layout, RowPlacement) {
         let mut l = Layout::new(Rect::new(0, 0, 600, 400));
+        // Uniform rules whose pitch is 20 on every layer, the fixture's
+        // pin grid.
+        l.rules = ocr_netlist::DesignRules::uniform(ocr_netlist::LayerRules {
+            wire_width: 8,
+            wire_spacing: 12,
+            via_size: 8,
+        });
         let c = [
             l.add_cell("a", Rect::new(60, 60, 260, 140)),
             l.add_cell("b", Rect::new(300, 60, 540, 140)),
@@ -775,29 +780,15 @@ mod tests {
         (l, p)
     }
 
-    fn opts10() -> ChipChannelOptions {
-        ChipChannelOptions {
-            pitch: Some(20),
-            ..ChipChannelOptions::default()
-        }
-    }
-
-    /// The two-layer baseline at the fixture's 20-unit pitch.
-    fn two_layer10() -> ChannelFlow {
-        ChannelFlow {
-            channel: opts10(),
-            options: FlowOptions::default(),
-        }
+    /// The two-layer baseline.
+    fn two_layer() -> ChannelFlow {
+        ChannelFlow::new(ChannelRouterKind::TwoLayer)
     }
 
     #[test]
     fn over_cell_flow_routes_everything() {
         let (l, p) = chip();
-        let flow = OverCellFlow {
-            level_a: opts10(),
-            ..OverCellFlow::default()
-        };
-        let res = flow.run(&l, &p).expect("flow");
+        let res = OverCellFlow::default().run(&l, &p).expect("flow");
         assert_eq!(res.level_a_nets.len(), 1);
         assert_eq!(res.level_b_nets.len(), 2);
         assert_eq!(res.metrics.failed_nets, 0);
@@ -809,7 +800,7 @@ mod tests {
     #[test]
     fn two_layer_baseline_routes_everything() {
         let (l, p) = chip();
-        let res = two_layer10().run(&l, &p).expect("flow");
+        let res = two_layer().run(&l, &p).expect("flow");
         assert_eq!(res.metrics.routed_nets, 3);
         let report = ocr_verify::verify(&res.layout, &res.design);
         assert!(report.is_clean(), "{report}");
@@ -818,9 +809,9 @@ mod tests {
     #[test]
     fn four_layer_baseline_routes_everything() {
         let (l, p) = chip();
-        let mut flow = ChannelFlow::new(ChannelRouterKind::FourLayer(Default::default()));
-        flow.channel.pitch = Some(20);
-        let res = flow.run(&l, &p).expect("flow");
+        let res = ChannelFlow::new(ChannelRouterKind::FourLayer)
+            .run(&l, &p)
+            .expect("flow");
         assert_eq!(res.metrics.routed_nets, 3);
         let report = ocr_verify::verify(&res.layout, &res.design);
         assert!(report.is_clean(), "{report}");
@@ -829,13 +820,8 @@ mod tests {
     #[test]
     fn over_cell_flow_shrinks_area_vs_two_layer() {
         let (l, p) = chip();
-        let over = OverCellFlow {
-            level_a: opts10(),
-            ..OverCellFlow::default()
-        }
-        .run(&l, &p)
-        .expect("over-cell");
-        let two = two_layer10().run(&l, &p).expect("two-layer");
+        let over = OverCellFlow::default().run(&l, &p).expect("over-cell");
+        let two = two_layer().run(&l, &p).expect("two-layer");
         assert!(
             over.metrics.layout_area <= two.metrics.layout_area,
             "over-cell {} vs two-layer {}",
@@ -847,7 +833,7 @@ mod tests {
     #[test]
     fn analytic_estimate_is_bounded() {
         let (l, p) = chip();
-        let two = two_layer10().run(&l, &p).expect("two-layer");
+        let two = two_layer().run(&l, &p).expect("two-layer");
         let est = run_analytic_four_layer_estimate(&two, &l);
         // Lower bound: rows alone. Upper bound: all tracks (unhalved)
         // laid out at the coarse four-layer pitch. Note the estimate may
@@ -872,7 +858,6 @@ mod tests {
     fn verify_flag_attaches_a_clean_report() {
         let (l, p) = chip();
         let res = OverCellFlow {
-            level_a: opts10(),
             options: FlowOptions::new().verify(true),
             ..OverCellFlow::default()
         }
@@ -881,20 +866,13 @@ mod tests {
         let report = res.verify.expect("verify flag set, report attached");
         assert!(report.is_clean(), "{report}");
 
-        let silent = two_layer10().run(&l, &p).expect("flow");
+        let silent = two_layer().run(&l, &p).expect("flow");
         assert!(silent.verify.is_none());
     }
 
     #[test]
     fn flow_kind_builds_and_runs_every_flow() {
-        let (mut l, p) = chip();
-        // Boxed flows run at the rules-derived pitch; make it match the
-        // fixture's 20-unit pin grid on every layer.
-        l.rules = ocr_netlist::DesignRules::uniform(ocr_netlist::LayerRules {
-            wire_width: 8,
-            wire_spacing: 12,
-            via_size: 8,
-        });
+        let (l, p) = chip();
         for kind in FlowKind::ALL {
             assert_eq!(FlowKind::from_name(kind.name()), Some(kind));
             let flow = kind.build_with(FlowOptions::new().verify(true));
@@ -910,7 +888,6 @@ mod tests {
         let (l, p) = chip();
         let res = OverCellFlow {
             partition: PartitionStrategy::AllB,
-            level_a: opts10(),
             level_b: LevelBConfig::default(),
             options: FlowOptions::default(),
         }

@@ -238,7 +238,7 @@ pub fn with_control<R>(control: &RunControl, f: impl FnOnce() -> R) -> R {
 
 /// Installs `control` (or clears the slot with `None`) for the duration
 /// of `f`, restoring the previous value on exit, including on panic.
-pub fn with_current_control<R>(control: Option<RunControl>, f: impl FnOnce() -> R) -> R {
+pub(crate) fn with_current_control<R>(control: Option<RunControl>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<RunControl>);
     impl Drop for Restore {
         fn drop(&mut self) {

@@ -35,18 +35,6 @@ impl Dir {
         }
     }
 
-    /// `true` if this is [`Dir::Horizontal`].
-    #[inline]
-    pub fn is_horizontal(self) -> bool {
-        matches!(self, Dir::Horizontal)
-    }
-
-    /// `true` if this is [`Dir::Vertical`].
-    #[inline]
-    pub fn is_vertical(self) -> bool {
-        matches!(self, Dir::Vertical)
-    }
-
     /// Stable index (`0` horizontal, `1` vertical) for array-indexed
     /// per-direction storage.
     #[inline]

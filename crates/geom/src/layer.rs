@@ -13,9 +13,9 @@ use std::fmt;
 /// alternation: M1/M3 horizontal, M2/M4 vertical.
 ///
 /// ```
-/// use ocr_geom::{Dir, Layer};
+/// use ocr_geom::{Dir, Layer, LayerSet};
 /// assert_eq!(Layer::Metal3.preferred_dir(), Dir::Horizontal);
-/// assert!(Layer::Metal4.is_over_cell());
+/// assert!(LayerSet::level_b().contains(Layer::Metal4));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Layer {
@@ -96,12 +96,6 @@ impl Layer {
             Layer::Metal3 => Some(Layer::Metal2),
             Layer::Metal4 => Some(Layer::Metal3),
         }
-    }
-
-    /// `true` for the Level B over-cell pair (M3/M4).
-    #[inline]
-    pub fn is_over_cell(self) -> bool {
-        matches!(self, Layer::Metal3 | Layer::Metal4)
     }
 
     /// Number of via cuts needed to connect this layer to `other`

@@ -85,18 +85,6 @@ impl Rect {
         self.y1
     }
 
-    /// Lower-left corner.
-    #[inline]
-    pub fn ll(&self) -> Point {
-        Point::new(self.x0, self.y0)
-    }
-
-    /// Upper-right corner.
-    #[inline]
-    pub fn ur(&self) -> Point {
-        Point::new(self.x1, self.y1)
-    }
-
     /// Width (`x1 - x0`, never negative).
     #[inline]
     pub fn width(&self) -> Coord {
@@ -143,12 +131,6 @@ impl Rect {
         self.x0 <= p.x && p.x <= self.x1 && self.y0 <= p.y && p.y <= self.y1
     }
 
-    /// `true` if the point lies strictly inside (not on the boundary).
-    #[inline]
-    pub fn contains_interior(&self, p: Point) -> bool {
-        self.x0 < p.x && p.x < self.x1 && self.y0 < p.y && p.y < self.y1
-    }
-
     /// `true` if `other` lies entirely within `self` (boundaries allowed).
     #[inline]
     pub fn contains_rect(&self, other: &Rect) -> bool {
@@ -159,12 +141,6 @@ impl Rect {
     #[inline]
     pub fn intersects(&self, other: &Rect) -> bool {
         self.x0 <= other.x1 && other.x0 <= self.x1 && self.y0 <= other.y1 && other.y0 <= self.y1
-    }
-
-    /// `true` if the open interiors overlap (edge-sharing does not count).
-    #[inline]
-    pub fn intersects_interior(&self, other: &Rect) -> bool {
-        self.x0 < other.x1 && other.x0 < self.x1 && self.y0 < other.y1 && other.y0 < self.y1
     }
 
     /// Intersection rectangle, or `None` if disjoint.
@@ -234,17 +210,6 @@ impl Rect {
         }
         Some(r)
     }
-
-    /// Translates the rectangle by `(dx, dy)`.
-    #[inline]
-    pub fn translate(&self, dx: Coord, dy: Coord) -> Rect {
-        Rect {
-            x0: self.x0 + dx,
-            y0: self.y0 + dy,
-            x1: self.x1 + dx,
-            y1: self.y1 + dy,
-        }
-    }
 }
 
 impl fmt::Display for Rect {
@@ -276,7 +241,9 @@ mod tests {
         let a = Rect::new(0, 0, 10, 10);
         let b = Rect::new(10, 0, 20, 10);
         assert!(a.intersects(&b));
-        assert!(!a.intersects_interior(&b));
+        // The overlap is the shared edge itself: no area.
+        assert_eq!(a.intersect(&b), Some(Rect::new(10, 0, 10, 10)));
+        assert_eq!(a.intersect(&b).map(|r| r.area()), Some(0));
     }
 
     #[test]

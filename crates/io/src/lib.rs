@@ -56,6 +56,7 @@ use ocr_netlist::{
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// A parse failure with its 1-based line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -374,6 +375,37 @@ pub fn parse_chip(text: &str) -> Result<(Layout, RowPlacement), ParseError> {
         }
     }
     Ok((layout, RowPlacement::new(rows, margins.0, margins.1)))
+}
+
+/// Reads, parses and audits a chip file: the one loader behind
+/// `ocr route`/`verify`/`stats` and the serve intake. A layout or
+/// placement that parses but fails its audit is rejected here, before
+/// any flow sees it.
+///
+/// # Errors
+///
+/// A `<path>: …` message for an unreadable file, a parse error, or a
+/// `<path>: layout audit failed: …` / `<path>: placement audit failed:
+/// …` list of the audit's problems.
+pub fn load_chip(path: &Path) -> Result<(Layout, RowPlacement), String> {
+    let at = path.display();
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{at}: {e}"))?;
+    let (layout, placement) = parse_chip(&text).map_err(|e| format!("{at}: {e}"))?;
+    let problems = layout.audit();
+    if !problems.is_empty() {
+        return Err(format!(
+            "{at}: layout audit failed: {}",
+            problems.join("; ")
+        ));
+    }
+    let problems = placement.audit(&layout);
+    if !problems.is_empty() {
+        return Err(format!(
+            "{at}: placement audit failed: {}",
+            problems.join("; ")
+        ));
+    }
+    Ok((layout, placement))
 }
 
 /// Serializes a routed design's geometry (one line per segment or via)

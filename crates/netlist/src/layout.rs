@@ -160,15 +160,6 @@ impl Layout {
         (0..self.nets.len() as u32).map(NetId)
     }
 
-    /// Positions of all terminals of a net.
-    pub fn net_pin_positions(&self, id: NetId) -> Vec<Point> {
-        self.net(id)
-            .pins
-            .iter()
-            .map(|&p| self.pin(p).position)
-            .collect()
-    }
-
     /// Bounding box of a net's terminals, or `None` for a pinless net.
     pub fn net_bbox(&self, id: NetId) -> Option<Rect> {
         Rect::bounding(self.net(id).pins.iter().map(|&p| self.pin(p).position))
@@ -182,11 +173,6 @@ impl Layout {
     /// Total pin count across all nets (a Table 1 statistic).
     pub fn total_pins(&self) -> usize {
         self.pins.len()
-    }
-
-    /// Sum of cell areas (used to compute the routing-area overhead).
-    pub fn total_cell_area(&self) -> i128 {
-        self.cells.iter().map(|c| c.outline.area()).sum()
     }
 
     /// Basic structural sanity: pins in range, pins inside die, cells

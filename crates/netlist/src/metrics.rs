@@ -66,11 +66,6 @@ impl RouteMetrics {
         m
     }
 
-    /// Total via cuts including terminal stacks.
-    pub fn total_via_cuts(&self) -> usize {
-        self.vias + self.terminal_via_cuts
-    }
-
     /// Percent reduction of `self` relative to a `baseline` metric value,
     /// `100 · (baseline − ours) / baseline`. Returns 0 for a zero
     /// baseline.
@@ -224,7 +219,6 @@ mod tests {
         assert_eq!(m.wire_length, 30);
         assert_eq!(m.vias, 1, "only the mid-wire via is a routing via");
         assert_eq!(m.terminal_via_cuts, 2, "the M2–M4 stack at the pin");
-        assert_eq!(m.total_via_cuts(), 3);
         assert_eq!(m.corners, 1);
         assert_eq!(m.routed_nets, 2);
     }

@@ -11,7 +11,7 @@ use crate::{JobInput, LoadedChip, ServeError};
 use ocr_core::{ordering_from_name, FlowKind};
 use ocr_io::ckpt::fnv1a_64;
 use ocr_io::job::{parse_jobs, valid_job_name, JobSpec};
-use ocr_io::{parse_chip, write_chip};
+use ocr_io::{load_chip, write_chip};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -48,25 +48,7 @@ fn resolve(spec: &JobSpec, base: &Path) -> Result<LoadedChip, String> {
         }
         None => None,
     };
-    let path = base.join(&spec.chip);
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let (layout, placement) = parse_chip(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let problems = layout.audit();
-    if !problems.is_empty() {
-        return Err(format!(
-            "{}: layout audit failed: {}",
-            path.display(),
-            problems.join("; ")
-        ));
-    }
-    let problems = placement.audit(&layout);
-    if !problems.is_empty() {
-        return Err(format!(
-            "{}: placement audit failed: {}",
-            path.display(),
-            problems.join("; ")
-        ));
-    }
+    let (layout, placement) = load_chip(&base.join(&spec.chip))?;
     // Fingerprint the canonical re-serialization, exactly as `ocr
     // route --checkpoint` does, so service checkpoints and standalone
     // checkpoints agree on the chip hash.

@@ -35,6 +35,7 @@
 
 use crate::intake::load_job;
 use crate::{Intake, JobInput, ServeError};
+use ocr_exec::Ambient;
 use ocr_io::wire::{
     parse_request, read_frame, read_magic, response_payload, write_frame, write_magic,
     RejectReason, Request, Response, WireError,
@@ -165,10 +166,9 @@ struct Shared {
     submissions: AtomicU64,
     config: NetConfig,
     stage: PathBuf,
-    /// Telemetry / fault context captured at bind, re-installed in
-    /// every spawned thread.
-    obs: Option<ocr_obs::Collector>,
-    fault: Option<ocr_fault::FaultPlan>,
+    /// The thread context captured at bind (telemetry collector, fault
+    /// plan, run control, pool width), installed in every spawned thread.
+    ambient: Ambient,
 }
 
 impl Shared {
@@ -259,14 +259,18 @@ impl NetIntake {
             submissions: AtomicU64::new(0),
             config,
             stage,
-            obs: ocr_obs::current(),
-            fault: ocr_fault::current(),
+            ambient: Ambient::capture(),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("ocr-net-accept".to_string())
-                .spawn(move || accept_loop(listener, shared))
+                .spawn(move || {
+                    shared
+                        .ambient
+                        .clone()
+                        .enter(|| accept_loop(listener, shared))
+                })
                 .map_err(|e| ServeError::Io {
                     path: PathBuf::from("ocr-net-accept"),
                     message: format!("spawn: {e}"),
@@ -374,14 +378,6 @@ impl Drop for NetIntake {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let obs = shared.obs.clone();
-    let fault = shared.fault.clone();
-    ocr_obs::with_current(obs, || {
-        ocr_fault::with_current(fault, || accept_loop_inner(listener, shared))
-    });
-}
-
-fn accept_loop_inner(listener: TcpListener, shared: Arc<Shared>) {
     let nap = Duration::from_millis(25);
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut next_conn: u64 = 0;
@@ -411,19 +407,15 @@ fn accept_loop_inner(listener: TcpListener, shared: Arc<Shared>) {
                 let spawned = std::thread::Builder::new()
                     .name(format!("ocr-net-conn-{conn}"))
                     .spawn(move || {
-                        let obs = shared2.obs.clone();
-                        let fault = shared2.fault.clone();
-                        ocr_obs::with_current(obs, || {
-                            ocr_fault::with_current(fault, || {
-                                // A panicking handler (injected fault,
-                                // latent bug) loses its connection only
-                                // — the daemon is never poisoned.
-                                let caught =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        handle_connection(&stream, &shared2)
-                                    }));
-                                drop(caught);
-                            })
+                        shared2.ambient.enter(|| {
+                            // A panicking handler (injected fault, latent
+                            // bug) loses its connection only — the daemon
+                            // is never poisoned.
+                            let caught =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    handle_connection(&stream, &shared2)
+                                }));
+                            drop(caught);
                         });
                         shared2.lock().streams.remove(&conn);
                         shared2.conns.fetch_sub(1, Ordering::SeqCst);

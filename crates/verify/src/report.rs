@@ -57,11 +57,6 @@ impl VerifyReport {
     pub fn failed_nets(&self) -> usize {
         self.nets.iter().filter(|n| n.declared_failed).count()
     }
-
-    /// Violations belonging to one net.
-    pub fn for_net(&self, net: NetId) -> impl Iterator<Item = &Violation> {
-        self.violations.iter().filter(move |v| v.net() == net)
-    }
 }
 
 impl fmt::Display for VerifyReport {

@@ -15,8 +15,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release"
-cargo build --workspace --release
+echo "==> cargo build --release --locked"
+# --locked fails a dependency edit that leaves Cargo.lock stale instead
+# of letting cargo rewrite it.
+cargo build --workspace --release --locked
 
 echo "==> paper goldens (table, figure and claim binaries vs crates/bench/golden)"
 # Every deterministic reproduction binary's stdout is pinned byte for

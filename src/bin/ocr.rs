@@ -25,7 +25,9 @@ use overcell_router::exec::RunControl;
 use overcell_router::fault;
 use overcell_router::gen::{random::small_random, suite, GeneratedChip};
 use overcell_router::io::ckpt::{fnv1a_64, parse_checkpoint};
-use overcell_router::io::{atomic_write, parse_chip, parse_routes, write_chip, write_routes};
+use overcell_router::io::{
+    atomic_write, load_chip, parse_chip, parse_routes, write_chip, write_routes,
+};
 use overcell_router::netlist::{ChipMetrics, Layout, NetClass, RowPlacement};
 use overcell_router::render::render_svg;
 use overcell_router::verify::{verify_with, VerifyOptions};
@@ -394,26 +396,6 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn load(path: &str) -> Result<(Layout, RowPlacement), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let (layout, placement) = parse_chip(&text).map_err(|e| format!("{path}: {e}"))?;
-    let problems = layout.audit();
-    if !problems.is_empty() {
-        return Err(format!(
-            "{path}: layout audit failed: {}",
-            problems.join("; ")
-        ));
-    }
-    let problems = placement.audit(&layout);
-    if !problems.is_empty() {
-        return Err(format!(
-            "{path}: placement audit failed: {}",
-            problems.join("; ")
-        ));
-    }
-    Ok((layout, placement))
-}
-
 fn generate(args: &[String]) -> Result<(), String> {
     let flags = GENERATE_SPEC.parse(&args[1..])?;
     let which = *flags
@@ -683,7 +665,7 @@ fn route(args: &[String]) -> Result<(), String> {
         .positionals
         .first()
         .ok_or("route: missing chip file")?;
-    let (layout, placement) = load(path)?;
+    let (layout, placement) = load_chip(std::path::Path::new(path))?;
     let (kind, session, limited) = parse_run_session(&flags, &layout, &placement)?;
     if order.is_some() && kind != FlowKind::OverCell {
         return Err(format!(
@@ -877,7 +859,7 @@ fn verify(args: &[String]) -> Result<(), String> {
         .positionals
         .first()
         .ok_or("verify: missing chip file")?;
-    let (layout, placement) = load(path)?;
+    let (layout, placement) = load_chip(std::path::Path::new(path))?;
     let report = match flags.value("--routes") {
         Some(routes_path) => {
             // Audit existing geometry against the chip file's layout and
@@ -1335,7 +1317,7 @@ fn stats(args: &[String]) -> Result<(), String> {
         .positionals
         .first()
         .ok_or("stats: missing chip file")?;
-    let (layout, placement) = load(path)?;
+    let (layout, placement) = load_chip(std::path::Path::new(path))?;
     let level_a: Vec<_> = layout
         .net_ids()
         .filter(|&n| {

@@ -26,7 +26,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`exec`] | `ocr-exec` | scoped work-stealing thread pool behind every parallel stage |
+//! | [`exec`] | `ocr-exec` | scoped thread pool (one shared claim counter) behind every parallel stage |
 //! | [`obs`] | `ocr-obs` | telemetry: spans, counters, stats tables, Chrome traces |
 //! | [`fault`] | `ocr-fault` | deterministic fault injection, chaos plans, input corruption |
 //! | [`geom`] | `ocr-geom` | points, rectangles, intervals, layers |

@@ -466,3 +466,61 @@ fn mutated_wire_requests_are_typed_errors_never_panics() {
         );
     }
 }
+
+#[test]
+fn audit_failures_are_rejected_alike_by_ocr_route_and_load_job() {
+    // A chip that parses but fails its layout audit (a one-pin net) and
+    // one that fails its placement audit (corridor margins the cells
+    // intrude into) are refused by the one chip loader, with the same
+    // `<path>: … audit failed: …` message on the CLI and in the serve
+    // intake.
+    use overcell_router::io::job::JobSpec;
+    use overcell_router::netlist::NetClass;
+    use overcell_router::serve::load_job;
+
+    let chip = small_random(6, 2, 3, 10, 42);
+    let mut one_pin = chip.layout.clone();
+    let lonely = one_pin.add_net("lonely", NetClass::Signal);
+    let at = one_pin.die.center();
+    one_pin.add_pin(lonely, None, at, overcell_router::geom::Layer::Metal2);
+    let mut squeezed = chip.placement.clone();
+    squeezed.left_margin = chip.layout.die.width();
+
+    let dir = std::env::temp_dir().join(format!("ocr-audit-reject-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for (file, text, audit) in [
+        (
+            "bad-layout.ocr",
+            write_chip(&one_pin, &chip.placement),
+            "layout audit failed: ",
+        ),
+        (
+            "bad-placement.ocr",
+            write_chip(&chip.layout, &squeezed),
+            "placement audit failed: ",
+        ),
+    ] {
+        parse_chip(&text).expect("the chip itself parses");
+        let path = dir.join(file);
+        std::fs::write(&path, &text).expect("chip file");
+        let rejected = load_job(JobSpec::new("bad", file), &dir)
+            .load
+            .expect_err("load_job rejects the chip");
+        assert!(
+            rejected.starts_with(&format!("{}: {audit}", path.display())),
+            "{rejected}"
+        );
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ocr"))
+            .arg("route")
+            .arg(&path)
+            .output()
+            .expect("run ocr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{file}: ocr route must fail");
+        assert!(
+            stderr.contains(&format!("error: {rejected}")),
+            "{file}: ocr route said {stderr}, load_job said {rejected}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
