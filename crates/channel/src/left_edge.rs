@@ -269,16 +269,14 @@ pub fn left_edge_track_count(
     route_left_edge(problem, opts).map(|p| p.tracks_used)
 }
 
-/// Routes a channel with the left-edge router, falling back to the
+/// Routes a channel with the left-edge router at its default options
+/// (doglegs and cycle-breaking jogs on), falling back to the
 /// greedy column-sweep router when an unbreakable vertical constraint
 /// cycle remains (the greedy router resolves cycles with fresh tracks
 /// instead of jogs, at some track-count cost). The fallback is rejected
 /// if it would need columns beyond the channel width.
-pub fn route_channel_robust(
-    problem: &ChannelProblem,
-    opts: LeftEdgeOptions,
-) -> Result<ChannelPlan, ChannelError> {
-    match route_left_edge(problem, opts) {
+pub fn route_channel_robust(problem: &ChannelProblem) -> Result<ChannelPlan, ChannelError> {
+    match route_left_edge(problem, LeftEdgeOptions::default()) {
         Ok(plan) => Ok(plan),
         Err(ChannelError::UnbreakableCycle(_)) => {
             let res =

@@ -36,18 +36,16 @@ pub struct ThreeLayerPlan {
     pub tracks_used: usize,
 }
 
-/// Routes `problem` with the two-lane constrained left-edge algorithm:
-/// lane 0 (metal1) is the lower plan, lane 1 (metal3) the upper.
+/// Routes `problem` with the two-lane constrained left-edge algorithm at
+/// the default [`LeftEdgeOptions`]: lane 0 (metal1) is the lower plan,
+/// lane 1 (metal3) the upper.
 ///
 /// # Errors
 ///
 /// Same failure modes as [`crate::route_left_edge`]:
 /// [`ChannelError::SinglePinNet`] and [`ChannelError::UnbreakableCycle`].
-pub fn route_three_layer(
-    problem: &ChannelProblem,
-    opts: LeftEdgeOptions,
-) -> Result<ThreeLayerPlan, ChannelError> {
-    let [lower, upper] = route_lanes::<2>(problem, opts)?;
+pub fn route_three_layer(problem: &ChannelProblem) -> Result<ThreeLayerPlan, ChannelError> {
+    let [lower, upper] = route_lanes::<2>(problem, LeftEdgeOptions::default())?;
     Ok(ThreeLayerPlan {
         tracks_used: lower.tracks_used,
         lower,
@@ -113,7 +111,7 @@ mod tests {
         // two-layer router needs 2 tracks, three-layer needs 1.
         let p = ChannelProblem::from_ids(&[1, 2, 0, 0], &[0, 0, 1, 2]);
         let two = route_left_edge(&p, LeftEdgeOptions::default()).expect("2-layer");
-        let three = route_three_layer(&p, LeftEdgeOptions::default()).expect("3-layer");
+        let three = route_three_layer(&p).expect("3-layer");
         assert_eq!(two.tracks_used, 2);
         assert_eq!(three.tracks_used, 1);
     }
@@ -123,7 +121,7 @@ mod tests {
         // Column 0 forces net 1 above net 2: they cannot share a track
         // even with two lanes.
         let p = ChannelProblem::from_ids(&[1, 1, 0], &[2, 0, 2]);
-        let three = route_three_layer(&p, LeftEdgeOptions::default()).expect("3-layer");
+        let three = route_three_layer(&p).expect("3-layer");
         assert_eq!(three.tracks_used, 2);
         let t1 = three
             .lower
@@ -181,7 +179,7 @@ mod tests {
             }
             let (Ok(two), Ok(three)) = (
                 route_left_edge(&p, LeftEdgeOptions::default()),
-                route_three_layer(&p, LeftEdgeOptions::default()),
+                route_three_layer(&p),
             ) else {
                 continue;
             };
@@ -203,7 +201,7 @@ mod tests {
         use ocr_netlist::{Layout, NetClass, RoutedDesign};
 
         let p = ChannelProblem::from_ids(&[1, 2, 0, 3, 0], &[0, 0, 1, 2, 3]);
-        let three = route_three_layer(&p, LeftEdgeOptions::default()).expect("routes");
+        let three = route_three_layer(&p).expect("routes");
         let pitch: Coord = 10;
         let y_top = ChannelFrame::required_height(three.tracks_used.max(1), pitch);
         let frame = |h_layer| ChannelFrame {

@@ -5,7 +5,7 @@
 
 use overcell_router::channel::{
     emit_channel, emit_three_layer, route_channel_robust, route_greedy, route_three_layer,
-    ChannelFrame, ChannelProblem, GreedyOptions, LeftEdgeOptions,
+    ChannelFrame, ChannelProblem, GreedyOptions,
 };
 use overcell_router::gen::rng::Rng;
 use overcell_router::geom::{Coord, Layer, Point, Rect};
@@ -95,7 +95,7 @@ fn robust_router_output_is_electrically_correct() {
         if problem.nets().is_empty() {
             continue;
         }
-        match route_channel_robust(&problem, LeftEdgeOptions::default()) {
+        match route_channel_robust(&problem) {
             Ok(plan) => {
                 assert!(
                     plan.tracks_used >= problem.density()
@@ -139,7 +139,7 @@ fn three_layer_output_is_electrically_correct() {
         if problem.nets().is_empty() {
             continue;
         }
-        if let Ok(plan) = route_three_layer(&problem, LeftEdgeOptions::default()) {
+        if let Ok(plan) = route_three_layer(&problem) {
             // Track count at least the two-lane lower bound.
             assert!(plan.tracks_used >= problem.density().div_ceil(2));
             // Emit and fully validate like the two-layer case.
