@@ -524,3 +524,349 @@ fn audit_failures_are_rejected_alike_by_ocr_route_and_load_job() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn parse_errors_are_pinned() {
+    // Every `ocr-io` text parser's rejection, pinned to its exact line
+    // and message: one row per malformed directive of the chip, routes,
+    // checkpoint, jobs and results formats. The fuzz tests above only
+    // prove that nothing panics; this table proves what is said.
+    use overcell_router::io::ckpt::parse_checkpoint;
+    use overcell_router::io::job::{parse_jobs, parse_results};
+    use overcell_router::io::ParseError;
+
+    let (layout, _) = parse_chip("die 0 0 100 100\nnet a signal\nnet b signal\n").expect("fixture");
+    type Parser<'a> = &'a dyn Fn(&str) -> Result<(), ParseError>;
+    let chip: Parser = &|t| parse_chip(t).map(drop);
+    let routes: Parser = &|t| parse_routes(&layout, t).map(drop);
+    let ckpt: Parser = &|t| parse_checkpoint(&layout, t).map(drop);
+    let jobs: Parser = &|t| parse_jobs(t).map(drop);
+    let results: Parser = &|t| parse_results(t).map(drop);
+    let bad_digit = "bad number: invalid digit found in string";
+    let magic = "missing `ocr-ckpt-v1` magic line";
+    let done = "done steps 1 routed 0 degraded 0 preempts 0";
+    let dup_result = format!("ocr-results-v1\njob a {done}\njob a {done}");
+    let trailing = format!("ocr-results-v1\njob a {done} extra");
+    let rows: Vec<(Parser, &str, usize, &str)> = vec![
+        // Chip: every directive, then an unknown one.
+        (chip, "die 0 0 10", 1, "missing number"),
+        (chip, "die 0 0 10 x", 1, bad_digit),
+        (
+            chip,
+            "die 0 0 99999999999999999999 1",
+            1,
+            "bad number: number too large to fit in target type",
+        ),
+        (chip, "rule", 1, "missing layer"),
+        (chip, "rule metal9 1 1 1", 1, "unknown layer `metal9`"),
+        (chip, "rule metal1 1 1", 1, "missing number"),
+        (chip, "cell", 1, "missing cell name"),
+        (chip, "cell a 0 0 1", 1, "missing number"),
+        (
+            chip,
+            "cell a 0 0 1 1\ncell a 0 0 1 1",
+            2,
+            "duplicate cell `a`",
+        ),
+        (chip, "row 0", 1, "missing number"),
+        (chip, "row 0 10 ghost", 1, "unknown cell `ghost` in row"),
+        (chip, "margins 5", 1, "missing number"),
+        (chip, "obstacle 0 0 5", 1, "missing number"),
+        (
+            chip,
+            "obstacle 0 0 5 5",
+            1,
+            "obstacle needs at least one layer",
+        ),
+        (
+            chip,
+            "obstacle 0 0 5 5 metal3 poly",
+            1,
+            "unknown layer `poly`",
+        ),
+        (chip, "net", 1, "missing net name"),
+        (chip, "net a", 1, "missing net class"),
+        (chip, "net a wobbly", 1, "unknown net class `wobbly`"),
+        (
+            chip,
+            "net a signal x",
+            1,
+            "bad criticality: invalid digit found in string",
+        ),
+        (chip, "net a signal\nnet a clock", 2, "duplicate net `a`"),
+        (chip, "pin", 1, "missing net"),
+        (chip, "pin ghost - 0 0 metal1", 1, "unknown net `ghost`"),
+        (chip, "net a signal\npin a", 2, "missing cell"),
+        (
+            chip,
+            "net a signal\npin a ghost 0 0 metal1",
+            2,
+            "unknown cell `ghost` for pin",
+        ),
+        (chip, "net a signal\npin a - 0", 2, "missing number"),
+        (chip, "net a signal\npin a - 0 0", 2, "missing pin layer"),
+        (
+            chip,
+            "net a signal\npin a - 0 0 m7",
+            2,
+            "unknown layer `m7`",
+        ),
+        (
+            chip,
+            "# c\n\nfrobnicate 3",
+            3,
+            "unknown directive `frobnicate`",
+        ),
+        // Routes: `wire`, `via` and `failed`.
+        (routes, "wire", 1, "missing net"),
+        (
+            routes,
+            "wire ghost metal3 0 0 1 0",
+            1,
+            "unknown net `ghost`",
+        ),
+        (routes, "wire a", 1, "missing layer"),
+        (routes, "wire a poly 0 0 1 0", 1, "unknown layer `poly`"),
+        (routes, "wire a metal3 0 0 1", 1, "wire needs 4 coordinates"),
+        (
+            routes,
+            "wire a metal3 0 0 1 0 9",
+            1,
+            "wire needs 4 coordinates",
+        ),
+        (routes, "wire a metal3 0 0 1 0 x", 1, bad_digit),
+        (
+            routes,
+            "wire a metal3 0 0 1 1",
+            1,
+            "wire endpoints are not axis-parallel",
+        ),
+        (routes, "via", 1, "missing net"),
+        (routes, "via a metal2", 1, "missing layer"),
+        (
+            routes,
+            "via a metal2 metal3 5",
+            1,
+            "via needs 2 coordinates",
+        ),
+        (routes, "via a metal2 metal3 5 y", 1, bad_digit),
+        (routes, "failed", 1, "missing net"),
+        (routes, "failed ghost", 1, "unknown net `ghost`"),
+        (
+            routes,
+            "wire a m3 0 0 1 0\nroute a",
+            2,
+            "unknown directive `route`",
+        ),
+        // Checkpoint: the magic line, then every directive.
+        (ckpt, "", 1, magic),
+        (ckpt, "# only a comment\n", 1, magic),
+        (ckpt, "\nflow overcell", 2, magic),
+        (ckpt, "ocr-ckpt-v1 extra", 1, magic),
+        (ckpt, "ocr-ckpt-v1\nflow", 2, "missing flow name"),
+        (ckpt, "ocr-ckpt-v1\nchip", 2, "missing chip hash"),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nchip xyz",
+            2,
+            "bad chip hash: invalid digit found in string",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nsalvage",
+            2,
+            "salvage must be 0 or 1, got None",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nsalvage 2",
+            2,
+            "salvage must be 0 or 1, got Some(\"2\")",
+        ),
+        (ckpt, "ocr-ckpt-v1\nsteps", 2, "missing number"),
+        (ckpt, "ocr-ckpt-v1\nsteps -1", 2, bad_digit),
+        (ckpt, "ocr-ckpt-v1\nrips-left x", 2, bad_digit),
+        (ckpt, "ocr-ckpt-v1\nstat", 2, "missing stat name"),
+        (ckpt, "ocr-ckpt-v1\nstat rips", 2, "missing stat value"),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nstat rips 1.5",
+            2,
+            "bad stat value: invalid digit found in string",
+        ),
+        (ckpt, "ocr-ckpt-v1\nrouted", 2, "missing net"),
+        (ckpt, "ocr-ckpt-v1\nrouted ghost", 2, "unknown net `ghost`"),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nrouted a\nrouted a",
+            3,
+            "net#0 declared twice",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nrouted a\nfailed a why",
+            3,
+            "net#0 declared twice",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\npending b\npending b",
+            3,
+            "net#1 declared twice",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nwire a metal3 0 0 9 0",
+            2,
+            "wire for a net not declared routed",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nvia a metal3 metal4 0 0",
+            2,
+            "via for a net not declared routed",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nwire ghost metal3 0 0 9 0",
+            2,
+            "unknown net `ghost`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nwire a metal3 0 0 9 9",
+            2,
+            "wire endpoints are not axis-parallel",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nrouted a\nwire a metal3 0 0 9",
+            3,
+            "wire needs 4 coordinates",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nrouted a\nvia a metal3",
+            3,
+            "missing layer",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nrouted a\nvia a metal3 metal4 0 0 0",
+            3,
+            "via needs 2 coordinates",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nfailed a",
+            2,
+            "failed needs a reason token",
+        ),
+        (ckpt, "ocr-ckpt-v1\nunrouted a", 2, "missing number"),
+        (ckpt, "ocr-ckpt-v1\nunrouted a 1 x", 2, bad_digit),
+        (ckpt, "ocr-ckpt-v1\nexcl", 2, "missing net"),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nexcl a b ghost",
+            2,
+            "unknown net `ghost`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nexcl a b\nexcl a",
+            3,
+            "net#0 has two excl lines",
+        ),
+        (ckpt, "ocr-ckpt-v1\nretry a", 2, "missing number"),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nretry a 1\nretry a 2",
+            3,
+            "net#0 has two retry lines",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nfrobnicate",
+            2,
+            "unknown directive `frobnicate`",
+        ),
+        // Jobs and results manifests: the magic line and `job` lines.
+        (jobs, "", 1, "empty job manifest file"),
+        (jobs, "# c\n\n", 1, "empty job manifest file"),
+        (
+            jobs,
+            "\nocr-results-v1\n",
+            2,
+            "not a job manifest file (expected `ocr-jobs-v1`)",
+        ),
+        (
+            jobs,
+            "ocr-jobs-v1 x\n",
+            1,
+            "not a job manifest file (expected `ocr-jobs-v1`)",
+        ),
+        (jobs, "ocr-jobs-v1\njob\n", 2, "job: missing name"),
+        (jobs, "ocr-jobs-v1\nnet a b\n", 2, "unknown directive `net`"),
+        (
+            jobs,
+            "ocr-jobs-v1\njob .x a.ocr\n",
+            2,
+            "bad job name `.x` (want [A-Za-z0-9._-]{1,64}, no leading dot)",
+        ),
+        (jobs, "ocr-jobs-v1\njob a\n", 2, "job a: missing chip path"),
+        (
+            jobs,
+            "ocr-jobs-v1\njob a a.ocr\n# x\njob a b.ocr\n",
+            4,
+            "duplicate job name `a`",
+        ),
+        (
+            jobs,
+            "ocr-jobs-v1\njob a a.ocr priority x\n",
+            2,
+            "bad priority `x`: invalid digit found in string",
+        ),
+        (
+            jobs,
+            "ocr-jobs-v1\njob a a.ocr turbo\n",
+            2,
+            "unknown job option `turbo`",
+        ),
+        (results, "", 1, "empty result manifest file"),
+        (
+            results,
+            "ocr-jobs-v1\n",
+            1,
+            "not a result manifest file (expected `ocr-results-v1`)",
+        ),
+        (results, "ocr-results-v1\njob", 2, "job: missing name"),
+        (
+            results,
+            "ocr-results-v1\nrow a",
+            2,
+            "unknown directive `row`",
+        ),
+        (
+            results,
+            "ocr-results-v1\njob a/b done",
+            2,
+            "bad job name `a/b`",
+        ),
+        (results, "ocr-results-v1\njob a", 2, "missing status"),
+        (
+            results,
+            "ocr-results-v1\njob a won",
+            2,
+            "unknown status `won`",
+        ),
+        (results, &trailing, 2, "unexpected trailing token `extra`"),
+        (results, &dup_result, 3, "duplicate job `a`"),
+    ];
+    for (parse, text, line, message) in rows {
+        let expected = ParseError {
+            line,
+            message: message.to_string(),
+        };
+        assert_eq!(parse(text), Err(expected), "input {text:?}");
+    }
+}
