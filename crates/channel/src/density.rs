@@ -99,12 +99,6 @@ pub fn zones(problem: &ChannelProblem) -> Vec<Zone> {
     out
 }
 
-/// The lower bound on two-layer tracks: `max(density, longest VCG chain)`.
-/// The VCG term is supplied by the caller (it depends on doglegging).
-pub fn track_lower_bound(problem: &ChannelProblem, vcg_chain: usize) -> usize {
-    problem.density().max(vcg_chain)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,12 +131,5 @@ mod tests {
         }
         let max_clique = zs.iter().map(|z| z.nets.len()).max().unwrap();
         assert_eq!(max_clique, p.density());
-    }
-
-    #[test]
-    fn lower_bound_takes_max() {
-        let p = ChannelProblem::from_ids(&[1, 0], &[0, 1]);
-        assert_eq!(track_lower_bound(&p, 5), 5);
-        assert_eq!(track_lower_bound(&p, 0), 1);
     }
 }

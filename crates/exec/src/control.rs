@@ -166,19 +166,6 @@ impl RunControl {
         self.inner.steps.load(Ordering::Acquire)
     }
 
-    /// The configured step budget, if any. Schedulers slicing work into
-    /// budgeted runs read back the cap they granted here.
-    pub fn budget(&self) -> Option<u64> {
-        self.inner.budget
-    }
-
-    /// Steps left before the budget trips (`None` for an unbounded
-    /// control). Saturates at 0: an overshooting final charge still
-    /// lands in [`RunControl::steps`], but there is no headroom left.
-    pub fn remaining(&self) -> Option<u64> {
-        self.inner.budget.map(|b| b.saturating_sub(self.steps()))
-    }
-
     /// Charges `n` deterministic work steps and returns the trip state
     /// afterwards. The charge lands even when it trips the budget, so
     /// the recorded step count says how much work was *attempted*.
@@ -309,15 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn budget_and_remaining_track_the_cap() {
-        let c = RunControl::new();
-        assert_eq!(c.budget(), None);
-        assert_eq!(c.remaining(), None);
-        let c = c.with_step_budget(10).resumed_at(4);
-        assert_eq!(c.budget(), Some(10));
-        assert_eq!(c.remaining(), Some(6));
+    fn overshooting_charge_still_lands_in_steps() {
+        let c = RunControl::new().with_step_budget(10).resumed_at(4);
         c.charge(8);
-        assert_eq!(c.remaining(), Some(0), "overshoot saturates at zero");
         assert_eq!(c.steps(), 12, "the overshooting charge still lands");
     }
 

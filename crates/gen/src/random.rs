@@ -233,11 +233,6 @@ pub fn small_random(
     })
 }
 
-/// The channel-grid pitch the generated layouts align to.
-pub fn grid_pitch() -> Coord {
-    DesignRules::default().channel_pitch_level_a()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +294,7 @@ mod tests {
     #[test]
     fn pins_are_on_grid_and_unique() {
         let chip = generate(&spec());
-        let pitch = grid_pitch();
+        let pitch = DesignRules::default().channel_pitch_level_a();
         let mut seen = HashSet::new();
         for pin in &chip.layout.pins {
             assert_eq!(pin.position.x % pitch, 0, "pin x off-grid");

@@ -16,7 +16,7 @@
 //! rips-left 14
 //! stat nets_routed 0           # router counters, one per field
 //! routed n3                    # committed nets, in commit order
-//! wire n3 metal3 40 80 160 80  # geometry in write_routes grammar
+//! wire n3 metal3 40 80 160 80  # geometry: the routes file's codec
 //! via n3 metal3 metal4 160 80
 //! failed n9 unroutable         # failed nets with their reason token
 //! pending n1                   # still-queued nets, in queue order
@@ -31,9 +31,9 @@
 //! Like the rest of this crate, the parser never panics on arbitrary
 //! input — every malformed line surfaces as a [`ParseError`].
 
-use crate::{layer_name, parse_layer, ParseError};
-use ocr_geom::{Coord, Point};
-use ocr_netlist::{Layout, NetId, NetRoute, RouteSeg, Via};
+use crate::reader::{self, Cursor};
+use crate::{parse_route_line, write_route, ParseError};
+use ocr_netlist::{Layout, NetId, NetRoute};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -97,29 +97,7 @@ pub fn write_checkpoint(layout: &Layout, doc: &CheckpointDoc) -> String {
     }
     for (net, route) in &doc.routed {
         let _ = writeln!(s, "routed {}", name(*net));
-        for seg in &route.segs {
-            let _ = writeln!(
-                s,
-                "wire {} {} {} {} {} {}",
-                name(*net),
-                layer_name(seg.layer()),
-                seg.a().x,
-                seg.a().y,
-                seg.b().x,
-                seg.b().y
-            );
-        }
-        for via in &route.vias {
-            let _ = writeln!(
-                s,
-                "via {} {} {} {} {}",
-                name(*net),
-                layer_name(via.lower),
-                layer_name(via.upper),
-                via.at.x,
-                via.at.y
-            );
-        }
+        write_route(&mut s, name(*net), route);
     }
     for (net, reason) in &doc.failed {
         let _ = writeln!(s, "failed {} {}", name(*net), sanitize(reason));
@@ -150,15 +128,11 @@ pub fn write_checkpoint(layout: &Layout, doc: &CheckpointDoc) -> String {
 /// numbers, non-axis-parallel wires, geometry for undeclared nets, or
 /// duplicate declarations. Never panics, whatever the input.
 pub fn parse_checkpoint(layout: &Layout, text: &str) -> Result<CheckpointDoc, ParseError> {
-    let err = |line: usize, message: String| ParseError { line, message };
-    let by_name: HashMap<&str, NetId> = layout
-        .nets
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.name.as_str(), NetId(i as u32)))
-        .collect();
+    let nets = reader::net_index(layout);
+    let mut lines = reader::lines(text);
+    let magic = "missing `ocr-ckpt-v1` magic line";
+    reader::expect_magic(&mut lines, "ocr-ckpt-v1", magic, magic)?;
     let mut doc = CheckpointDoc::default();
-    let mut saw_magic = false;
     // Index into doc.routed per net, so wire/via lines append to the
     // right route; doubles as the routed-declaration set.
     let mut route_slot: HashMap<NetId, usize> = HashMap::new();
@@ -167,184 +141,83 @@ pub fn parse_checkpoint(layout: &Layout, text: &str) -> Result<CheckpointDoc, Pa
     let mut declared: HashSet<NetId> = HashSet::new();
     let mut excl_seen: HashSet<NetId> = HashSet::new();
     let mut retry_seen: HashSet<NetId> = HashSet::new();
+    let once = |seen: &mut HashSet<NetId>, cur: &mut Cursor, twice: &str| {
+        let net = cur.net(&nets)?;
+        if !seen.insert(net) {
+            return Err(cur.err(format!("net#{} {twice}", net.0)));
+        }
+        Ok(net)
+    };
 
-    for (ln, raw) in text.lines().enumerate() {
-        let line = ln + 1;
-        let content = raw.split('#').next().unwrap_or("").trim();
-        if content.is_empty() {
-            continue;
-        }
-        let mut tok = content.split_whitespace();
-        let Some(kind) = tok.next() else { continue };
-        if !saw_magic {
-            if kind == "ocr-ckpt-v1" && tok.next().is_none() {
-                saw_magic = true;
-                continue;
-            }
-            return Err(err(line, "missing `ocr-ckpt-v1` magic line".into()));
-        }
-        let net_of = |tok: &mut std::str::SplitWhitespace<'_>| -> Result<NetId, ParseError> {
-            let name = tok.next().ok_or_else(|| err(line, "missing net".into()))?;
-            by_name
-                .get(name)
-                .copied()
-                .ok_or_else(|| err(line, format!("unknown net `{name}`")))
-        };
-        let u64_of = |tok: Option<&str>| -> Result<u64, ParseError> {
-            tok.ok_or_else(|| err(line, "missing number".into()))?
-                .parse::<u64>()
-                .map_err(|e| err(line, format!("bad number: {e}")))
-        };
-        match kind {
-            "flow" => {
-                doc.flow = tok
-                    .next()
-                    .ok_or_else(|| err(line, "missing flow name".into()))?
-                    .to_string();
-            }
+    for (directive, mut cur) in lines {
+        match directive {
+            "flow" => doc.flow = cur.word("flow name")?.to_string(),
             "chip" => {
-                let hex = tok
-                    .next()
-                    .ok_or_else(|| err(line, "missing chip hash".into()))?;
+                let hex = cur.word("chip hash")?;
                 doc.chip_hash = u64::from_str_radix(hex, 16)
-                    .map_err(|e| err(line, format!("bad chip hash: {e}")))?;
+                    .map_err(|e| cur.err(format!("bad chip hash: {e}")))?;
             }
             "salvage" => {
-                doc.salvage = match tok.next() {
+                doc.salvage = match cur.next() {
                     Some("0") => false,
                     Some("1") => true,
-                    other => {
-                        return Err(err(line, format!("salvage must be 0 or 1, got {other:?}")))
-                    }
+                    other => return Err(cur.err(format!("salvage must be 0 or 1, got {other:?}"))),
                 };
             }
-            "steps" => doc.steps = u64_of(tok.next())?,
-            "rips-left" => doc.rips_left = u64_of(tok.next())?,
+            "steps" => doc.steps = cur.num()?,
+            "rips-left" => doc.rips_left = cur.num()?,
             "stat" => {
-                let stat = tok
-                    .next()
-                    .ok_or_else(|| err(line, "missing stat name".into()))?;
-                let value: i64 = tok
-                    .next()
-                    .ok_or_else(|| err(line, "missing stat value".into()))?
-                    .parse()
-                    .map_err(|e| err(line, format!("bad stat value: {e}")))?;
-                doc.stats.push((stat.to_string(), value));
+                let stat = cur.word("stat name")?.to_string();
+                let value = cur.word("stat value")?;
+                doc.stats.push((stat, cur.parse(value, "stat value")?));
             }
             "routed" => {
-                let net = net_of(&mut tok)?;
-                if !declared.insert(net) {
-                    return Err(err(line, format!("net#{} declared twice", net.0)));
-                }
+                let net = once(&mut declared, &mut cur, "declared twice")?;
                 route_slot.insert(net, doc.routed.len());
                 doc.routed.push((net, NetRoute::new()));
             }
-            "wire" => {
-                let net = net_of(&mut tok)?;
-                let layer = parse_layer(
-                    tok.next()
-                        .ok_or_else(|| err(line, "missing layer".into()))?,
-                    line,
-                )?;
-                let nums: Vec<Coord> = tok
-                    .map(|t| t.parse().map_err(|e| err(line, format!("bad number: {e}"))))
-                    .collect::<Result<_, _>>()?;
-                if nums.len() != 4 {
-                    return Err(err(line, "wire needs 4 coordinates".into()));
-                }
-                // `RouteSeg::new` asserts axis-parallelism; check first
-                // so corrupt coordinates surface as a ParseError.
-                if nums[0] != nums[2] && nums[1] != nums[3] {
-                    return Err(err(line, "wire endpoints are not axis-parallel".into()));
-                }
+            "wire" | "via" => {
+                let (net, geometry) = parse_route_line(directive, &mut cur, &nets)?;
                 let slot = *route_slot
                     .get(&net)
-                    .ok_or_else(|| err(line, "wire for a net not declared routed".into()))?;
-                doc.routed[slot].1.segs.push(RouteSeg::new(
-                    Point::new(nums[0], nums[1]),
-                    Point::new(nums[2], nums[3]),
-                    layer,
-                ));
-            }
-            "via" => {
-                let net = net_of(&mut tok)?;
-                let lower = parse_layer(
-                    tok.next()
-                        .ok_or_else(|| err(line, "missing layer".into()))?,
-                    line,
-                )?;
-                let upper = parse_layer(
-                    tok.next()
-                        .ok_or_else(|| err(line, "missing layer".into()))?,
-                    line,
-                )?;
-                let nums: Vec<Coord> = tok
-                    .map(|t| t.parse().map_err(|e| err(line, format!("bad number: {e}"))))
-                    .collect::<Result<_, _>>()?;
-                if nums.len() != 2 {
-                    return Err(err(line, "via needs 2 coordinates".into()));
-                }
-                let slot = *route_slot
-                    .get(&net)
-                    .ok_or_else(|| err(line, "via for a net not declared routed".into()))?;
-                doc.routed[slot]
-                    .1
-                    .vias
-                    .push(Via::new(Point::new(nums[0], nums[1]), lower, upper));
+                    .ok_or_else(|| cur.err(format!("{directive} for a net not declared routed")))?;
+                geometry.add_to(&mut doc.routed[slot].1);
             }
             "failed" => {
-                let net = net_of(&mut tok)?;
-                if !declared.insert(net) {
-                    return Err(err(line, format!("net#{} declared twice", net.0)));
-                }
-                let reason: Vec<&str> = tok.collect();
+                let net = once(&mut declared, &mut cur, "declared twice")?;
+                let reason = cur.joined();
                 if reason.is_empty() {
-                    return Err(err(line, "failed needs a reason token".into()));
+                    return Err(cur.err("failed needs a reason token"));
                 }
-                doc.failed.push((net, reason.join(" ")));
+                doc.failed.push((net, reason));
             }
             "pending" => {
-                let net = net_of(&mut tok)?;
-                if !declared.insert(net) {
-                    return Err(err(line, format!("net#{} declared twice", net.0)));
-                }
+                let net = once(&mut declared, &mut cur, "declared twice")?;
                 doc.pending.push(net);
             }
             "unrouted" => {
-                let net = net_of(&mut tok)?;
-                let i = usize::try_from(u64_of(tok.next())?)
-                    .map_err(|e| err(line, format!("bad cell index: {e}")))?;
-                let j = usize::try_from(u64_of(tok.next())?)
-                    .map_err(|e| err(line, format!("bad cell index: {e}")))?;
-                doc.unrouted.push((net, i, j));
+                let net = cur.net(&nets)?;
+                let cell = |cur: &mut Cursor| -> Result<usize, ParseError> {
+                    let index: u64 = cur.num()?;
+                    usize::try_from(index).map_err(|e| cur.err(format!("bad cell index: {e}")))
+                };
+                let i = cell(&mut cur)?;
+                doc.unrouted.push((net, i, cell(&mut cur)?));
             }
             "excl" => {
-                let net = net_of(&mut tok)?;
-                if !excl_seen.insert(net) {
-                    return Err(err(line, format!("net#{} has two excl lines", net.0)));
-                }
+                let net = once(&mut excl_seen, &mut cur, "has two excl lines")?;
                 let mut victims = Vec::new();
-                for name in tok {
-                    let victim = by_name
-                        .get(name)
-                        .copied()
-                        .ok_or_else(|| err(line, format!("unknown net `{name}`")))?;
-                    victims.push(victim);
+                while let Some(name) = cur.next() {
+                    victims.push(cur.net_named(&nets, name)?);
                 }
                 doc.exclusions.push((net, victims));
             }
             "retry" => {
-                let net = net_of(&mut tok)?;
-                if !retry_seen.insert(net) {
-                    return Err(err(line, format!("net#{} has two retry lines", net.0)));
-                }
-                doc.retries.push((net, u64_of(tok.next())?));
+                let net = once(&mut retry_seen, &mut cur, "has two retry lines")?;
+                doc.retries.push((net, cur.num()?));
             }
-            other => return Err(err(line, format!("unknown directive `{other}`"))),
+            other => return Err(cur.err(format!("unknown directive `{other}`"))),
         }
-    }
-    if !saw_magic {
-        return Err(err(1, "missing `ocr-ckpt-v1` magic line".into()));
     }
     Ok(doc)
 }
@@ -352,8 +225,8 @@ pub fn parse_checkpoint(layout: &Layout, text: &str) -> Result<CheckpointDoc, Pa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocr_geom::{Layer, Rect};
-    use ocr_netlist::NetClass;
+    use ocr_geom::{Layer, Point, Rect};
+    use ocr_netlist::{NetClass, RouteSeg, Via};
 
     fn layout() -> Layout {
         let mut layout = Layout::new(Rect::new(0, 0, 300, 200));

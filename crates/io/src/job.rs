@@ -34,6 +34,7 @@
 //! format — they return a line-numbered [`ParseError`] on any malformed
 //! input and never panic.
 
+use crate::reader::{self, Cursor};
 use crate::wire::{after_tokens, one_line};
 use crate::ParseError;
 use std::fmt::Write as _;
@@ -309,45 +310,22 @@ pub fn write_jobs(jobs: &[JobSpec]) -> String {
     out
 }
 
-/// Strips the `#` comment and splits one line into tokens.
-fn tokens(line: &str) -> Vec<&str> {
-    let body = line.split('#').next().unwrap_or("");
-    body.split_whitespace().collect()
-}
-
-fn err(line: usize, message: impl Into<String>) -> ParseError {
-    ParseError {
-        line,
-        message: message.into(),
-    }
-}
-
-/// A manifest's `job` line: its 1-based number, the job name and the
-/// tokens after the name.
-type JobLine<'a> = (usize, &'a str, Vec<&'a str>);
-
-/// Checks the magic first non-blank, non-comment line, then yields the
-/// later lines as [`JobLine`]s.
+/// Checks the magic first non-blank, non-comment line, then yields each
+/// later line's job name and a cursor over the tokens after the name.
 fn job_lines<'a>(
     text: &'a str,
     magic: &str,
     what: &str,
-) -> Result<impl Iterator<Item = Result<JobLine<'a>, ParseError>>, ParseError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, tokens(l)))
-        .filter(|(_, t)| !t.is_empty());
-    match lines.next() {
-        Some((_, first)) if first == [magic] => {}
-        Some((n, _)) => return Err(err(n, format!("not a {what} file (expected `{magic}`)"))),
-        None => return Err(err(1, format!("empty {what} file"))),
-    }
-    Ok(lines.map(|(n, toks)| match toks.as_slice() {
-        ["job", name, rest @ ..] => Ok((n, *name, rest.to_vec())),
-        ["job"] => Err(err(n, "job: missing name")),
-        [other, ..] => Err(err(n, format!("unknown directive `{other}`"))),
-        [] => Err(err(n, "empty line")),
+) -> Result<impl Iterator<Item = Result<(&'a str, Cursor<'a>), ParseError>>, ParseError> {
+    let mut lines = reader::lines(text);
+    let wrong = format!("not a {what} file (expected `{magic}`)");
+    reader::expect_magic(&mut lines, magic, &wrong, &format!("empty {what} file"))?;
+    Ok(lines.map(|(directive, mut cur)| match directive {
+        "job" => match cur.next() {
+            Some(name) => Ok((name, cur)),
+            None => Err(cur.err("job: missing name")),
+        },
+        other => Err(cur.err(format!("unknown directive `{other}`"))),
     }))
 }
 
@@ -361,18 +339,18 @@ fn job_lines<'a>(
 pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, ParseError> {
     let mut jobs: Vec<JobSpec> = Vec::new();
     for line in job_lines(text, JOBS_MAGIC, "job manifest")? {
-        let (n, name, rest) = line?;
+        let (name, mut cur) = line?;
         if !valid_job_name(name) {
-            return Err(err(n, bad_name("job name", name)));
+            return Err(cur.err(bad_name("job name", name)));
         }
         if jobs.iter().any(|j| j.name == name) {
-            return Err(err(n, format!("duplicate job name `{name}`")));
+            return Err(cur.err(format!("duplicate job name `{name}`")));
         }
-        let (chip, options) = rest
-            .split_first()
-            .ok_or_else(|| err(n, format!("job {name}: missing chip path")))?;
-        let mut spec = JobSpec::new(name, *chip);
-        parse_job_options(&mut spec, options.iter().copied()).map_err(|m| err(n, m))?;
+        let chip = cur
+            .next()
+            .ok_or_else(|| cur.err(format!("job {name}: missing chip path")))?;
+        let mut spec = JobSpec::new(name, chip);
+        parse_job_options(&mut spec, &mut cur).map_err(|m| cur.err(m))?;
         jobs.push(spec);
     }
     Ok(jobs)
@@ -397,14 +375,15 @@ pub fn write_results(records: &[JobRecord]) -> String {
 pub fn parse_results(text: &str) -> Result<Vec<JobRecord>, ParseError> {
     let mut records: Vec<JobRecord> = Vec::new();
     for line in job_lines(text, RESULTS_MAGIC, "result manifest")? {
-        let (n, name, rest) = line?;
+        let (name, mut cur) = line?;
         if !valid_job_name(name) {
-            return Err(err(n, format!("bad job name `{name}`")));
+            return Err(cur.err(format!("bad job name `{name}`")));
         }
         if records.iter().any(|r| r.name == name) {
-            return Err(err(n, format!("duplicate job `{name}`")));
+            return Err(cur.err(format!("duplicate job `{name}`")));
         }
-        records.push(parse_record_fields(name, &rest.join(" ")).map_err(|m| err(n, m))?);
+        let fields = cur.joined();
+        records.push(parse_record_fields(name, &fields).map_err(|m| cur.err(m))?);
     }
     Ok(records)
 }

@@ -45,14 +45,17 @@ mod atomic;
 pub mod ckpt;
 pub mod job;
 pub mod journal;
+mod reader;
 pub mod wire;
 
-pub use atomic::{atomic_write, retry_io, IO_ATTEMPTS};
+pub use atomic::{atomic_write, retry_io};
 
 use ocr_geom::{Coord, Layer, LayerSet, Point, Rect};
 use ocr_netlist::{
-    CellId, Layout, NetClass, NetId, NetRoute, Obstacle, RoutedDesign, Row, RowPlacement,
+    CellId, Layout, NetClass, NetId, NetRoute, Obstacle, RouteSeg, RoutedDesign, Row, RowPlacement,
+    Via,
 };
+use reader::{Cursor, NetIndex};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -84,19 +87,6 @@ fn layer_name(l: Layer) -> &'static str {
     }
 }
 
-fn parse_layer(s: &str, line: usize) -> Result<Layer, ParseError> {
-    match s {
-        "metal1" | "m1" => Ok(Layer::Metal1),
-        "metal2" | "m2" => Ok(Layer::Metal2),
-        "metal3" | "m3" => Ok(Layer::Metal3),
-        "metal4" | "m4" => Ok(Layer::Metal4),
-        other => Err(ParseError {
-            line,
-            message: format!("unknown layer `{other}`"),
-        }),
-    }
-}
-
 fn class_name(c: NetClass) -> &'static str {
     match c {
         NetClass::Signal => "signal",
@@ -107,17 +97,14 @@ fn class_name(c: NetClass) -> &'static str {
     }
 }
 
-fn parse_class(s: &str, line: usize) -> Result<NetClass, ParseError> {
-    match s {
+fn parse_class(cur: &mut Cursor) -> Result<NetClass, ParseError> {
+    match cur.word("net class")? {
         "signal" => Ok(NetClass::Signal),
         "critical" => Ok(NetClass::Critical),
         "timing" => Ok(NetClass::Timing),
         "clock" => Ok(NetClass::Clock),
         "power" => Ok(NetClass::Power),
-        other => Err(ParseError {
-            line,
-            message: format!("unknown net class `{other}`"),
-        }),
+        other => Err(cur.err(format!("unknown net class `{other}`"))),
     }
 }
 
@@ -234,144 +221,80 @@ pub fn parse_chip(text: &str) -> Result<(Layout, RowPlacement), ParseError> {
     let mut layout = Layout::new(Rect::new(0, 0, 1, 1));
     let mut rows: Vec<Row> = Vec::new();
     let mut margins: (Coord, Coord) = (0, 0);
-    let mut cells_by_name: HashMap<String, CellId> = HashMap::new();
-    let mut nets_by_name: HashMap<String, NetId> = HashMap::new();
-
-    let err = |line: usize, message: String| ParseError { line, message };
-    let num = |tok: Option<&str>, line: usize| -> Result<Coord, ParseError> {
-        tok.ok_or_else(|| err(line, "missing number".into()))?
-            .parse::<Coord>()
-            .map_err(|e| err(line, format!("bad number: {e}")))
+    let mut cells_by_name: HashMap<&str, CellId> = HashMap::new();
+    let mut nets = NetIndex::new();
+    let rect = |cur: &mut Cursor| -> Result<Rect, ParseError> {
+        let (x0, y0) = (cur.num()?, cur.num()?);
+        Ok(Rect::new(x0, y0, cur.num()?, cur.num()?))
     };
 
-    for (ln, raw) in text.lines().enumerate() {
-        let line = ln + 1;
-        let content = raw.split('#').next().unwrap_or("").trim();
-        if content.is_empty() {
-            continue;
-        }
-        let mut tok = content.split_whitespace();
-        // `content` is non-empty after trimming, but never trust that
-        // from external input: treat a token-less line as blank.
-        let Some(kind) = tok.next() else { continue };
-        match kind {
-            "die" => {
-                let (x0, y0, x1, y1) = (
-                    num(tok.next(), line)?,
-                    num(tok.next(), line)?,
-                    num(tok.next(), line)?,
-                    num(tok.next(), line)?,
-                );
-                layout.die = Rect::new(x0, y0, x1, y1);
-            }
+    for (directive, mut cur) in reader::lines(text) {
+        match directive {
+            "die" => layout.die = rect(&mut cur)?,
             "rule" => {
-                let layer = parse_layer(
-                    tok.next()
-                        .ok_or_else(|| err(line, "missing layer".into()))?,
-                    line,
-                )?;
-                let r = layout.rules.layer_mut(layer);
-                r.wire_width = num(tok.next(), line)?;
-                r.wire_spacing = num(tok.next(), line)?;
-                r.via_size = num(tok.next(), line)?;
+                let r = layout.rules.layer_mut(cur.layer("layer")?);
+                r.wire_width = cur.num()?;
+                r.wire_spacing = cur.num()?;
+                r.via_size = cur.num()?;
             }
             "cell" => {
-                let name = tok
-                    .next()
-                    .ok_or_else(|| err(line, "missing cell name".into()))?;
+                let name = cur.word("cell name")?;
                 if cells_by_name.contains_key(name) {
-                    return Err(err(line, format!("duplicate cell `{name}`")));
+                    return Err(cur.err(format!("duplicate cell `{name}`")));
                 }
-                let (x0, y0, x1, y1) = (
-                    num(tok.next(), line)?,
-                    num(tok.next(), line)?,
-                    num(tok.next(), line)?,
-                    num(tok.next(), line)?,
-                );
-                let id = layout.add_cell(name, Rect::new(x0, y0, x1, y1));
-                cells_by_name.insert(name.to_string(), id);
+                let outline = rect(&mut cur)?;
+                cells_by_name.insert(name, layout.add_cell(name, outline));
             }
             "row" => {
-                let y0 = num(tok.next(), line)?;
-                let height = num(tok.next(), line)?;
+                let (y0, height) = (cur.num()?, cur.num()?);
                 let mut cells = Vec::new();
-                for name in tok {
+                while let Some(name) = cur.next() {
                     let id = cells_by_name
                         .get(name)
-                        .ok_or_else(|| err(line, format!("unknown cell `{name}` in row")))?;
+                        .ok_or_else(|| cur.err(format!("unknown cell `{name}` in row")))?;
                     cells.push(*id);
                 }
                 rows.push(Row { y0, height, cells });
             }
-            "margins" => {
-                margins = (num(tok.next(), line)?, num(tok.next(), line)?);
-            }
+            "margins" => margins = (cur.num()?, cur.num()?),
             "obstacle" => {
-                let (x0, y0, x1, y1) = (
-                    num(tok.next(), line)?,
-                    num(tok.next(), line)?,
-                    num(tok.next(), line)?,
-                    num(tok.next(), line)?,
-                );
+                let rect = rect(&mut cur)?;
                 let mut layers = LayerSet::empty();
-                let mut any = false;
-                for l in tok {
-                    layers.insert(parse_layer(l, line)?);
-                    any = true;
+                while let Some(l) = cur.next() {
+                    layers.insert(cur.layer_named(l)?);
                 }
-                if !any {
-                    return Err(err(line, "obstacle needs at least one layer".into()));
+                if layers.is_empty() {
+                    return Err(cur.err("obstacle needs at least one layer"));
                 }
-                layout.add_obstacle(Obstacle::new(Rect::new(x0, y0, x1, y1), layers));
+                layout.add_obstacle(Obstacle::new(rect, layers));
             }
             "net" => {
-                let name = tok
-                    .next()
-                    .ok_or_else(|| err(line, "missing net name".into()))?;
-                if nets_by_name.contains_key(name) {
-                    return Err(err(line, format!("duplicate net `{name}`")));
+                let name = cur.word("net name")?;
+                if nets.contains_key(name) {
+                    return Err(cur.err(format!("duplicate net `{name}`")));
                 }
-                let class = parse_class(
-                    tok.next()
-                        .ok_or_else(|| err(line, "missing net class".into()))?,
-                    line,
-                )?;
-                let crit: i32 = tok
-                    .next()
-                    .unwrap_or("0")
-                    .parse()
-                    .map_err(|e| err(line, format!("bad criticality: {e}")))?;
+                let class = parse_class(&mut cur)?;
+                let crit = cur.next().unwrap_or("0");
+                let crit = cur.parse(crit, "criticality")?;
                 let id = layout.add_net(name, class);
                 layout.net_mut(id).criticality = crit;
-                nets_by_name.insert(name.to_string(), id);
+                nets.insert(name, id);
             }
             "pin" => {
-                let net_name = tok.next().ok_or_else(|| err(line, "missing net".into()))?;
-                let net = *nets_by_name
-                    .get(net_name)
-                    .ok_or_else(|| err(line, format!("unknown net `{net_name}`")))?;
-                let owner = tok.next().ok_or_else(|| err(line, "missing cell".into()))?;
+                let net = cur.net(&nets)?;
+                let owner = cur.word("cell")?;
                 let cell = if owner == "-" {
                     None
                 } else {
-                    Some(
-                        *cells_by_name
-                            .get(owner)
-                            .ok_or_else(|| err(line, format!("unknown cell `{owner}` for pin")))?,
-                    )
+                    let id = cells_by_name
+                        .get(owner)
+                        .ok_or_else(|| cur.err(format!("unknown cell `{owner}` for pin")))?;
+                    Some(*id)
                 };
-                let x = num(tok.next(), line)?;
-                let y = num(tok.next(), line)?;
-                let layer = parse_layer(
-                    tok.next()
-                        .ok_or_else(|| err(line, "missing pin layer".into()))?,
-                    line,
-                )?;
-                layout.add_pin(net, cell, Point::new(x, y), layer);
+                let at = Point::new(cur.num()?, cur.num()?);
+                layout.add_pin(net, cell, at, cur.layer("pin layer")?);
             }
-            other => {
-                return Err(err(line, format!("unknown directive `{other}`")));
-            }
+            other => return Err(cur.err(format!("unknown directive `{other}`"))),
         }
     }
     Ok((layout, RowPlacement::new(rows, margins.0, margins.1)))
@@ -408,6 +331,79 @@ pub fn load_chip(path: &Path) -> Result<(Layout, RowPlacement), String> {
     Ok((layout, placement))
 }
 
+/// Writes `route`'s geometry for net `name`: a `wire` line per segment,
+/// then a `via` line per via. The routes file and the committed routes
+/// of a checkpoint share this grammar.
+fn write_route(s: &mut String, name: &str, route: &NetRoute) {
+    for seg in &route.segs {
+        let (a, b) = (seg.a(), seg.b());
+        let layer = layer_name(seg.layer());
+        let _ = writeln!(s, "wire {name} {layer} {} {} {} {}", a.x, a.y, b.x, b.y);
+    }
+    for via in &route.vias {
+        let (lower, upper) = (layer_name(via.lower), layer_name(via.upper));
+        let _ = writeln!(s, "via {name} {lower} {upper} {} {}", via.at.x, via.at.y);
+    }
+}
+
+/// One `wire` or `via` line's geometry.
+enum Geometry {
+    Wire(RouteSeg),
+    Via(Via),
+}
+
+impl Geometry {
+    fn add_to(self, route: &mut NetRoute) {
+        match self {
+            Geometry::Wire(seg) => route.segs.push(seg),
+            Geometry::Via(via) => route.vias.push(via),
+        }
+    }
+}
+
+/// Parses the rest of a `wire` or `via` line (its `directive`), as
+/// [`write_route`] writes it, into its net and geometry.
+fn parse_route_line(
+    directive: &str,
+    cur: &mut Cursor,
+    nets: &NetIndex,
+) -> Result<(NetId, Geometry), ParseError> {
+    let net = cur.net(nets)?;
+    let lower = cur.layer("layer")?;
+    if directive == "wire" {
+        let [x0, y0, x1, y1] = coords(cur, "wire needs 4 coordinates")?;
+        // `RouteSeg::new` asserts this; check first so corrupt
+        // coordinates surface as a ParseError, not a panic.
+        if x0 != x1 && y0 != y1 {
+            return Err(cur.err("wire endpoints are not axis-parallel"));
+        }
+        let seg = RouteSeg::new(Point::new(x0, y0), Point::new(x1, y1), lower);
+        Ok((net, Geometry::Wire(seg)))
+    } else {
+        let upper = cur.layer("layer")?;
+        let [x, y] = coords(cur, "via needs 2 coordinates")?;
+        Ok((net, Geometry::Via(Via::new(Point::new(x, y), lower, upper))))
+    }
+}
+
+/// The rest of the line as exactly `N` coordinates: a malformed token
+/// is reported before a wrong count.
+fn coords<const N: usize>(cur: &mut Cursor, wrong_count: &str) -> Result<[Coord; N], ParseError> {
+    let mut out = [0; N];
+    let mut count = 0;
+    while let Some(token) = cur.next() {
+        let value = cur.parse(token, "number")?;
+        if let Some(slot) = out.get_mut(count) {
+            *slot = value;
+        }
+        count += 1;
+    }
+    if count != N {
+        return Err(cur.err(wrong_count));
+    }
+    Ok(out)
+}
+
 /// Serializes a routed design's geometry (one line per segment or via)
 /// for inspection or downstream consumption.
 pub fn write_routes(layout: &Layout, design: &RoutedDesign) -> String {
@@ -421,30 +417,7 @@ pub fn write_routes(layout: &Layout, design: &RoutedDesign) -> String {
         design.die.y1()
     );
     for (net, route) in design.iter_routes() {
-        let name = &layout.net(net).name;
-        for seg in &route.segs {
-            let _ = writeln!(
-                s,
-                "wire {} {} {} {} {} {}",
-                name,
-                layer_name(seg.layer()),
-                seg.a().x,
-                seg.a().y,
-                seg.b().x,
-                seg.b().y
-            );
-        }
-        for via in &route.vias {
-            let _ = writeln!(
-                s,
-                "via {} {} {} {} {}",
-                name,
-                layer_name(via.lower),
-                layer_name(via.upper),
-                via.at.x,
-                via.at.y
-            );
-        }
+        write_route(&mut s, &layout.net(net).name, route);
     }
     for &net in &design.failed {
         let _ = writeln!(s, "failed {}", layout.net(net).name);
@@ -461,96 +434,16 @@ pub fn write_routes(layout: &Layout, design: &RoutedDesign) -> String {
 /// Returns a [`ParseError`] for malformed lines or unknown net names.
 pub fn parse_routes(layout: &Layout, text: &str) -> Result<RoutedDesign, ParseError> {
     let mut design = RoutedDesign::new(layout.die, layout.nets.len());
-    let err = |line: usize, message: String| ParseError { line, message };
-    let by_name: HashMap<&str, NetId> = layout
-        .nets
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.name.as_str(), NetId(i as u32)))
-        .collect();
+    let nets = reader::net_index(layout);
     let mut routes: HashMap<NetId, NetRoute> = HashMap::new();
-    for (ln, raw) in text.lines().enumerate() {
-        let line = ln + 1;
-        let content = raw.split('#').next().unwrap_or("").trim();
-        if content.is_empty() {
-            continue;
-        }
-        let mut tok = content.split_whitespace();
-        // Tokenize exclusively from the comment-stripped `content`; a
-        // bare directive (`wire` with nothing after it) is a parse
-        // error, never a panic.
-        let Some(kind) = tok.next() else { continue };
-        match kind {
-            "wire" => {
-                let name = tok.next().ok_or_else(|| err(line, "missing net".into()))?;
-                let net = *by_name
-                    .get(name)
-                    .ok_or_else(|| err(line, format!("unknown net `{name}`")))?;
-                let layer = parse_layer(
-                    tok.next()
-                        .ok_or_else(|| err(line, "missing layer".into()))?,
-                    line,
-                )?;
-                let nums: Vec<Coord> = tok
-                    .map(|t| t.parse().map_err(|e| err(line, format!("bad number: {e}"))))
-                    .collect::<Result<_, _>>()?;
-                if nums.len() != 4 {
-                    return Err(err(line, "wire needs 4 coordinates".into()));
-                }
-                // `RouteSeg::new` asserts this; check first so corrupt
-                // coordinates surface as a ParseError, not a panic.
-                if nums[0] != nums[2] && nums[1] != nums[3] {
-                    return Err(err(line, "wire endpoints are not axis-parallel".into()));
-                }
-                routes
-                    .entry(net)
-                    .or_default()
-                    .segs
-                    .push(ocr_netlist::RouteSeg::new(
-                        Point::new(nums[0], nums[1]),
-                        Point::new(nums[2], nums[3]),
-                        layer,
-                    ));
+    for (directive, mut cur) in reader::lines(text) {
+        match directive {
+            "wire" | "via" => {
+                let (net, geometry) = parse_route_line(directive, &mut cur, &nets)?;
+                geometry.add_to(routes.entry(net).or_default());
             }
-            "via" => {
-                let name = tok.next().ok_or_else(|| err(line, "missing net".into()))?;
-                let net = *by_name
-                    .get(name)
-                    .ok_or_else(|| err(line, format!("unknown net `{name}`")))?;
-                let lower = parse_layer(
-                    tok.next()
-                        .ok_or_else(|| err(line, "missing layer".into()))?,
-                    line,
-                )?;
-                let upper = parse_layer(
-                    tok.next()
-                        .ok_or_else(|| err(line, "missing layer".into()))?,
-                    line,
-                )?;
-                let nums: Vec<Coord> = tok
-                    .map(|t| t.parse().map_err(|e| err(line, format!("bad number: {e}"))))
-                    .collect::<Result<_, _>>()?;
-                if nums.len() != 2 {
-                    return Err(err(line, "via needs 2 coordinates".into()));
-                }
-                routes
-                    .entry(net)
-                    .or_default()
-                    .vias
-                    .push(ocr_netlist::Via::new(
-                        Point::new(nums[0], nums[1]),
-                        lower,
-                        upper,
-                    ));
-            }
-            "failed" => {
-                let name = tok.next().ok_or_else(|| err(line, "missing net".into()))?;
-                let net = *by_name
-                    .get(name)
-                    .ok_or_else(|| err(line, format!("unknown net `{name}`")))?;
-                design.set_failed(net);
-            }
-            other => return Err(err(line, format!("unknown directive `{other}`"))),
+            "failed" => design.set_failed(cur.net(&nets)?),
+            other => return Err(cur.err(format!("unknown directive `{other}`"))),
         }
     }
     for (net, route) in routes {
@@ -635,16 +528,13 @@ mod tests {
         let (layout, _) = sample();
         let mut design = RoutedDesign::new(layout.die, layout.nets.len());
         let mut r = NetRoute::new();
-        r.segs.push(ocr_netlist::RouteSeg::new(
+        r.segs.push(RouteSeg::new(
             Point::new(60, 100),
             Point::new(200, 100),
             Layer::Metal3,
         ));
-        r.vias.push(ocr_netlist::Via::new(
-            Point::new(60, 100),
-            Layer::Metal2,
-            Layer::Metal3,
-        ));
+        r.vias
+            .push(Via::new(Point::new(60, 100), Layer::Metal2, Layer::Metal3));
         design.set_route(NetId(0), r);
         design.set_failed(NetId(1));
         let text = write_routes(&layout, &design);

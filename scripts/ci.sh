@@ -146,6 +146,9 @@ winner="$(sed -n 's/^portfolio: winner \([^ ]*\) .*/\1/p' "$OP_DIR/pf-seq.out")"
 cmp "$OP_DIR/pf-seq.txt" "$OP_DIR/winner.txt"
 ./target/release/ocr route "$OP_DIR/chip.ocr" --order longest \
     --routes "$OP_DIR/longest.txt" >/dev/null
+./target/release/ocr route "$OP_DIR/chip.ocr" \
+    --routes "$OP_DIR/default.txt" >/dev/null
+cmp "$OP_DIR/longest.txt" "$OP_DIR/default.txt"
 rm -rf "$OP_DIR"
 
 echo "==> serve smoke (spool three suite chips, preempt/resume, diff vs ocr route)"
@@ -320,11 +323,12 @@ rm -rf "$NS_DIR"
 echo "==> no panicking macros reachable from external input (crates/io, serve journal/intake/net)"
 # The parsers take untrusted text — ocr-io formats, journal files,
 # spool files and TCP bytes; their non-test code must contain no
-# unwrap/expect/panic!. (Everything before the #[cfg(test)] marker.)
+# unwrap/expect/panic!/unreachable!/todo!/unimplemented!. (Everything
+# before the #[cfg(test)] marker.)
 for f in crates/io/src/*.rs crates/serve/src/journal.rs \
     crates/serve/src/intake.rs crates/serve/src/net.rs; do
     if sed -n '1,/#\[cfg(test)\]/p' "$f" \
-        | grep -n '\.unwrap()\|\.expect(\|panic!('; then
+        | grep -n '\.unwrap()\|\.expect(\|panic!(\|unreachable!(\|todo!(\|unimplemented!('; then
         echo "ci: panicking macro in $f non-test code" >&2
         exit 1
     fi
