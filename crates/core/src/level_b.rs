@@ -284,6 +284,7 @@ impl<'a> LevelBRouter<'a> {
             "level_b.attempts_failed_full",
             "level_b.select_nodes",
             "level_b.select_candidates",
+            "level_b.pst_edges",
             "run.steps",
             "run.cancelled",
         ] {

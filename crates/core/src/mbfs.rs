@@ -13,33 +13,35 @@
 //! exclusion of paths requiring more than one corner on the same track."
 //!
 //! Each BFS level adds one corner. The search stops at the first level
-//! where a track of terminal 2 covers the terminal, and the recorded
-//! predecessor sets form the Path Selection Trees of §3.2 (see
-//! [`crate::pst`]). A vertex is a whole track, as in the paper, and the
-//! search follows it only along the maximal run through the cell where
-//! it was first reached. The count is therefore the minimum over such
-//! paths, not always the true minimum: against a brute-force 0-1 BFS on
-//! 2,000 seeded searches, MBFS finds no path 27 times where one exists
-//! and uses one extra corner once (a test below pins both counts).
+//! where a track of terminal 2 covers the terminal, and the predecessor
+//! sets form the Path Selection Trees of §3.2 (see [`crate::pst`]). A
+//! vertex is a whole track, as in the paper, and the search follows it
+//! only along the maximal run through the cell where it was first
+//! reached. The count is therefore the minimum over such paths, not
+//! always the true minimum: against a brute-force 0-1 BFS on 2,000
+//! seeded searches, MBFS finds no path 27 times where one exists and
+//! uses one extra corner once (a test below pins both counts).
 //!
 //! **The graph is the grid.** The search reads [`GridModel`]'s free
 //! runs, corner words and [`GridModel::corner_usable`] directly; see
 //! [`crate::tig`]. [`search_min_corner_paths`] is the one entry point:
 //! it runs both passes on a borrowed [`SearchScratch`], and the PSTs it
-//! returns view the scratch's arenas.
+//! returns view the scratch's arenas and the grid.
 //!
-//! **Expansion is word-parallel.** Expanding a vertex walks its free run
-//! 64 cross-indices at a time. Each word keeps only the perpendicular
-//! tracks the step can still change: those not yet in the search, plus
-//! those discovered at the level being built, which gain a parent. That
-//! is `run & (!live | fresh)`. The corner test then reads
-//! [`GridModel::corner_free_word`] (free on both planes). The cell enum
-//! is consulted only where that bit is clear, since the cell may hold
-//! the net's own wiring. Tracks that only gain a parent through a free
-//! corner are taken a word at a time; the rest go in ascending order.
-//! `u` adds itself to each track's parents at most once, so parents,
-//! frontier order, targets and `expanded` equal those of a cell-by-cell
-//! scan.
+//! **Expansion is word-parallel and records no edges.** Expanding a
+//! vertex walks its free run 64 cross-indices at a time and keeps only
+//! the perpendicular tracks not yet in the search (`run & !live`). The
+//! corner test reads [`GridModel::corner_free_word`] (free on both
+//! planes); the cell enum is consulted only where that bit is clear,
+//! since the cell may hold the net's own wiring. A new track gets its
+//! level and run and joins the discovery order, which is also the
+//! expansion order. The predecessor edges are derived when a PST's
+//! parents are first read: `u → v` exactly when `v` is one level below
+//! `u`, `v`'s track lies in `u`'s run, and their corner is usable. That
+//! is the set of pairs a cell-by-cell expansion links, and sweeping `u`
+//! in discovery order gives every vertex its parents in the order such
+//! an expansion finds them. Only a successful search's trees are read,
+//! so a failed search derives nothing.
 
 use ocr_geom::Dir;
 use ocr_grid::GridModel;
@@ -63,37 +65,55 @@ struct SlotData {
     run_hi: u32,
 }
 
-/// The PST edges regrouped by child, in compressed-row form: the
-/// parents of slot `s` are `parents[start[s]..start[s + 1]]`.
+/// The PST edges grouped by child, in compressed-row form: the parents
+/// of slot `s` are `parents[start[s]..start[s + 1]]`.
 #[derive(Clone, Debug, Default)]
 struct ByChild {
     start: Vec<u32>,
     parents: Vec<Slot>,
 }
 
+impl ByChild {
+    /// A counting sort of `edges`, given as `(parent, child)` pairs over
+    /// `n` slots. It is stable, so each child's parents keep the order
+    /// of `edges`.
+    fn group(n: usize, edges: &[(Slot, Slot)]) -> ByChild {
+        let mut start = vec![0u32; n + 1];
+        for &(_, v) in edges {
+            start[v as usize + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut fill = start.clone();
+        let mut parents = vec![0; edges.len()];
+        for &(u, v) in edges {
+            parents[fill[v as usize] as usize] = u;
+            fill[v as usize] += 1;
+        }
+        ByChild { start, parents }
+    }
+}
+
 /// Dense per-search vertex arena backing a [`Pst`].
 ///
-/// Replaces the former `HashMap<VertexKey, VertexData>`: lookups become
-/// direct indexing by track id, and the arena is reusable across nets
-/// without clearing via generation stamps — `begin` bumps the
+/// Lookups index directly by track id, and the arena is reused across
+/// nets without clearing via generation stamps: `begin` bumps the
 /// generation, instantly invalidating every slot.
 ///
-/// Edges are appended to one flat list in runs that share a parent,
-/// since a vertex's expansion adds all of its children in a row, and
-/// runs follow the expansion order. They are regrouped by child only
-/// when parents are first read. Path selection reads them for
-/// successful searches; a failed search, most of the full-die work,
-/// never pays for the regrouping.
+/// The search stores vertices only: each slot's level and run, plus the
+/// discovery order, in which each level is one contiguous stretch. The
+/// edges are derived from these and the grid on the first parents
+/// read (see the module doc). Path selection reads them for successful
+/// searches; a failed search, most of the full-die work, never pays for
+/// them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PstStore {
     nv: u32,
     slots: Vec<SlotData>,
     cur_gen: u32,
-    /// Children of every edge, in runs that share a parent.
-    children: Vec<Slot>,
-    /// One `(parent, end)` per run of `children` pushed by one parent:
-    /// the run ends at index `end`, where the next one starts.
-    runs: Vec<(Slot, u32)>,
+    /// The vertices of the current search in discovery order.
+    order: Vec<Slot>,
     by_child: OnceLock<ByChild>,
 }
 
@@ -105,8 +125,7 @@ impl PstStore {
             self.slots.resize_with(n, SlotData::default);
         }
         self.nv = nv as u32;
-        self.children.clear();
-        self.runs.clear();
+        self.order.clear();
         self.by_child = OnceLock::new();
         if self.cur_gen == u32::MAX {
             for s in &mut self.slots {
@@ -151,38 +170,88 @@ impl PstStore {
         (d.run_lo as usize, d.run_hi as usize)
     }
 
-    /// The parents of `slot` in the order they were pushed.
+    /// The parents of `slot`, in discovery order; the first read derives
+    /// every edge of the search for `net` on `grid`.
     #[inline]
-    fn parents_of(&self, slot: Slot) -> &[Slot] {
-        let g = self.by_child.get_or_init(|| self.group_by_child());
+    fn parents_of(&self, slot: Slot, grid: &GridModel, net: u32) -> &[Slot] {
+        let g = self.by_child.get_or_init(|| self.derive(grid, net));
         &g.parents[g.start[slot as usize] as usize..g.start[slot as usize + 1] as usize]
     }
 
-    /// A counting sort of the edges by child. It is stable, so each
-    /// child's parents keep their push order.
-    fn group_by_child(&self) -> ByChild {
-        let mut start = vec![0u32; self.slots.len() + 1];
-        for &v in &self.children {
-            start[v as usize + 1] += 1;
-        }
-        for k in 1..start.len() {
-            start[k] += start[k - 1];
-        }
-        let mut fill = start.clone();
-        let mut parents = vec![0; self.children.len()];
+    /// Derives the search's edges: `u → v` for every `v` one level below
+    /// `u` whose track lies in `u`'s run and whose corner with `u` is
+    /// usable by `net`. Every vertex of one level runs in the same
+    /// direction, so the next level's tracks are one bitset, read a word
+    /// at a time like the expansion. `u` goes in discovery order, which
+    /// puts every child's parents in that order.
+    fn derive(&self, grid: &GridModel, net: u32) -> ByChild {
+        let mut edges = Vec::new();
+        let mut below = vec![0u64; grid.nv().max(grid.nh()).div_ceil(64)];
+        let order = &self.order;
         let mut from = 0;
-        for &(u, end) in &self.runs {
-            for &v in &self.children[from..end as usize] {
-                parents[fill[v as usize] as usize] = u;
-                fill[v as usize] += 1;
+        while from < order.len() {
+            let level = self.level_of(order[from]);
+            let mid = from + order[from..].partition_point(|&s| self.level_of(s) == level);
+            let to = mid + order[mid..].partition_point(|&s| self.level_of(s) == level + 1);
+            if mid == to {
+                // The last level has no children.
+                break;
             }
-            from = end as usize;
+            for &v in &order[mid..to] {
+                set_bit(&mut below, self.key_of(v).1);
+            }
+            for &u in &order[from..mid] {
+                let (u_dir, u_track) = self.key_of(u);
+                let (lo, hi) = self.run_of(u);
+                let perp_base = self.slot_of((u_dir.perp(), 0));
+                for (w, &below_w) in (lo / 64..).zip(&below[lo / 64..=hi / 64]) {
+                    let cand = range_mask(w, lo, hi) & below_w;
+                    if cand == 0 {
+                        continue;
+                    }
+                    let corner_free = grid.corner_free_word(u_dir, u_track, w);
+                    let mut usable = cand & corner_free;
+                    let mut rest = cand & !corner_free;
+                    while rest != 0 {
+                        let b = rest.trailing_zeros();
+                        rest &= rest - 1;
+                        let k = w * 64 + b as usize;
+                        let (ci, cj) = match u_dir {
+                            Dir::Horizontal => (k, u_track),
+                            Dir::Vertical => (u_track, k),
+                        };
+                        if grid.corner_usable(net, ci, cj) {
+                            usable |= 1 << b;
+                        }
+                    }
+                    while usable != 0 {
+                        let b = usable.trailing_zeros();
+                        usable &= usable - 1;
+                        edges.push((u, perp_base + (w * 64) as Slot + b));
+                    }
+                }
+            }
+            for &v in &order[mid..to] {
+                clear_bit(&mut below, self.key_of(v).1);
+            }
+            from = mid;
         }
-        ByChild { start, parents }
+        ocr_obs::count("level_b.pst_edges", edges.len() as u64);
+        ByChild::group(self.slots.len(), &edges)
     }
 
-    /// Claims `slot` for the current generation and records its
-    /// discovery level and free run.
+    /// The read view of live `slot`.
+    fn vertex(&self, slot: Slot, grid: &GridModel, net: u32) -> PstVertex<'_> {
+        PstVertex {
+            level: self.level_of(slot),
+            run: self.run_of(slot),
+            parents: self.parents_of(slot, grid, net),
+            store: self,
+        }
+    }
+
+    /// Claims `slot` for the current generation, records its discovery
+    /// level and free run, and appends it to the discovery order.
     #[inline]
     fn insert(&mut self, slot: Slot, level: usize, run: (usize, usize)) {
         self.slots[slot as usize] = SlotData {
@@ -191,19 +260,7 @@ impl PstStore {
             run_lo: run.0 as u32,
             run_hi: run.1 as u32,
         };
-    }
-
-    /// Records the edge `parent → slot`. Parents must not be read
-    /// before the search ends.
-    #[inline]
-    fn push_parent(&mut self, slot: Slot, parent: Slot) {
-        debug_assert!(self.by_child.get().is_none());
-        self.children.push(slot);
-        let end = self.children.len() as u32;
-        match self.runs.last_mut() {
-            Some((p, e)) if *p == parent => *e = end,
-            _ => self.runs.push((parent, end)),
-        }
+        self.order.push(slot);
     }
 }
 
@@ -230,7 +287,8 @@ impl<'a> PstVertex<'a> {
 }
 
 /// The outcome of one MBFS: a Path Selection Tree rooted at `start`,
-/// viewing the vertex arena of the [`SearchScratch`] it ran on.
+/// viewing the vertex arena of the [`SearchScratch`] it ran on and the
+/// grid it searched, from which its edges are derived.
 #[derive(Clone, Debug)]
 pub struct Pst<'a> {
     /// The start vertex (one of terminal 1's two tracks).
@@ -244,6 +302,9 @@ pub struct Pst<'a> {
     pub expanded: usize,
     /// The vertex arena of this search.
     store: &'a PstStore,
+    /// The grid searched and the net searched for.
+    grid: &'a GridModel,
+    net: u32,
 }
 
 impl<'a> Pst<'a> {
@@ -261,31 +322,18 @@ impl<'a> Pst<'a> {
             return None;
         }
         let slot = self.store.slot_of(key);
-        self.store.is_live(slot).then(|| PstVertex {
-            level: self.store.level_of(slot),
-            run: self.store.run_of(slot),
-            parents: self.store.parents_of(slot),
-            store: self.store,
-        })
+        self.store
+            .is_live(slot)
+            .then(|| self.store.vertex(slot, self.grid, self.net))
     }
 
     /// Iterates every visited vertex in slot order (vertical tracks
     /// first, then horizontal).
     pub fn iter(&self) -> impl Iterator<Item = (VertexKey, PstVertex<'a>)> {
-        let store = self.store;
+        let (store, grid, net) = (self.store, self.grid, self.net);
         (0..store.slots.len() as Slot)
             .filter(move |&slot| store.is_live(slot))
-            .map(move |slot| {
-                (
-                    store.key_of(slot),
-                    PstVertex {
-                        level: store.level_of(slot),
-                        run: store.run_of(slot),
-                        parents: store.parents_of(slot),
-                        store,
-                    },
-                )
-            })
+            .map(move |slot| (store.key_of(slot), store.vertex(slot, grid, net)))
     }
 
     #[inline]
@@ -300,33 +348,7 @@ impl<'a> Pst<'a> {
 
     #[inline]
     pub(crate) fn parents_of(&self, slot: Slot) -> &'a [Slot] {
-        self.store.parents_of(slot)
-    }
-}
-
-/// The working buffers of one MBFS pass, reused by the next: the
-/// frontier lists and the per-track level bitsets.
-#[derive(Clone, Debug, Default)]
-struct Expansion {
-    frontier: Vec<Slot>,
-    next: Vec<Slot>,
-    /// Per direction ([`Dir::index`]), one bit per track: the track is a
-    /// vertex of the current search.
-    live: [Vec<u64>; 2],
-    /// Per direction, one bit per track: the track was discovered at the
-    /// level being built, so it still takes parents.
-    fresh: [Vec<u64>; 2],
-}
-
-impl Expansion {
-    /// Clears the level bitsets for a search over an `nv × nh` grid.
-    fn begin(&mut self, nv: usize, nh: usize) {
-        for (d, n) in [(Dir::Horizontal, nh), (Dir::Vertical, nv)] {
-            for bits in [&mut self.live[d.index()], &mut self.fresh[d.index()]] {
-                bits.clear();
-                bits.resize(n.div_ceil(64), 0);
-            }
-        }
+        self.store.parents_of(slot, self.grid, self.net)
     }
 }
 
@@ -350,8 +372,8 @@ fn range_mask(w: usize, lo: usize, hi: usize) -> u64 {
     (!0u64 << from) & (!0u64 >> (63 - to))
 }
 
-/// Reusable search state: the two PST arenas, the MBFS working buffers
-/// and the maze wave's buffers.
+/// Reusable search state: the two PST arenas, the MBFS's per-track
+/// bitsets and the maze wave's buffers.
 ///
 /// A [`crate::level_b::LevelBRouter`] holds one of these and lends it to
 /// every window attempt through [`search_min_corner_paths`]; the
@@ -362,7 +384,9 @@ fn range_mask(w: usize, lo: usize, hi: usize) -> u64 {
 pub struct SearchScratch {
     store_v: PstStore,
     store_h: PstStore,
-    work: Expansion,
+    /// Per direction ([`Dir::index`]), one bit per track: the track is a
+    /// vertex of the running search.
+    live: [Vec<u64>; 2],
     /// Buffers of the maze fallback and the rip-up probe.
     pub(crate) maze: ocr_maze::MazeScratch,
 }
@@ -435,21 +459,21 @@ impl SearchWindow {
 
 /// Runs one MBFS for `net` from terminal `term1`'s track of direction
 /// `start_dir`, searching for terminal `term2` within `window`, on the
-/// arena `store` and the working buffers `work`.
+/// arena `store` and the per-track bitsets `live`.
 ///
 /// Terminals are grid indices `(i, j)` (vertical track, horizontal
-/// track). Returns the Path Selection Tree, which views `store`;
-/// `corners` is `None` when no path exists within the window.
+/// track). Returns the Path Selection Tree, which views `store` and
+/// `grid`; `corners` is `None` when no path exists within the window.
 #[allow(clippy::too_many_arguments)]
 fn mbfs_pass<'s>(
-    grid: &GridModel,
+    grid: &'s GridModel,
     net: u32,
     start_dir: Dir,
     term1: (usize, usize),
     term2: (usize, usize),
     window: &SearchWindow,
     store: &'s mut PstStore,
-    work: &mut Expansion,
+    live: &mut [Vec<u64>; 2],
 ) -> Pst<'s> {
     let start_track = match start_dir {
         Dir::Horizontal => term1.1,
@@ -457,13 +481,11 @@ fn mbfs_pass<'s>(
     };
     let start: VertexKey = (start_dir, start_track);
     store.begin(grid.nv(), grid.nh());
-    work.begin(grid.nv(), grid.nh());
-    let Expansion {
-        frontier,
-        next,
-        live,
-        fresh,
-    } = work;
+    for (d, n) in [(Dir::Horizontal, grid.nh()), (Dir::Vertical, grid.nv())] {
+        let bits = &mut live[d.index()];
+        bits.clear();
+        bits.resize(n.div_ceil(64), 0);
+    }
     let mut targets = Vec::new();
     let mut expanded = 0;
 
@@ -500,38 +522,28 @@ fn mbfs_pass<'s>(
             break 'search Some(0);
         }
 
-        frontier.clear();
-        frontier.push(start_slot);
+        // The frontier is the discovery order's last level,
+        // `order[frontier..level_end]`; expanding it appends the next.
+        let mut frontier = 0;
         let mut level = 0usize;
-        while !frontier.is_empty() {
-            next.clear();
-            for &u_slot in frontier.iter() {
+        while frontier < store.order.len() {
+            let level_end = store.order.len();
+            for at in frontier..level_end {
+                let u_slot = store.order[at];
                 expanded += 1;
                 let (u_dir, u_track) = store.key_of(u_slot);
                 let (lo, hi) = store.run_of(u_slot);
                 let perp = u_dir.perp();
                 let (plo, phi) = window.cross_bounds(perp);
                 let p = perp.index();
-                let perp_base = store.slot_of((perp, 0));
-                for w in lo / 64..=hi / 64 {
-                    // Perpendicular tracks this step can change: new ones,
-                    // and ones found at level + 1 (another parent).
-                    let mut cand = range_mask(w, lo, hi) & (!live[p][w] | fresh[p][w]);
+                for (w, live_w) in (lo / 64..).zip(&mut live[p][lo / 64..=hi / 64]) {
+                    // Only tracks new to the search; the edges to the
+                    // level below are derived on read.
+                    let mut cand = range_mask(w, lo, hi) & !*live_w;
                     if cand == 0 {
                         continue;
                     }
                     let corner_free = grid.corner_free_word(u_dir, u_track, w);
-                    // Level + 1 tracks whose corner with u is free on both
-                    // planes only gain u as a parent. Each gains it once, so
-                    // the order of these pushes does not change any track's
-                    // parent list; they go first, without per-bit tests.
-                    let mut gains = cand & live[p][w] & corner_free;
-                    cand &= !gains;
-                    while gains != 0 {
-                        let b = gains.trailing_zeros();
-                        gains &= gains - 1;
-                        store.push_parent(perp_base + (w * 64) as Slot + b, u_slot);
-                    }
                     while cand != 0 {
                         let b = cand.trailing_zeros() as usize;
                         cand &= cand - 1;
@@ -549,33 +561,20 @@ fn mbfs_pass<'s>(
                         // tracks.
                         let v: VertexKey = (perp, k);
                         debug_assert!(window.track_in(v));
-                        let v_slot = store.slot_of(v);
-                        if live[p][w] >> b & 1 == 1 {
-                            // Each (u, v) pair is examined at most once per
-                            // search: u expands each cross-index of its run
-                            // once, and u itself entered the frontier once.
-                            debug_assert_eq!(store.level_of(v_slot), level + 1);
-                            store.push_parent(v_slot, u_slot);
-                        } else {
-                            let through = match perp {
-                                Dir::Horizontal => ci,
-                                Dir::Vertical => cj,
-                            };
-                            let Some(vrun) = grid.free_run(net, perp, k, through, plo, phi) else {
-                                continue;
-                            };
-                            store.insert(v_slot, level + 1, vrun);
-                            store.push_parent(v_slot, u_slot);
-                            set_bit(&mut live[p], k);
-                            set_bit(&mut fresh[p], k);
-                            next.push(v_slot);
-                        }
+                        let through = match perp {
+                            Dir::Horizontal => ci,
+                            Dir::Vertical => cj,
+                        };
+                        let Some(vrun) = grid.free_run(net, perp, k, through, plo, phi) else {
+                            continue;
+                        };
+                        store.insert(store.slot_of(v), level + 1, vrun);
+                        *live_w |= 1 << b;
                     }
                 }
             }
-            // Level `level + 1` is now complete (all parents recorded):
-            // check for targets.
-            for &v_slot in next.iter() {
+            // Level `level + 1` is now complete: check for targets.
+            for &v_slot in &store.order[level_end..] {
                 if covers_term2(v_slot, store.run_of(v_slot)) {
                     targets.push(store.key_of(v_slot));
                 }
@@ -583,11 +582,7 @@ fn mbfs_pass<'s>(
             if !targets.is_empty() {
                 break 'search Some(level + 1);
             }
-            for &v_slot in next.iter() {
-                let (d, k) = store.key_of(v_slot);
-                clear_bit(&mut fresh[d.index()], k);
-            }
-            std::mem::swap(frontier, next);
+            frontier = level_end;
             level += 1;
         }
         None
@@ -598,6 +593,8 @@ fn mbfs_pass<'s>(
         corners,
         expanded,
         store,
+        grid,
+        net,
     }
 }
 
@@ -616,10 +613,11 @@ pub struct SearchOutcome<'a> {
 }
 
 /// Runs both MBFS passes for one two-terminal connection on `scratch`.
-/// The outcome's PSTs view the scratch's arenas, so it must be dropped
-/// before the scratch runs the next search.
+/// The outcome's PSTs view the scratch's arenas and `grid`, so it must
+/// be dropped before the scratch runs the next search or the grid
+/// changes.
 pub fn search_min_corner_paths<'s>(
-    grid: &GridModel,
+    grid: &'s GridModel,
     net: u32,
     term1: (usize, usize),
     term2: (usize, usize),
@@ -629,7 +627,7 @@ pub fn search_min_corner_paths<'s>(
     let SearchScratch {
         store_v,
         store_h,
-        work,
+        live,
         ..
     } = scratch;
     let from_v = mbfs_pass(
@@ -640,7 +638,7 @@ pub fn search_min_corner_paths<'s>(
         term2,
         window,
         store_v,
-        work,
+        live,
     );
     let from_h = mbfs_pass(
         grid,
@@ -650,7 +648,7 @@ pub fn search_min_corner_paths<'s>(
         term2,
         window,
         store_h,
-        work,
+        live,
     );
     let corners = match (from_v.corners, from_h.corners) {
         (Some(a), Some(b)) => Some(a.min(b)),
@@ -799,25 +797,22 @@ mod tests {
 
     #[test]
     fn pst_store_groups_parents_by_child_in_push_order() {
+        let g = grid(100, 10);
         let mut store = PstStore::default();
         for round in 0..2 {
             // A second generation must not see the first one's edges.
             store.begin(3, 3);
-            for slot in 0..6 {
-                store.insert(slot, 1, (0, 2));
-            }
+            assert!(store.by_child.get().is_none(), "round {round}");
             let edges: &[(Slot, Slot)] = if round == 0 {
-                &[(3, 0), (4, 0), (3, 1), (5, 2), (4, 2), (3, 0), (4, 1)]
+                &[(0, 3), (0, 4), (1, 3), (2, 5), (2, 4), (0, 3), (1, 4)]
             } else {
-                &[(4, 2)]
+                &[(2, 4)]
             };
-            for &(child, parent) in edges {
-                store.push_parent(child, parent);
-            }
+            store.by_child = OnceLock::from(ByChild::group(6, edges));
             for child in 0..6 {
-                let want: Vec<Slot> = edges.iter().filter(|e| e.0 == child).map(|e| e.1).collect();
+                let want: Vec<Slot> = edges.iter().filter(|e| e.1 == child).map(|e| e.0).collect();
                 assert_eq!(
-                    store.parents_of(child),
+                    store.parents_of(child, &g, 0),
                     want,
                     "round {round}, child {child}"
                 );
@@ -826,11 +821,12 @@ mod tests {
     }
 
     /// The cell-by-cell MBFS pass the word-parallel [`mbfs_pass`]
-    /// replaced: one `corner_usable` per cell of every expanded run. It
-    /// is the reference the differential test holds the production pass
-    /// to.
+    /// replaced: one `corner_usable` per cell of every expanded run, and
+    /// every edge recorded as it is found. It is the reference the
+    /// differential test holds the production pass and its derived
+    /// edges to.
     fn mbfs_reference<'s>(
-        g: &GridModel,
+        g: &'s GridModel,
         net: u32,
         start_dir: Dir,
         term1: (usize, usize),
@@ -845,6 +841,8 @@ mod tests {
         let start: VertexKey = (start_dir, start_track);
         store.begin(g.nv(), g.nh());
         let (mut targets, mut expanded) = (Vec::new(), 0);
+        // `(parent, child)` in the order the expansion finds them.
+        let mut edges: Vec<(Slot, Slot)> = Vec::new();
         let target_v = store.slot_of((Dir::Vertical, term2.0));
         let target_h = store.slot_of((Dir::Horizontal, term2.1));
         let covers_term2 = |slot: Slot, run: (usize, usize)| -> bool {
@@ -898,7 +896,7 @@ mod tests {
                         let v_slot = store.slot_of(v);
                         if store.is_live(v_slot) {
                             if store.level_of(v_slot) == level + 1 {
-                                store.push_parent(v_slot, u_slot);
+                                edges.push((u_slot, v_slot));
                             }
                         } else {
                             let (plo, phi) = window.cross_bounds(perp);
@@ -910,7 +908,7 @@ mod tests {
                                 continue;
                             };
                             store.insert(v_slot, level + 1, vrun);
-                            store.push_parent(v_slot, u_slot);
+                            edges.push((u_slot, v_slot));
                             next.push(v_slot);
                         }
                     }
@@ -928,12 +926,15 @@ mod tests {
             }
             None
         };
+        store.by_child = OnceLock::from(ByChild::group(store.slots.len(), &edges));
         Pst {
             start,
             targets,
             corners,
             expanded,
             store,
+            grid: g,
+            net,
         }
     }
 
@@ -1002,6 +1003,40 @@ mod tests {
         assert!(found >= INSTANCES / 4, "{found} found");
         assert!(failed >= INSTANCES / 20, "{failed} failed");
         assert!(deep >= INSTANCES / 20, "{deep} with two or more corners");
+    }
+
+    #[test]
+    fn a_failed_search_records_no_edges_until_its_parents_are_read() {
+        let mut rng = Mix(0xed_9e5);
+        let mut scratch = SearchScratch::new();
+        for _ in 0..200 {
+            let (g, a, b) = random_grid(&mut rng);
+            let window = SearchWindow::full(&g);
+            let out = search_min_corner_paths(&g, 1, a, b, &window, &mut scratch);
+            if out.corners.is_some() || out.from_v.expanded < 2 {
+                continue;
+            }
+            let mut store = PstStore::default();
+            let reference = mbfs_reference(&g, 1, Dir::Vertical, a, b, &window, &mut store);
+            let edges = reference
+                .iter()
+                .map(|(_, v)| v.parents().count())
+                .sum::<usize>();
+            assert!(edges > 0, "the failed search had edges to derive");
+            // The search itself pushed nothing.
+            assert!(out.from_v.store.by_child.get().is_none());
+            for (key, want) in reference.iter() {
+                let got = out.from_v.get(key).expect("visited");
+                assert_eq!(
+                    got.parents().collect::<Vec<_>>(),
+                    want.parents().collect::<Vec<_>>(),
+                    "{key:?}"
+                );
+            }
+            assert!(out.from_v.store.by_child.get().is_some());
+            return;
+        }
+        panic!("no seeded full-window search failed");
     }
 
     /// The true minimum corner count from `a` to `b` for `net` inside

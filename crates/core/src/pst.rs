@@ -219,7 +219,7 @@ impl<'a> Walk<'a> {
                     }
                     // The run this parent ends. The corner needs no check
                     // of its own: each of its two runs covers it on its
-                    // own plane, and the MBFS records an edge only at a
+                    // own plane, and the MBFS derives an edge only at a
                     // usable corner.
                     if !run_free(grid, net, key.0, f.at, corner) {
                         continue;

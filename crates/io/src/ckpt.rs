@@ -218,6 +218,9 @@ pub fn parse_checkpoint(layout: &Layout, text: &str) -> Result<CheckpointDoc, Pa
             }
             other => return Err(cur.err(format!("unknown directive `{other}`"))),
         }
+        // Every directive has a fixed number of fields, or reads to the
+        // end of its line.
+        cur.end()?;
     }
     Ok(doc)
 }

@@ -296,6 +296,9 @@ pub fn parse_chip(text: &str) -> Result<(Layout, RowPlacement), ParseError> {
             }
             other => return Err(cur.err(format!("unknown directive `{other}`"))),
         }
+        // Every directive has a fixed number of fields, or reads to the
+        // end of its line.
+        cur.end()?;
     }
     Ok((layout, RowPlacement::new(rows, margins.0, margins.1)))
 }
@@ -445,6 +448,7 @@ pub fn parse_routes(layout: &Layout, text: &str) -> Result<RoutedDesign, ParseEr
             "failed" => design.set_failed(cur.net(&nets)?),
             other => return Err(cur.err(format!("unknown directive `{other}`"))),
         }
+        cur.end()?;
     }
     for (net, route) in routes {
         design.set_route(net, route);

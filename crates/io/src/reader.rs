@@ -134,6 +134,15 @@ impl<'a> Cursor<'a> {
             .ok_or_else(|| self.err(format!("unknown net `{name}`")))
     }
 
+    /// Checks that the line has no tokens left, for a directive with a
+    /// fixed number of fields; `unexpected trailing token` when it has.
+    pub(crate) fn end(&mut self) -> Result<(), ParseError> {
+        match self.next() {
+            Some(token) => Err(self.err(format!("unexpected trailing token `{token}`"))),
+            None => Ok(()),
+        }
+    }
+
     /// The rest of the line's tokens, joined by single spaces.
     pub(crate) fn joined(&mut self) -> String {
         self.collect::<Vec<_>>().join(" ")

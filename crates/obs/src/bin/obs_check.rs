@@ -5,6 +5,7 @@
 //! ```text
 //! obs-check <stats.json> [--min-chips N]
 //! obs-check <stats.json> --service [--require COUNTER]...
+//! obs-check --same-work <a.json> <b.json>
 //! ```
 //!
 //! Stats-mode checks:
@@ -27,10 +28,17 @@
 //! * every counter named by a `--require` flag (repeatable) is declared
 //!   in at least one run.
 //!
+//! With `--same-work` two stats documents of the same input are compared
+//! run by run, for instance one written at `OCR_THREADS=1` and one on
+//! the default pool: both must list the same runs (chip and flow) in the
+//! same order, and each pair must agree on every counter outside the
+//! scheduling-dependent `exec.*` family and on every span's `count`.
+//! Timings are not compared.
+//!
 //! Exits 0 when all checks pass, 1 (with a message) otherwise.
 
 use ocr_obs::json::{self, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -48,9 +56,10 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<String, String> {
-    let mut path: Option<&str> = None;
+    let mut paths: Vec<&str> = Vec::new();
     let mut min_chips: usize = 0;
     let mut service = false;
+    let mut same_work = false;
     let mut require: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -68,15 +77,17 @@ fn run(args: &[String]) -> Result<String, String> {
                 service = true;
                 i += 1;
             }
+            "--same-work" => {
+                same_work = true;
+                i += 1;
+            }
             "--require" => {
                 require.push(args.get(i + 1).ok_or("--require requires a counter name")?);
                 i += 2;
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             positional => {
-                if path.replace(positional).is_some() {
-                    return Err("more than one input file".into());
-                }
+                paths.push(positional);
                 i += 1;
             }
         }
@@ -84,10 +95,28 @@ fn run(args: &[String]) -> Result<String, String> {
     if !require.is_empty() && !service {
         return Err("--require only applies to --service".into());
     }
-    let path =
-        path.ok_or("usage: obs-check <stats.json> [--min-chips N] | --service [--require C]...")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let read = |path: &str| -> Result<Value, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    };
+    if same_work {
+        let [a, b] = paths[..] else {
+            return Err("--same-work takes exactly two input files".into());
+        };
+        return check_same_work(&read(a)?, &read(b)?);
+    }
+    let path = match paths[..] {
+        [path] => path,
+        [] => {
+            return Err(
+                "usage: obs-check <stats.json> [--min-chips N] | --service [--require C]... \
+                 | --same-work <a.json> <b.json>"
+                    .into(),
+            )
+        }
+        _ => return Err("more than one input file".into()),
+    };
+    let doc = read(path)?;
     if service {
         check_service(&doc, &require)
     } else {
@@ -102,6 +131,12 @@ fn span_total(run: &Value, name: &str) -> Option<u64> {
         .find(|s| s.get("name").and_then(Value::as_str) == Some(name))?
         .get("total_ns")?
         .as_u64()
+}
+
+fn runs(doc: &Value) -> Result<&[Value], String> {
+    doc.get("runs")
+        .and_then(Value::as_array)
+        .ok_or_else(|| "`runs` missing or not an array".into())
 }
 
 fn has_counter(run: &Value, name: &str) -> bool {
@@ -122,10 +157,7 @@ fn check_service(doc: &Value, require: &[&str]) -> Result<String, String> {
     if doc.get("schema").and_then(Value::as_str) != Some("ocr-stats-v1") {
         return Err("missing or unexpected `schema` (want \"ocr-stats-v1\")".into());
     }
-    let runs = doc
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("`runs` missing or not an array")?;
+    let runs = runs(doc)?;
     if runs.is_empty() {
         return Err("`runs` is empty".into());
     }
@@ -149,14 +181,73 @@ fn check_service(doc: &Value, require: &[&str]) -> Result<String, String> {
     ))
 }
 
+/// The host-independent work of one run, by name: the value of every
+/// counter outside `exec.*` and the `count` of every span.
+fn work(run: &Value) -> BTreeMap<String, Option<u64>> {
+    let entries = |key: &str| run.get(key).and_then(Value::as_array).unwrap_or_default();
+    let counters = entries("counters").iter().filter_map(|c| {
+        let name = c.get("name")?.as_str()?;
+        (!name.starts_with("exec.")).then(|| {
+            (
+                format!("counter `{name}`"),
+                c.get("value").and_then(Value::as_u64),
+            )
+        })
+    });
+    let spans = entries("spans").iter().filter_map(|s| {
+        let name = s.get("name")?.as_str()?;
+        Some((
+            format!("span `{name}` count"),
+            s.get("count").and_then(Value::as_u64),
+        ))
+    });
+    counters.chain(spans).collect()
+}
+
+/// Compares two stats documents run by run: the same runs in the same
+/// order, each pair with the same [`work`].
+fn check_same_work(a: &Value, b: &Value) -> Result<String, String> {
+    let (runs_a, runs_b) = (runs(a)?, runs(b)?);
+    if runs_a.len() != runs_b.len() {
+        return Err(format!("{} run(s) against {}", runs_a.len(), runs_b.len()));
+    }
+    let label = |run: &Value| {
+        let field = |key| run.get(key).and_then(Value::as_str).unwrap_or("?");
+        format!("{}/{}", field("chip"), field("flow"))
+    };
+    for (k, (x, y)) in runs_a.iter().zip(runs_b).enumerate() {
+        let (lx, ly) = (label(x), label(y));
+        if lx != ly {
+            return Err(format!("run {k}: {lx} against {ly}"));
+        }
+        let (wx, wy) = (work(x), work(y));
+        for name in wx.keys().chain(wy.keys()) {
+            let (vx, vy) = (wx.get(name), wy.get(name));
+            if vx != vy {
+                let show = |v: Option<&Option<u64>>| match v {
+                    Some(Some(v)) => v.to_string(),
+                    Some(None) => "no value".into(),
+                    None => "absent".into(),
+                };
+                return Err(format!(
+                    "run {k} ({lx}): {name} {} against {}",
+                    show(vx),
+                    show(vy)
+                ));
+            }
+        }
+    }
+    Ok(format!(
+        "{} run(s) did the same work: counters outside exec.* and span counts agree",
+        runs_a.len()
+    ))
+}
+
 fn check(doc: &Value, min_chips: usize) -> Result<String, String> {
     if doc.get("schema").and_then(Value::as_str) != Some("ocr-stats-v1") {
         return Err("missing or unexpected `schema` (want \"ocr-stats-v1\")".into());
     }
-    let runs = doc
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("`runs` missing or not an array")?;
+    let runs = runs(doc)?;
     if runs.is_empty() {
         return Err("`runs` is empty".into());
     }
@@ -308,6 +399,38 @@ mod tests {
         // spans) but is valid service telemetry.
         assert!(check(&doc(GOOD_SERVICE), 0).is_err());
         assert!(check_service(&doc(GOOD_SERVICE), &[]).is_ok());
+    }
+
+    #[test]
+    fn same_work_ignores_timings_and_exec_counters() {
+        let other = GOOD.replace("\"total_ns\":30", "\"total_ns\":31").replace(
+            r#"{"name":"level_b.retries","value":0}"#,
+            r#"{"name":"exec.tasks","value":7},{"name":"level_b.retries","value":0}"#,
+        );
+        let ok = check_same_work(&doc(GOOD), &doc(&other)).unwrap();
+        assert!(ok.contains("2 run(s)"), "{ok}");
+    }
+
+    #[test]
+    fn same_work_fails_on_a_changed_counter_span_count_or_run() {
+        let counter = GOOD.replace(r#""value":2"#, r#""value":3"#);
+        let err = check_same_work(&doc(GOOD), &doc(&counter)).unwrap_err();
+        assert!(err.contains("counter `level_b.rips` 2 against 3"), "{err}");
+        let span = GOOD.replace(r#""count":1,"total_ns":20"#, r#""count":2,"total_ns":20"#);
+        let err = check_same_work(&doc(GOOD), &doc(&span)).unwrap_err();
+        assert!(
+            err.contains("span `flow.level_a` count 1 against 2"),
+            "{err}"
+        );
+        let missing = GOOD.replace(r#"{"name":"level_b.retries","value":0},"#, "");
+        let err = check_same_work(&doc(GOOD), &doc(&missing)).unwrap_err();
+        assert!(err.contains("`level_b.retries` 0 against absent"), "{err}");
+        let relabeled = GOOD.replace("channel2", "channel4");
+        let err = check_same_work(&doc(GOOD), &doc(&relabeled)).unwrap_err();
+        assert!(
+            err.contains("run 1: ami33/channel2 against ami33/channel4"),
+            "{err}"
+        );
     }
 
     #[test]

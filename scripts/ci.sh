@@ -73,7 +73,7 @@ echo "==> route pins in release (the ignored ×8 perfbench chip included)"
 # test runs above skip it; release runs it in a few seconds.
 cargo test --release --test determinism -- --ignored
 
-echo "==> telemetry smoke (ocr route --suite --stats-json + obs-check)"
+echo "==> telemetry smoke (ocr route --suite --stats-json + obs-check, same work at both settings)"
 # The suite routed with telemetry on must yield a valid ocr-stats-v1
 # document — per-phase timings and rip/retry counters for every chip's
 # overcell run — at one worker and on the default pool alike.
@@ -85,6 +85,9 @@ OCR_THREADS=1 ./target/release/ocr route --suite \
 ./target/release/ocr route --suite \
     --stats-json "$STATS_DIR/stats-par.json" >/dev/null
 ./target/release/obs-check "$STATS_DIR/stats-par.json" --min-chips 3
+# The two documents must record the same work: every counter outside
+# the scheduling-dependent exec.* family and every span count, run by run.
+./target/release/obs-check --same-work "$STATS_DIR/stats-seq.json" "$STATS_DIR/stats-par.json"
 
 echo "==> chaos smoke (ocr chaos --seed 1 --trials 8)"
 # Deterministic fault-injection soak: trial 0 is deliberately poisoned

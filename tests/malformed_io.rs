@@ -611,6 +611,23 @@ fn parse_errors_are_pinned() {
             2,
             "unknown layer `m7`",
         ),
+        // A fixed-arity chip directive takes no trailing token.
+        (chip, "die 0 0 10 10 7", 1, "unexpected trailing token `7`"),
+        (
+            chip,
+            "rule metal1 1 1 1 1",
+            1,
+            "unexpected trailing token `1`",
+        ),
+        (chip, "cell a 0 0 1 1 x", 1, "unexpected trailing token `x`"),
+        (chip, "margins 5 5 5", 1, "unexpected trailing token `5`"),
+        (chip, "net a signal 3 x", 1, "unexpected trailing token `x`"),
+        (
+            chip,
+            "net a signal\npin a - 0 0 metal1 x",
+            2,
+            "unexpected trailing token `x`",
+        ),
         (
             chip,
             "# c\n\nfrobnicate 3",
@@ -652,6 +669,7 @@ fn parse_errors_are_pinned() {
         (routes, "via a metal2 metal3 5 y", 1, bad_digit),
         (routes, "failed", 1, "missing net"),
         (routes, "failed ghost", 1, "unknown net `ghost`"),
+        (routes, "failed a b", 1, "unexpected trailing token `b`"),
         (
             routes,
             "wire a m3 0 0 1 0\nroute a",
@@ -783,6 +801,67 @@ fn parse_errors_are_pinned() {
             "ocr-ckpt-v1\nretry a 1\nretry a 2",
             3,
             "net#0 has two retry lines",
+        ),
+        // A fixed-arity checkpoint directive takes no trailing token.
+        (
+            ckpt,
+            "ocr-ckpt-v1\nflow overcell x",
+            2,
+            "unexpected trailing token `x`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nchip ab x",
+            2,
+            "unexpected trailing token `x`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nsalvage 1 x",
+            2,
+            "unexpected trailing token `x`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nsteps 1 x",
+            2,
+            "unexpected trailing token `x`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nrips-left 1 x",
+            2,
+            "unexpected trailing token `x`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nstat rips 1 x",
+            2,
+            "unexpected trailing token `x`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nrouted a x",
+            2,
+            "unexpected trailing token `x`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\npending a x",
+            2,
+            "unexpected trailing token `x`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nunrouted a 1 2 x",
+            2,
+            "unexpected trailing token `x`",
+        ),
+        (
+            ckpt,
+            "ocr-ckpt-v1\nretry a 1 x",
+            2,
+            "unexpected trailing token `x`",
         ),
         (
             ckpt,

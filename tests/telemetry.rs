@@ -102,13 +102,14 @@ fn selection_work_counters_are_exact_at_any_worker_count() {
             "level_b.select_nodes",
             "level_b.select_candidates",
             "level_b.attempts_ok",
+            "level_b.pst_edges",
         ]
         .map(|name| {
             t.counter(name)
                 .unwrap_or_else(|| panic!("missing counter `{name}`"))
         })
     };
-    let [nodes, candidates, selections] = work(1);
+    let [nodes, candidates, selections, edges] = work(1);
     // Every successful attempt realized at least one candidate, and every
     // candidate is a visited node.
     assert!(
@@ -116,10 +117,12 @@ fn selection_work_counters_are_exact_at_any_worker_count() {
         "{candidates} < {selections}"
     );
     assert!(nodes >= candidates, "{nodes} < {candidates}");
+    // Selection walked edges, so the successful searches derived some.
+    assert!(edges > 0, "no PST edges derived");
     for threads in [2, 4] {
         assert_eq!(
             work(threads),
-            [nodes, candidates, selections],
+            [nodes, candidates, selections, edges],
             "{threads} threads"
         );
     }
