@@ -2,9 +2,8 @@
 
 use crate::rng::Rng;
 use crate::spec::{distribute_pins, BenchmarkSpec};
-use ocr_geom::{Coord, Layer, LayerSet, Point, Rect};
+use ocr_geom::{manhattan, Coord, Layer, LayerSet, Point, Rect};
 use ocr_netlist::{CellId, DesignRules, Layout, NetClass, NetId, Obstacle, Row, RowPlacement};
-use std::collections::HashSet;
 
 /// A generated benchmark chip.
 #[derive(Clone, Debug)]
@@ -36,11 +35,9 @@ impl GeneratedChip {
 }
 
 /// A free pin slot on a cell's top or bottom edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug)]
 struct Slot {
     cell: CellId,
-    /// `true` = top edge.
-    top: bool,
     /// Absolute pin position.
     at: Point,
 }
@@ -56,7 +53,8 @@ struct Slot {
 /// # Panics
 ///
 /// Panics if the spec demands more pins than the generated cells offer
-/// slots (increase cells or reduce pins).
+/// slots (increase cells or reduce pins), or if two slots lie 2³² DBU
+/// or more apart.
 pub fn generate(spec: &BenchmarkSpec) -> GeneratedChip {
     let rules = DesignRules::default();
     let pitch = rules.channel_pitch_level_a();
@@ -113,11 +111,9 @@ pub fn generate(spec: &BenchmarkSpec) -> GeneratedChip {
             cx += pitch - rem;
         }
         while cx <= o.x1() {
-            for top in [true, false] {
-                let yy = if top { o.y1() } else { o.y0() };
+            for yy in [o.y1(), o.y0()] {
                 slots.push(Slot {
                     cell: CellId(ci as u32),
-                    top,
                     at: Point::new(cx, yy),
                 });
             }
@@ -133,14 +129,6 @@ pub fn generate(spec: &BenchmarkSpec) -> GeneratedChip {
     );
     // Shuffle slots (Fisher–Yates over indices).
     rng.shuffle(&mut slots);
-    let mut next_slot = 0usize;
-    let mut used_cells_guard: HashSet<(u32, i64, bool)> = HashSet::new();
-    let mut take_slot = |next_slot: &mut usize| -> Slot {
-        let s = slots[*next_slot];
-        *next_slot += 1;
-        debug_assert!(used_cells_guard.insert((s.cell.0, s.at.x, s.top)));
-        s
-    };
 
     // ---- Nets -----------------------------------------------------------
     let a_total = (spec.avg_pins_level_a * spec.nets_level_a as f64).round() as usize;
@@ -148,34 +136,35 @@ pub fn generate(spec: &BenchmarkSpec) -> GeneratedChip {
     let a_pins = distribute_pins(a_total, spec.nets_level_a);
     let b_pins = distribute_pins(b_total, spec.nets_level_b);
 
+    let mut next_slot = 0usize;
     for (k, &count) in a_pins.iter().enumerate() {
         let net = layout.add_net(format!("a{k}"), NetClass::Critical);
         layout.net_mut(net).criticality = 10;
-        for _ in 0..count {
-            let s = take_slot(&mut next_slot);
+        for s in &slots[next_slot..next_slot + count] {
             layout.add_pin(net, Some(s.cell), s.at, Layer::Metal2);
         }
+        next_slot += count;
     }
     // Level B nets are locality-biased: real macro-cell signal nets
     // connect nearby cells. Each net anchors at a random free slot and
     // draws its remaining pins from the nearest free slots (with a
     // little randomness), keeping over-cell congestion realistic.
     let mut free: Vec<Slot> = slots[next_slot..].to_vec();
+    let mut keys: Vec<u64> = Vec::with_capacity(free.len());
     for (k, &count) in b_pins.iter().enumerate() {
         let net = layout.add_net(format!("b{k}"), NetClass::Signal);
         assert!(free.len() >= count, "ran out of pin slots");
         let anchor = free.swap_remove(rng.gen_range(0..free.len()));
         layout.add_pin(net, Some(anchor.cell), anchor.at, Layer::Metal2);
         for _ in 1..count {
-            // Rank remaining slots by distance to the anchor; pick
-            // randomly among the nearest dozen.
-            let mut order: Vec<usize> = (0..free.len()).collect();
-            order.sort_by_key(|&ix| {
-                (free[ix].at.x - anchor.at.x).abs() + (free[ix].at.y - anchor.at.y).abs()
-            });
-            let window = ((free.len() as f64 * spec.locality).ceil() as usize).clamp(8, free.len());
-            let pick = order[rng.gen_range(0..order.len().min(window))];
-            let s = free.swap_remove(pick);
+            // Pick uniformly among the nearest ⌈locality·|free|⌉ free
+            // slots (at least 8), nearest first by distance to the
+            // anchor, ties by slot order.
+            let window = ((free.len() as f64 * spec.locality).ceil() as usize)
+                .max(8)
+                .min(free.len());
+            let rank = rng.gen_range(0..window);
+            let s = free.swap_remove(nearest_nth(&free, anchor.at, rank, &mut keys));
             layout.add_pin(net, Some(s.cell), s.at, Layer::Metal2);
         }
     }
@@ -210,6 +199,25 @@ pub fn generate(spec: &BenchmarkSpec) -> GeneratedChip {
     }
 }
 
+/// Index in `free` of the slot at `rank` when the slots are ordered by
+/// Manhattan distance to `anchor`, ties by index: the element a stable
+/// sort by distance puts at `rank`. `(distance, index)` is a total
+/// order, so one selection over the keys answers it in O(|free|).
+/// Each key packs the pair into one `u64`, distance in the high half,
+/// so integer order is the pair's order. `keys` is scratch, reused
+/// across calls.
+fn nearest_nth(free: &[Slot], anchor: Point, rank: usize, keys: &mut Vec<u64>) -> usize {
+    keys.clear();
+    keys.extend(free.iter().enumerate().map(|(ix, s)| {
+        let distance =
+            u32::try_from(manhattan(s.at, anchor)).expect("slot distances fit in 32 bits");
+        let ix = u32::try_from(ix).expect("slot indices fit in 32 bits");
+        (u64::from(distance) << 32) | u64::from(ix)
+    }));
+    let (_, &mut key, _) = keys.select_nth_unstable(rank);
+    (key & u64::from(u32::MAX)) as usize
+}
+
 /// Convenience: a small random chip for tests and fuzzing, parameterized
 /// only by sizes and seed.
 pub fn small_random(
@@ -236,6 +244,7 @@ pub fn small_random(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn spec() -> BenchmarkSpec {
         BenchmarkSpec {
@@ -249,6 +258,42 @@ mod tests {
             obstacles: 3,
             locality: 0.2,
             seed: 42,
+        }
+    }
+
+    /// The pick the generator made before selection: stable-sort every
+    /// free slot by distance to the anchor, read the element at `rank`.
+    fn nearest_nth_by_sort(free: &[Slot], anchor: Point, rank: usize) -> usize {
+        let mut order: Vec<usize> = (0..free.len()).collect();
+        order.sort_by_key(|&ix| manhattan(free[ix].at, anchor));
+        order[rank]
+    }
+
+    #[test]
+    fn selection_picks_what_the_stable_sort_picked() {
+        // Slots on a 6×6 grid, so most distances tie and the tie-break
+        // by slot order decides most ranks.
+        let mut keys = Vec::new();
+        for seed in 0..200 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let on_grid =
+                |rng: &mut Rng| Point::new(rng.gen_range(0i64..6), rng.gen_range(0i64..6));
+            let free: Vec<Slot> = (0..rng.gen_range(1u32..40))
+                .map(|k| Slot {
+                    cell: CellId(k),
+                    at: on_grid(&mut rng),
+                })
+                .collect();
+            let anchor = on_grid(&mut rng);
+            // Every rank: rank 0, the last rank and so every window's.
+            for rank in 0..free.len() {
+                assert_eq!(
+                    nearest_nth(&free, anchor, rank, &mut keys),
+                    nearest_nth_by_sort(&free, anchor, rank),
+                    "seed {seed}, rank {rank} of {}",
+                    free.len()
+                );
+            }
         }
     }
 

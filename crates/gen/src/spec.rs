@@ -26,10 +26,14 @@ pub struct BenchmarkSpec {
     /// circuits) to scatter inside cells.
     pub obstacles: usize,
     /// Locality of Level B nets: the fraction of free pin slots
-    /// (nearest-first) each net draws its pins from. `0.0` forces
-    /// maximally local nets, `1.0` uniform random pins. Macro-cell
-    /// signal nets are predominantly local with a long-distance tail,
-    /// so suite presets use ~0.1–0.2.
+    /// (nearest-first) each net draws its pins from. Every pin after a
+    /// net's anchor is drawn uniformly from the nearest
+    /// `⌈locality·free⌉` free slots (at least 8) by Manhattan distance
+    /// to the anchor; slots at equal distance rank in slot order, so
+    /// the window, and with it the chip, is a function of the seed.
+    /// `0.0` forces maximally local nets, `1.0` uniform random pins.
+    /// Macro-cell signal nets are predominantly local with a
+    /// long-distance tail, so suite presets use ~0.1–0.2.
     pub locality: f64,
     /// RNG seed (same seed → identical layout).
     pub seed: u64,

@@ -63,15 +63,12 @@ done
 rm -rf "$EX_DIR"
 
 echo "==> cargo test (OCR_THREADS=1, sequential reference)"
+# Both runs include tests/determinism.rs: the route pins of the suite
+# and of the ×2 and ×8 stress chips, and the generator's chip pins.
 OCR_THREADS=1 cargo test --workspace -q
 
 echo "==> cargo test (default ocr-exec pool)"
 cargo test --workspace -q
-
-echo "==> route pins in release (the ignored ×8 perfbench chip included)"
-# The ×8 chip's pinned routes take ~30 s in a debug build, so the plain
-# test runs above skip it; release runs it in a few seconds.
-cargo test --release --test determinism -- --ignored
 
 echo "==> telemetry smoke (ocr route --suite --stats-json + obs-check, same work at both settings)"
 # The suite routed with telemetry on must yield a valid ocr-stats-v1

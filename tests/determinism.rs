@@ -14,7 +14,7 @@ use overcell_router::exec::with_threads;
 use overcell_router::gen::random::small_random;
 use overcell_router::gen::{generate, suite, BenchmarkSpec};
 use overcell_router::io::ckpt::fnv1a_64;
-use overcell_router::io::write_routes;
+use overcell_router::io::{write_chip, write_routes};
 use overcell_router::verify::VerifyReport;
 
 /// Routed geometry + oracle report of one (flow, chip) run, in
@@ -145,15 +145,50 @@ fn assert_stress_pin(spec: &BenchmarkSpec, want: u64) {
     );
 }
 
+/// FNV-1a 64 of `write_chip` for every chip a test, a table binary or
+/// perfbench generates: the suite, the `stress` ×2 and ×4 chips, the
+/// perfbench ×8 chip, the serve mix's small chip (`ocr generate random`
+/// at its default seed 1) and three more `ocr generate random` seeds.
+/// These pin the generator itself, so a rewrite of it that moves one
+/// pin, cell or obstacle fails here before any route pin does.
+#[test]
+fn generated_chips_match_their_pinned_hash() {
+    let mut chips = suite::all();
+    chips.push(generate(&stress_spec(2, 10, 0xA3133 + 2)));
+    chips.push(generate(&stress_spec(4, 20, 0xA3133 + 4)));
+    chips.push(generate(&stress_spec(8, 20, 0xA313B)));
+    for seed in [1, 2, 7, 42] {
+        chips.push(small_random(8, 3, 4, 20, seed));
+    }
+    let got: Vec<(&str, u64)> = chips
+        .iter()
+        .map(|c| {
+            let text = write_chip(&c.layout, &c.placement);
+            (c.spec.name.as_str(), fnv1a_64(&text))
+        })
+        .collect();
+    let want = [
+        ("ami33", 0x2de8_0957_f1bf_16c4),
+        ("Xerox", 0x65d2_56c9_d82e_dc0a),
+        ("ex3", 0xb67a_fb62_04ba_0a71),
+        ("ami33x2", 0xfa04_1fc3_bf4d_785d),
+        ("ami33x4", 0x1dc3_0455_7298_a870),
+        ("ami33x8", 0xe86f_9b47_07ce_1c68),
+        ("random-1", 0x5fb1_8039_6c0f_a3f6),
+        ("random-2", 0xce84_9935_3b3c_0b90),
+        ("random-7", 0x5df7_6396_2267_ed7a),
+        ("random-42", 0x796e_2190_c247_9f16),
+    ];
+    assert_eq!(got, want, "a generated chip moved from its pinned hash");
+}
+
 #[test]
 fn stress_x2_routes_match_their_pinned_hash() {
     assert_stress_pin(&stress_spec(2, 10, 0xA3133 + 2), 0xd3a5_436e_931a_fd7b);
 }
 
-/// The perfbench `scale8` chip (264 cells, 984 nets). Slow in a debug
-/// build; CI runs it in release with `--ignored`.
+/// The perfbench `scale8` chip (264 cells, 984 nets).
 #[test]
-#[ignore = "about 30 s in a debug build; CI runs it with --release -- --ignored"]
 fn scale8_routes_match_their_pinned_hash() {
     assert_stress_pin(&stress_spec(8, 20, 0xA313B), 0x06a8_9403_4039_98c5);
 }
