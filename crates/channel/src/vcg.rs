@@ -132,34 +132,6 @@ impl Vcg {
         }
         None
     }
-
-    /// Longest "must be above" chain length ending at each node — the
-    /// classic lower bound on the track a subnet can take; the maximum
-    /// over nodes plus one lower-bounds the two-layer track count
-    /// together with density.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is cyclic (call [`Vcg::find_cycle`] first).
-    pub fn depths(&self) -> Vec<usize> {
-        let n = self.len();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.above[i].len()).collect();
-        let mut depth = vec![0usize; n];
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0;
-        while let Some(u) = queue.pop() {
-            seen += 1;
-            for &v in &self.below[u] {
-                depth[v] = depth[v].max(depth[u] + 1);
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        assert_eq!(seen, n, "depths() called on a cyclic VCG");
-        depth
-    }
 }
 
 impl fmt::Display for Vcg {
@@ -191,7 +163,6 @@ mod tests {
         assert_eq!(vcg.below(i1), &[i2]);
         assert_eq!(vcg.above(i2), &[i1]);
         assert!(vcg.find_cycle().is_none());
-        assert_eq!(vcg.depths()[i2], 1);
     }
 
     #[test]
@@ -224,6 +195,6 @@ mod tests {
         let subs = build_subnets(&p, false);
         let vcg = Vcg::build(&p, &subs);
         assert!(vcg.find_cycle().is_none());
-        assert!(vcg.depths().iter().all(|&d| d == 0));
+        assert!((0..vcg.len()).all(|i| vcg.below(i).is_empty()));
     }
 }

@@ -23,6 +23,7 @@ use ocr_geom::{Dir, Layer, Point};
 use ocr_grid::{build_grid, CellState, GridModel};
 use ocr_io::ckpt::{write_checkpoint, CheckpointDoc};
 use ocr_netlist::{Layout, NetId, NetRoute, RouteSeg, RoutedDesign, Via};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How many times one net may rip its blockers and be retried;
@@ -56,8 +57,8 @@ pub struct LevelBResult {
     pub degraded: Degradation,
 }
 
-/// The Level B router. Owns the routing grid for the duration of the
-/// run.
+/// The Level B router. Owns the routing grid and the run's progress
+/// (routes, failures, queue, rip-up budget) for the duration of the run.
 #[derive(Debug)]
 pub struct LevelBRouter<'a> {
     layout: &'a Layout,
@@ -72,20 +73,28 @@ pub struct LevelBRouter<'a> {
     last_blockers: Vec<NetId>,
     /// Every terminal cell (all nets) — rip-up cannot free these, so
     /// the soft-path probe treats them as hard obstacles.
-    terminal_cells: std::collections::HashSet<(usize, usize)>,
+    terminal_cells: HashSet<(usize, usize)>,
     /// Victims already ripped for a given net: later probes for that net
     /// must find *different* victims, which breaks two nets ping-ponging
     /// over a single contested lane and forces exploration of
     /// alternative regions.
-    rip_exclusions: std::collections::HashMap<u32, Vec<u32>>,
+    rip_exclusions: HashMap<u32, Vec<u32>>,
     /// Nets with a terminal sealed on both planes — they can never
     /// complete, so salvage mode reports `DoomedTerminal` instead of the
     /// generic `Unroutable` when they fail.
-    doomed_nets: std::collections::HashSet<u32>,
-    /// Nets rejected at grid build time under salvage (off-grid or
-    /// conflicting terminals); `route_all` declares them failed with
-    /// their reasons instead of routing them.
-    pre_degraded: Vec<NetDegradation>,
+    doomed_nets: HashSet<u32>,
+    /// The routes committed and the nets failed so far. Nets rejected
+    /// at grid build time under salvage start out failed.
+    design: RoutedDesign,
+    /// The reason of every net in `design.failed`.
+    degraded: Degradation,
+    /// Nets still to route, in order (an interrupted net at the front,
+    /// rip-up victims at the back).
+    queue: VecDeque<NetId>,
+    /// Rip-ups the run may still make ([`LevelBConfig::rip_up_budget`]).
+    rips_left: usize,
+    /// Rip-ups spent on behalf of each net.
+    retries: HashMap<u32, usize>,
     /// The run control of the active `route_all_with` call, consulted by
     /// the search internals to charge deterministic steps.
     control: RunControl,
@@ -122,8 +131,8 @@ impl<'a> LevelBRouter<'a> {
         let mut grid = build_grid(layout, nets);
         let mut unrouted_cells = Vec::new();
         let mut doomed_terminals = 0usize;
-        let mut doomed_nets = std::collections::HashSet::new();
-        let mut pre_degraded: Vec<NetDegradation> = Vec::new();
+        let mut doomed_nets = HashSet::new();
+        let mut rejected: Vec<NetDegradation> = Vec::new();
         'nets: for &net in nets {
             // Validate every terminal of the net before reserving any,
             // so a rejected net leaves no reservations behind (salvage
@@ -132,7 +141,7 @@ impl<'a> LevelBRouter<'a> {
                 let at = layout.pin(pid).position;
                 let Some(cell) = grid.snap(at) else {
                     if config.salvage {
-                        pre_degraded.push(NetDegradation {
+                        rejected.push(NetDegradation {
                             net,
                             reason: DegradeReason::TerminalOffGrid,
                         });
@@ -144,7 +153,7 @@ impl<'a> LevelBRouter<'a> {
                     if let CellState::Used(n) = grid.state(dir, cell.0, cell.1) {
                         if n != net.0 {
                             if config.salvage {
-                                pre_degraded.push(NetDegradation {
+                                rejected.push(NetDegradation {
                                     net,
                                     reason: DegradeReason::TerminalConflict,
                                 });
@@ -185,24 +194,32 @@ impl<'a> LevelBRouter<'a> {
             }
         }
         let terminal_cells = unrouted_cells.iter().map(|&(_, c)| c).collect();
-        Ok(LevelBRouter {
+        let mut router = LevelBRouter {
             layout,
             nets: nets.to_vec(),
             grid,
-            config,
             unrouted_cells,
             last_blockers: Vec::new(),
             terminal_cells,
-            rip_exclusions: std::collections::HashMap::new(),
+            rip_exclusions: HashMap::new(),
             doomed_nets,
-            pre_degraded,
+            design: RoutedDesign::new(layout.die, layout.nets.len()),
+            degraded: Degradation::default(),
+            queue: VecDeque::new(),
+            rips_left: config.rip_up_budget,
+            retries: HashMap::new(),
+            config,
             control: RunControl::new(),
             scratch: SearchScratch::new(),
             stats: RoutingStats {
                 doomed_terminals,
                 ..RoutingStats::default()
             },
-        })
+        };
+        for d in rejected {
+            router.fail(d.net, d.reason);
+        }
+        Ok(router)
     }
 
     /// The routing grid (for rendering and analysis).
@@ -290,41 +307,25 @@ impl<'a> LevelBRouter<'a> {
         ] {
             ocr_obs::count(name, 0);
         }
-        let mut design = RoutedDesign::new(self.layout.die, self.layout.nets.len());
-        let mut degraded = Degradation::default();
-        for d in std::mem::take(&mut self.pre_degraded) {
-            design.set_failed(d.net);
-            degraded.nets.push(d);
-        }
-        let resume = session.resume.as_ref().filter(|r| !r.is_fresh());
-        let mut queue: std::collections::VecDeque<NetId>;
-        let mut rips_left;
-        let mut retries: std::collections::HashMap<u32, usize>;
-        if let Some(resume) = resume {
+        if let Some(resume) = session.resume.as_ref().filter(|r| !r.is_fresh()) {
             let _span = ocr_obs::span("ckpt.load");
-            self.seed_from_resume(resume, &mut design, &mut degraded)?;
-            // The pending queue is restored verbatim (an interrupted
-            // net sits at the front), not recomputed from the ordering:
-            // rip-up reshuffles the queue as a run progresses, so only
-            // the checkpointed order reproduces the uninterrupted run.
-            queue = resume.pending.iter().copied().collect();
-            rips_left = resume.rips_left;
-            retries = resume.retries.iter().copied().collect();
+            self.seed_from_resume(resume)?;
         } else {
             let order = {
                 let _span = ocr_obs::span("level_b.order");
                 self.config.ordering.clone().order(self.layout, &self.nets)
             };
-            queue = order.into_iter().filter(|&n| !degraded.covers(n)).collect();
-            rips_left = self.config.rip_up_budget;
-            retries = std::collections::HashMap::new();
+            self.queue = order
+                .into_iter()
+                .filter(|&n| !self.degraded.covers(n))
+                .collect();
         }
         let mut commits = 0usize;
-        while let Some(net) = queue.pop_front() {
+        while let Some(net) = self.queue.pop_front() {
             // Net-commit boundary: a tripped control stops the run here
             // with the queue intact (this net included).
             if self.control.is_tripped() {
-                queue.push_front(net);
+                self.queue.push_front(net);
                 break;
             }
             // Snapshot the counters so an interrupted attempt can be
@@ -340,13 +341,8 @@ impl<'a> LevelBRouter<'a> {
                         self.scrub_net(net);
                         self.stats.nets_poisoned += 1;
                         ocr_obs::count("level_b.poisoned_nets", 1);
-                        degraded.push(
-                            net,
-                            DegradeReason::Poisoned {
-                                message: ocr_fault::payload_message(payload.as_ref()),
-                            },
-                        );
-                        design.set_failed(net);
+                        let message = ocr_fault::payload_message(payload.as_ref());
+                        self.fail(net, DegradeReason::Poisoned { message });
                         continue;
                     }
                 }
@@ -363,13 +359,11 @@ impl<'a> LevelBRouter<'a> {
                         self.stats.exclusions_cleared += 1;
                         ocr_obs::count("level_b.exclusions_cleared", 1);
                     }
-                    design.set_route(net, route);
+                    self.design.set_route(net, route);
                     commits += 1;
                     if let Some(spec) = &session.checkpoint {
                         if commits.is_multiple_of(spec.every.max(1)) {
-                            self.write_checkpoint_file(
-                                spec, &design, &degraded, &queue, rips_left, &retries,
-                            )?;
+                            self.write_checkpoint_file(spec)?;
                         }
                     }
                 }
@@ -380,44 +374,40 @@ impl<'a> LevelBRouter<'a> {
                     // re-run the attempt from scratch, charging and
                     // counting it exactly as the uninterrupted run did.
                     self.stats = snapshot;
-                    queue.push_front(net);
+                    self.queue.push_front(net);
                     break;
                 }
                 Err(err @ (RouteError::Unroutable { .. } | RouteError::DegenerateNet(_))) => {
-                    let blockers = std::mem::take(&mut self.last_blockers);
-                    let rippable: Vec<NetId> = blockers
-                        .into_iter()
-                        .filter(|&b| design.route(b).is_some())
-                        .collect();
-                    let tries = retries.entry(net.0).or_insert(0);
-                    if rips_left > 0 && *tries < MAX_RETRIES_PER_NET && !rippable.is_empty() {
+                    let mut rippable = std::mem::take(&mut self.last_blockers);
+                    rippable.retain(|&b| self.design.route(b).is_some());
+                    let tries = self.retries.get(&net.0).copied().unwrap_or(0);
+                    if self.rips_left > 0 && tries < MAX_RETRIES_PER_NET && !rippable.is_empty() {
                         // One deterministic step per rip-up decision.
                         if self.control.charge(1).is_some() {
                             self.stats = snapshot;
-                            queue.push_front(net);
+                            self.queue.push_front(net);
                             break;
                         }
                         let _span = ocr_obs::span("level_b.rip");
-                        *tries += 1;
+                        self.retries.insert(net.0, tries + 1);
                         ocr_obs::count("level_b.retries", 1);
-                        rips_left -= 1;
+                        self.rips_left -= 1;
                         for b in rippable {
-                            let route = design.routes[b.index()].take().expect("routed");
-                            self.clear_occupancy(b, &route);
+                            self.design.routes[b.index()] = None;
+                            self.scrub_net(b);
                             self.stats.rips += 1;
                             ocr_obs::count("level_b.rips", 1);
                             self.rip_exclusions.entry(net.0).or_default().push(b.0);
-                            queue.push_back(b);
+                            self.queue.push_back(b);
                         }
-                        queue.push_front(net);
+                        self.queue.push_front(net);
                     } else {
                         let reason = match err {
                             RouteError::DegenerateNet(_) => DegradeReason::Degenerate,
                             _ if self.doomed_nets.contains(&net.0) => DegradeReason::DoomedTerminal,
                             _ => DegradeReason::Unroutable,
                         };
-                        degraded.push(net, reason);
-                        design.set_failed(net);
+                        self.fail(net, reason);
                     }
                 }
                 Err(e) => {
@@ -431,8 +421,7 @@ impl<'a> LevelBRouter<'a> {
                         RouteError::TerminalConflict { .. } => DegradeReason::TerminalConflict,
                         _ => DegradeReason::Unroutable,
                     };
-                    degraded.push(net, reason);
-                    design.set_failed(net);
+                    self.fail(net, reason);
                 }
             }
         }
@@ -440,7 +429,7 @@ impl<'a> LevelBRouter<'a> {
         // degraded, so a tripped run's checkpoint still lists them as
         // pending and a resume re-attempts them.
         if let Some(spec) = &session.checkpoint {
-            self.write_checkpoint_file(spec, &design, &degraded, &queue, rips_left, &retries)?;
+            self.write_checkpoint_file(spec)?;
         }
         if let Some(reason) = self.control.tripped() {
             let degrade = match reason {
@@ -448,12 +437,14 @@ impl<'a> LevelBRouter<'a> {
                 TripReason::Cancelled | TripReason::DeadlineExceeded => DegradeReason::Cancelled,
             };
             ocr_obs::count("run.cancelled", 1);
-            while let Some(net) = queue.pop_front() {
-                degraded.push(net, degrade.clone());
-                design.set_failed(net);
+            while let Some(net) = self.queue.pop_front() {
+                self.fail(net, degrade.clone());
             }
         }
         ocr_obs::count("run.steps", self.control.steps() - steps_before);
+        let empty = RoutedDesign::new(self.layout.die, self.layout.nets.len());
+        let design = std::mem::replace(&mut self.design, empty);
+        let mut degraded = std::mem::take(&mut self.degraded);
         self.stats.nets_routed = self
             .nets
             .iter()
@@ -468,28 +459,29 @@ impl<'a> LevelBRouter<'a> {
         })
     }
 
+    /// Declares `net` failed with `reason`.
+    fn fail(&mut self, net: NetId, reason: DegradeReason) {
+        self.degraded.push(net, reason);
+        self.design.set_failed(net);
+    }
+
     /// Seeds the router from checkpointed progress: validates that the
-    /// checkpoint covers exactly this run's Level B net set, replays the
-    /// committed wiring onto the grid, and restores the degradation and
-    /// rip-up bookkeeping wholesale.
-    fn seed_from_resume(
-        &mut self,
-        resume: &LevelBResume,
-        design: &mut RoutedDesign,
-        degraded: &mut Degradation,
-    ) -> Result<(), RouteError> {
+    /// checkpoint covers exactly this run's Level B net set, occupies
+    /// the grid with the committed routes, and restores the failures,
+    /// the queue and the rip-up bookkeeping wholesale.
+    fn seed_from_resume(&mut self, resume: &LevelBResume) -> Result<(), RouteError> {
         // Every net of this Level B set must be accounted for exactly
         // once across routed/failed/pending. The checkpoint parser
         // already rejected double declarations within the file, so set
         // equality is the whole check.
-        let declared: std::collections::HashSet<u32> = resume
+        let declared: HashSet<u32> = resume
             .routed
             .iter()
             .map(|(n, _)| n.0)
             .chain(resume.failed.iter().map(|(n, _)| n.0))
             .chain(resume.pending.iter().map(|n| n.0))
             .collect();
-        let ours: std::collections::HashSet<u32> = self.nets.iter().map(|n| n.0).collect();
+        let ours: HashSet<u32> = self.nets.iter().map(|n| n.0).collect();
         if declared != ours {
             return Err(RouteError::Checkpoint(format!(
                 "checkpoint covers {} nets but this run's Level B set has {} \
@@ -508,85 +500,84 @@ impl<'a> LevelBRouter<'a> {
             }
         }
         for (net, route) in &resume.routed {
-            if degraded.covers(*net) {
+            if self.degraded.covers(*net) {
                 return Err(RouteError::Checkpoint(format!(
                     "{net} is routed in the checkpoint but rejected at grid build time"
                 )));
             }
-            self.replay_route(*net, route);
-            design.set_route(*net, route.clone());
+            self.occupy(*net, &route.segs, &route.vias);
+            self.design.set_route(*net, route.clone());
         }
         for (net, reason) in &resume.failed {
             // Setup rejections were already re-recorded by the fresh
-            // grid build; `push` keeps the first reason, so this only
+            // grid build; `fail` keeps the first reason, so this only
             // adds the mid-run failures (in their checkpointed order).
-            degraded.push(*net, reason.clone());
-            design.set_failed(*net);
+            self.fail(*net, reason.clone());
         }
+        // The pending queue is restored verbatim (an interrupted net
+        // sits at the front), not recomputed from the ordering: rip-up
+        // reshuffles the queue as a run progresses, so only the
+        // checkpointed order reproduces the uninterrupted run.
+        self.queue = resume.pending.iter().copied().collect();
+        self.rips_left = resume.rips_left;
+        self.retries = resume.retries.iter().copied().collect();
         // Restored verbatim: the floating-point duplication-cost sum
         // follows this list's order, so reordering it would change
         // routing decisions versus the uninterrupted run.
-        self.unrouted_cells = resume.unrouted.iter().map(|&(n, c)| (n, c)).collect();
-        self.rip_exclusions = resume
-            .exclusions
-            .iter()
-            .map(|(n, v)| (*n, v.clone()))
-            .collect();
+        self.unrouted_cells = resume.unrouted.clone();
+        self.rip_exclusions = resume.exclusions.iter().cloned().collect();
         self.stats = resume.stats;
         Ok(())
     }
 
-    /// Re-applies a checkpointed route's grid occupancy exactly as
-    /// [`LevelBRouter::commit_path`] produced it: segments occupy their
-    /// runs on the plane their layer names, and metal3–metal4 vias
-    /// (corners and attachment ties) occupy both planes at their cell.
-    /// Terminal via stacks (lower layer below metal3) never touched
-    /// grid state, so they are skipped.
-    fn replay_route(&mut self, net: NetId, route: &NetRoute) {
-        for seg in &route.segs {
+    /// Writes wiring to the grid as `net`'s — the one writer of routed
+    /// wiring, so a route replayed from a checkpoint occupies exactly
+    /// the cells its commit did. Each segment occupies its run on the
+    /// plane of its direction (metal3 horizontal, metal4 vertical), and
+    /// each metal3–metal4 via (a corner or an attachment tie) occupies
+    /// both planes at its cell. Terminal via stacks reach below metal3
+    /// and are skipped: the grid build reserved the terminal cells.
+    fn occupy(&mut self, net: NetId, segs: &[RouteSeg], vias: &[Via]) {
+        for seg in segs {
             let (Some(a), Some(b)) = (self.grid.snap(seg.a()), self.grid.snap(seg.b())) else {
                 continue;
             };
-            match seg.dir() {
-                Dir::Horizontal => self.grid.occupy_run(Dir::Horizontal, a.1, a.0, b.0, net.0),
-                Dir::Vertical => self.grid.occupy_run(Dir::Vertical, a.0, a.1, b.1, net.0),
-            }
+            let (track, from, to) = match seg.dir() {
+                Dir::Horizontal => (a.1, a.0, b.0),
+                Dir::Vertical => (a.0, a.1, b.1),
+            };
+            self.grid.occupy_run(seg.dir(), track, from, to, net.0);
         }
-        for via in &route.vias {
+        for via in vias {
             if via.lower != Layer::Metal3 || via.upper != Layer::Metal4 {
                 continue;
             }
             if let Some((i, j)) = self.grid.snap(via.at) {
-                self.grid
-                    .set_state(Dir::Horizontal, i, j, CellState::Used(net.0));
-                self.grid
-                    .set_state(Dir::Vertical, i, j, CellState::Used(net.0));
+                for d in Dir::BOTH {
+                    self.grid.set_state(d, i, j, CellState::Used(net.0));
+                }
             }
         }
     }
 
     /// Serializes the run's current state into the checkpoint file named
     /// by `spec`, overwriting the previous checkpoint.
-    fn write_checkpoint_file(
-        &self,
-        spec: &CheckpointSpec,
-        design: &RoutedDesign,
-        degraded: &Degradation,
-        queue: &std::collections::VecDeque<NetId>,
-        rips_left: usize,
-        retries: &std::collections::HashMap<u32, usize>,
-    ) -> Result<(), RouteError> {
+    fn write_checkpoint_file(&self, spec: &CheckpointSpec) -> Result<(), RouteError> {
         let _span = ocr_obs::span("ckpt.write");
         let routed: Vec<(NetId, NetRoute)> = self
             .nets
             .iter()
-            .filter_map(|&n| design.route(n).map(|r| (n, r.clone())))
+            .filter_map(|&n| self.design.route(n).map(|r| (n, r.clone())))
             .collect();
-        let failed: Vec<(NetId, String)> = design
+        let failed: Vec<(NetId, String)> = self
+            .design
             .failed
             .iter()
             .map(|&n| {
-                let reason = degraded.reason(n).unwrap_or(&DegradeReason::Unroutable);
+                let reason = self
+                    .degraded
+                    .reason(n)
+                    .unwrap_or(&DegradeReason::Unroutable);
                 (n, reason_token(reason))
             })
             .collect();
@@ -596,66 +587,46 @@ impl<'a> LevelBRouter<'a> {
             .map(|(&n, v)| (NetId(n), v.iter().map(|&x| NetId(x)).collect()))
             .collect();
         exclusions.sort_by_key(|(n, _)| n.0);
-        let mut retry_pairs: Vec<(NetId, u64)> = retries
+        let mut retries: Vec<(NetId, u64)> = self
+            .retries
             .iter()
             .filter(|&(_, &c)| c > 0)
             .map(|(&n, &c)| (NetId(n), c as u64))
             .collect();
-        retry_pairs.sort_by_key(|(n, _)| n.0);
+        retries.sort_by_key(|(n, _)| n.0);
         let doc = CheckpointDoc {
             flow: spec.flow.clone(),
             chip_hash: spec.chip_hash,
             salvage: self.config.salvage,
             steps: self.control.steps(),
-            rips_left: rips_left as u64,
+            rips_left: self.rips_left as u64,
             stats: stats_to_pairs(&self.stats),
             routed,
             failed,
-            pending: queue.iter().copied().collect(),
+            pending: self.queue.iter().copied().collect(),
             unrouted: self
                 .unrouted_cells
                 .iter()
                 .map(|&(n, (i, j))| (n, i, j))
                 .collect(),
             exclusions,
-            retries: retry_pairs,
+            retries,
         };
         let text = write_checkpoint(self.layout, &doc);
         write_checkpoint_text(&spec.path, &text)
     }
 
-    /// Removes a route's wiring from the grid (rip-up or failed-net
-    /// rollback), restoring the net's terminal reservations and its
-    /// entries in the unrouted-terminal list.
-    fn clear_occupancy(&mut self, net: NetId, route: &NetRoute) {
-        for seg in &route.segs {
-            let (Some(a), Some(b)) = (self.grid.snap(seg.a()), self.grid.snap(seg.b())) else {
-                continue;
-            };
-            // Segment endpoints carry the routing direction, not a
-            // coordinate order: a branch routed toward the Steiner
-            // attachment runs high-to-low as often as not. Normalize
-            // before freeing — an empty `hi..=lo` range here silently
-            // leaves every cell of the span `Used`, and the ripped net
-            // haunts the grid as phantom blockage.
-            match seg.dir() {
-                Dir::Horizontal => {
-                    let (lo, hi) = (a.0.min(b.0), a.0.max(b.0));
-                    for i in lo..=hi {
-                        self.grid
-                            .set_state(Dir::Horizontal, i, a.1, CellState::Free);
-                    }
-                }
-                Dir::Vertical => {
-                    let (lo, hi) = (a.1.min(b.1), a.1.max(b.1));
-                    for j in lo..=hi {
-                        self.grid.set_state(Dir::Vertical, a.0, j, CellState::Free);
-                    }
-                }
-            }
-        }
-        for via in &route.vias {
-            if let Some((i, j)) = self.grid.snap(via.at) {
+    /// Erases `net`'s wiring from the grid — the one eraser, for a
+    /// failed or interrupted attempt, a rip-up victim and a panicked net
+    /// alike. A sweep frees every cell the net holds, so it needs no
+    /// route object and reaches wiring a panic left half committed;
+    /// then the net's terminal reservations and its entries in the
+    /// unrouted-terminal list are restored. The sweep is one pass over
+    /// the grid, paid only when a net fails, is ripped, panics or is
+    /// interrupted.
+    fn scrub_net(&mut self, net: NetId) {
+        for j in 0..self.grid.nh() {
+            for i in 0..self.grid.nv() {
                 for d in Dir::BOTH {
                     if matches!(self.grid.state(d, i, j), CellState::Used(n) if n == net.0) {
                         self.grid.set_state(d, i, j, CellState::Free);
@@ -663,12 +634,6 @@ impl<'a> LevelBRouter<'a> {
                 }
             }
         }
-        self.restore_terminals(net);
-    }
-
-    /// Re-reserves a net's terminal cells and re-enters them in the
-    /// unrouted-terminal list after its wiring was removed from the grid.
-    fn restore_terminals(&mut self, net: NetId) {
         for &pid in &self.layout.net(net).pins {
             let Some(cell) = self.grid.snap(self.layout.pin(pid).position) else {
                 continue;
@@ -690,24 +655,6 @@ impl<'a> LevelBRouter<'a> {
         }
     }
 
-    /// Removes *every* cell owned by `net` from the grid with a full
-    /// sweep, then restores its terminal reservations. The rollback of
-    /// last resort: a panic mid-`route_net` leaves partially committed
-    /// wiring with no route object to walk, so `clear_occupancy` cannot
-    /// reach it.
-    fn scrub_net(&mut self, net: NetId) {
-        for j in 0..self.grid.nh() {
-            for i in 0..self.grid.nv() {
-                for d in Dir::BOTH {
-                    if matches!(self.grid.state(d, i, j), CellState::Used(n) if n == net.0) {
-                        self.grid.set_state(d, i, j, CellState::Free);
-                    }
-                }
-            }
-        }
-        self.restore_terminals(net);
-    }
-
     /// Victims previously ripped for `net` that its next soft-path
     /// probes must avoid. Cleared when the net routes successfully, so
     /// this is empty for every routed net.
@@ -720,7 +667,7 @@ impl<'a> LevelBRouter<'a> {
 
     /// Routes one net (two-terminal directly, multi-terminal through the
     /// Steiner decomposition) and commits its wiring to the grid.
-    pub fn route_net(&mut self, net: NetId) -> Result<NetRoute, RouteError> {
+    fn route_net(&mut self, net: NetId) -> Result<NetRoute, RouteError> {
         let _span = ocr_obs::span("level_b.route_net");
         // Chaos hook: an armed plan may panic or stall here to exercise
         // salvage isolation. Disarmed, this is a no-op.
@@ -760,7 +707,7 @@ impl<'a> LevelBRouter<'a> {
                 Err(e) => {
                     // Roll back this net's partial wiring so a failed
                     // net leaves no debris on the grid.
-                    self.clear_occupancy(net, &route);
+                    self.scrub_net(net);
                     return Err(e);
                 }
             }
@@ -1031,44 +978,30 @@ impl<'a> LevelBRouter<'a> {
         Err(RouteError::Unroutable { net })
     }
 
-    /// Commits a selected path: occupies the grid and appends geometry.
+    /// Commits a selected path: appends its geometry to `route` and
+    /// occupies the grid with it.
     fn commit_path(&mut self, net: NetId, path: &CandidatePath, route: &mut NetRoute) {
+        let (first_seg, first_via) = (route.segs.len(), route.vias.len());
         let pts = &path.points;
         for (r, &(dir, _track)) in path.tracks.iter().enumerate() {
             let (a, b) = (pts[r], pts[r + 1]);
-            if a == b {
-                continue;
-            }
-            let (ai, aj) = self.grid.snap(a).expect("path point on grid");
-            let (bi, bj) = self.grid.snap(b).expect("path point on grid");
-            match dir {
-                Dir::Horizontal => {
-                    self.grid.occupy_run(Dir::Horizontal, aj, ai, bi, net.0);
-                    route.segs.push(RouteSeg::new(a, b, Layer::Metal3));
-                }
-                Dir::Vertical => {
-                    self.grid.occupy_run(Dir::Vertical, ai, aj, bj, net.0);
-                    route.segs.push(RouteSeg::new(a, b, Layer::Metal4));
-                }
+            if a != b {
+                let layer = match dir {
+                    Dir::Horizontal => Layer::Metal3,
+                    Dir::Vertical => Layer::Metal4,
+                };
+                route.segs.push(RouteSeg::new(a, b, layer));
             }
         }
-        // Corner vias between consecutive non-empty runs; corners occupy
-        // both planes.
+        // Corner vias between consecutive non-empty runs.
         for c in 1..pts.len() - 1 {
-            let prev_empty = pts[c - 1] == pts[c];
-            let next_empty = pts[c] == pts[c + 1];
-            if prev_empty || next_empty {
-                continue;
+            if pts[c - 1] != pts[c] && pts[c] != pts[c + 1] {
+                route
+                    .vias
+                    .push(Via::new(pts[c], Layer::Metal3, Layer::Metal4));
             }
-            let (i, j) = self.grid.snap(pts[c]).expect("corner on grid");
-            self.grid
-                .set_state(Dir::Horizontal, i, j, CellState::Used(net.0));
-            self.grid
-                .set_state(Dir::Vertical, i, j, CellState::Used(net.0));
-            route
-                .vias
-                .push(Via::new(pts[c], Layer::Metal3, Layer::Metal4));
         }
+        self.occupy(net, &route.segs[first_seg..], &route.vias[first_via..]);
     }
 
     /// Ensures the branch's arrival run is electrically tied to the
@@ -1091,9 +1024,6 @@ impl<'a> LevelBRouter<'a> {
             }
         });
         let Some(arrival) = arrival_dir else { return };
-        let Some((i, j)) = self.grid.snap(attach) else {
-            return;
-        };
         let other = arrival.perp();
         // The other plane counts only if actual *wiring* runs there —
         // a terminal cell's both-plane reservation alone does not (its
@@ -1103,13 +1033,10 @@ impl<'a> LevelBRouter<'a> {
         if other_wired && !arrival_used_before {
             // Branch arrives on one plane; component wiring may be on
             // the other. A via ties them (idempotent via dedup later).
-            self.grid
-                .set_state(Dir::Horizontal, i, j, CellState::Used(net.0));
-            self.grid
-                .set_state(Dir::Vertical, i, j, CellState::Used(net.0));
             route
                 .vias
                 .push(Via::new(attach, Layer::Metal3, Layer::Metal4));
+            self.occupy(net, &[], &route.vias[route.vias.len() - 1..]);
         }
     }
 }
@@ -1731,6 +1658,96 @@ mod tests {
             .all(|d| d.reason == DegradeReason::Unroutable));
         assert_eq!(res.degraded.salvaged_routes, 1);
         assert!(ocr_verify::verify(&l, &res.design).is_clean());
+    }
+
+    /// A seeded dense instance: `nets` nets of two to four pins on
+    /// distinct points of a 20-unit lattice, among walls sealing both
+    /// planes.
+    fn dense_instance(seed: u64, nets: usize) -> (Layout, Vec<NetId>) {
+        let mut state = seed;
+        let mut below = |bound: i64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as i64 % bound
+        };
+        let mut l = Layout::new(Rect::new(0, 0, 400, 400));
+        for _ in 0..6 {
+            let (x, y) = (below(18) * 20 + 5, below(18) * 20 + 5);
+            let (w, h) = if below(2) == 0 { (90, 10) } else { (10, 90) };
+            l.add_obstacle(Obstacle::new(
+                Rect::new(x, y, x + w, y + h),
+                LayerSet::level_b(),
+            ));
+        }
+        let mut taken = std::collections::HashSet::new();
+        let mut ids = Vec::new();
+        while ids.len() < nets {
+            let pins = 2 + below(3) as usize;
+            let pts: Vec<Point> = (0..pins)
+                .map(|_| Point::new(below(21) * 20, below(21) * 20))
+                .collect();
+            let blocked = |p: &Point| l.obstacles.iter().any(|o| o.rect.contains(*p));
+            if pts.iter().any(|p| taken.contains(p) || blocked(p)) {
+                continue;
+            }
+            taken.extend(pts.iter().copied());
+            let n = l.add_net(format!("d{}", ids.len()), NetClass::Signal);
+            for p in pts {
+                l.add_pin(n, None, p, Layer::Metal2);
+            }
+            ids.push(n);
+        }
+        (l, ids)
+    }
+
+    fn assert_same_cells(got: &GridModel, want: &GridModel, what: &str) {
+        assert_eq!((got.nv(), got.nh()), (want.nv(), want.nh()), "{what}");
+        for d in Dir::BOTH {
+            for j in 0..got.nh() {
+                for i in 0..got.nv() {
+                    assert_eq!(
+                        got.state(d, i, j),
+                        want.state(d, i, j),
+                        "{what}: {d:?} plane, cell ({i}, {j})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The property resume rests on: the eraser removes exactly what the
+    /// commits (MBFS paths, maze fallbacks, attachment ties) wrote, and
+    /// `occupy` puts a committed route back on exactly those cells.
+    #[test]
+    fn erasing_and_reoccupying_the_routes_reproduces_both_grids() {
+        let (l, nets) = dense_instance(2, 30);
+        let config = || LevelBConfig {
+            ordering: crate::order::NetOrdering::User(nets.clone()),
+            ..LevelBConfig::default()
+        };
+        let mut router = LevelBRouter::new(&l, &nets, config()).expect("router");
+        let res = router.route_all().expect("route_all");
+        assert!(res.stats.maze_fallbacks >= 1, "{:?}", res.stats);
+        assert_eq!(res.stats.rips, 0, "so commit order is net order");
+        let committed: Vec<(NetId, &NetRoute)> = nets
+            .iter()
+            .filter_map(|&n| res.design.route(n).map(|r| (n, r)))
+            .collect();
+        assert!(
+            committed.iter().any(|&(n, _)| l.net(n).pins.len() > 2),
+            "a multi-terminal net routed"
+        );
+        let routed = router.grid().clone();
+        for &(net, _) in &committed {
+            router.scrub_net(net);
+        }
+        let fresh = LevelBRouter::new(&l, &nets, config()).expect("router");
+        assert_same_cells(router.grid(), fresh.grid(), "every routed net erased");
+        for &(net, route) in &committed {
+            router.occupy(net, &route.segs, &route.vias);
+        }
+        assert_same_cells(router.grid(), &routed, "every route occupied again");
     }
 
     #[test]

@@ -574,20 +574,6 @@ impl GridModel {
         (used, congested)
     }
 
-    /// Fraction of intersections that are free on plane `dir` (1.0 for an
-    /// empty grid). Useful for reporting and tests.
-    pub fn free_fraction(&self, dir: Dir) -> f64 {
-        let total = self.state[dir.index()].len();
-        if total == 0 {
-            return 1.0;
-        }
-        let free = self.state[dir.index()]
-            .iter()
-            .filter(|s| s.is_free())
-            .count();
-        free as f64 / total as f64
-    }
-
     /// Manhattan distance between two intersections in physical units.
     pub fn distance(&self, a: (usize, usize), b: (usize, usize)) -> Coord {
         ocr_geom::manhattan(self.point(a.0, a.1), self.point(b.0, b.1))
@@ -616,8 +602,13 @@ mod tests {
     #[test]
     fn fresh_grid_is_all_free() {
         let g = grid5();
-        assert_eq!(g.free_fraction(Dir::Horizontal), 1.0);
-        assert_eq!(g.free_fraction(Dir::Vertical), 1.0);
+        for d in Dir::BOTH {
+            for j in 0..g.nh() {
+                for i in 0..g.nv() {
+                    assert!(g.is_free(d, i, j), "{d:?} ({i}, {j})");
+                }
+            }
+        }
     }
 
     #[test]

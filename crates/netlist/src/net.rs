@@ -100,13 +100,6 @@ impl Net {
     pub fn pin_count(&self) -> usize {
         self.pins.len()
     }
-
-    /// `true` if the net has more than two terminals and therefore goes
-    /// through the Steiner-tree decomposition.
-    #[inline]
-    pub fn is_multi_terminal(&self) -> bool {
-        self.pins.len() > 2
-    }
 }
 
 impl fmt::Display for Net {
@@ -137,14 +130,5 @@ mod tests {
         assert!(NetClass::Clock.is_level_a_default());
         assert!(!NetClass::Signal.is_level_a_default());
         assert!(!NetClass::Power.is_level_a_default());
-    }
-
-    #[test]
-    fn multi_terminal_detection() {
-        let mut n = Net::new("n", NetClass::Signal);
-        n.pins = vec![PinId(0), PinId(1)];
-        assert!(!n.is_multi_terminal());
-        n.pins.push(PinId(2));
-        assert!(n.is_multi_terminal());
     }
 }

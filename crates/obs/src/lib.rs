@@ -192,12 +192,6 @@ pub fn current() -> Option<Collector> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-/// `true` when a collector is installed on this thread (telemetry calls
-/// will record).
-pub fn is_active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
 /// An in-flight scoped span; records its wall-clock interval into the
 /// collector that was current at creation when dropped. Inert (and
 /// free) when no collector was installed.
@@ -505,7 +499,7 @@ mod tests {
 
     #[test]
     fn no_collector_means_no_op() {
-        assert!(!is_active());
+        assert!(current().is_none());
         let _s = span("ignored");
         count("ignored", 7);
         assert!(current().is_none());
@@ -551,7 +545,7 @@ mod tests {
         let c = Collector::new();
         let result = std::panic::catch_unwind(|| with_collector(&c, || panic!("boom")));
         assert!(result.is_err());
-        assert!(!is_active());
+        assert!(current().is_none());
     }
 
     #[test]
