@@ -61,7 +61,9 @@ impl RunSession {
 /// types. Produced by [`resume_from_doc`].
 #[derive(Clone, Debug)]
 pub struct LevelBResume {
-    /// Committed routes, in commit order.
+    /// Committed routes, in the order of the Level B net set (not
+    /// commit order: routes hold disjoint cells, so the order they are
+    /// occupied in does not change the grid).
     pub routed: Vec<(NetId, NetRoute)>,
     /// Failed nets with their reasons, in failure order.
     pub failed: Vec<(NetId, DegradeReason)>,

@@ -15,7 +15,7 @@
 //! steps 27                     # run-control steps charged so far
 //! rips-left 14
 //! stat nets_routed 0           # router counters, one per field
-//! routed n3                    # committed nets, in commit order
+//! routed n3                    # committed nets, in net-set order
 //! wire n3 metal3 40 80 160 80  # geometry: the routes file's codec
 //! via n3 metal3 metal4 160 80
 //! failed n9 unroutable         # failed nets with their reason token
@@ -55,7 +55,7 @@ pub struct CheckpointDoc {
     pub rips_left: u64,
     /// Router counters by field name.
     pub stats: Vec<(String, i64)>,
-    /// Committed routes, in commit order.
+    /// Committed routes, in the order of the Level B net set.
     pub routed: Vec<(NetId, NetRoute)>,
     /// Failed nets with their degradation reason token, in order.
     pub failed: Vec<(NetId, String)>,
