@@ -277,8 +277,9 @@ impl<'a> LevelBRouter<'a> {
     /// byte-identical to an uninterrupted one.
     pub fn route_all_with(&mut self, session: &RunSession) -> Result<LevelBResult, RouteError> {
         let result = self.route_queue(session);
-        // The maze buffers scale with the die (about 9 MB on the ×8
-        // chip); a router kept alive after the run should not hold them.
+        // The maze buffers scale with the die (6.7 MB on the ×8 chip); a
+        // router kept alive after the run should not hold them.
+        ocr_obs::count_max("level_b.maze_bytes", self.scratch.maze.node_bytes() as u64);
         self.scratch.maze.release();
         result
     }
@@ -307,6 +308,10 @@ impl<'a> LevelBRouter<'a> {
         ] {
             ocr_obs::count(name, 0);
         }
+        // The working-set gauges: the occupancy arrays now, the maze
+        // buffers as the run leaves them.
+        ocr_obs::count_max("level_b.grid_bytes", self.grid.occupancy_bytes() as u64);
+        ocr_obs::count_max("level_b.maze_bytes", 0);
         if let Some(resume) = session.resume.as_ref().filter(|r| !r.is_fresh()) {
             let _span = ocr_obs::span("ckpt.load");
             self.seed_from_resume(resume)?;

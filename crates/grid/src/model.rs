@@ -58,6 +58,48 @@ impl fmt::Display for CellState {
     }
 }
 
+/// One cell's occupancy on one plane, packed into a `u32`: 0 is
+/// [`CellState::Free`], [`Cell::BLOCKED`] is [`CellState::Blocked`] and
+/// `n + 1` is [`CellState::Used`]`(n)`. Every net id up to
+/// [`Cell::MAX_NET`] has a code.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Cell(u32);
+
+impl Cell {
+    const FREE: Cell = Cell(0);
+    const BLOCKED: Cell = Cell(u32::MAX);
+    /// The largest net id with a code: `n + 1` must stay below
+    /// [`Cell::BLOCKED`].
+    const MAX_NET: u32 = u32::MAX - 2;
+
+    /// The code of `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is `Used(n)` with `n > Cell::MAX_NET`.
+    #[inline]
+    fn encode(s: CellState) -> Cell {
+        match s {
+            CellState::Free => Cell::FREE,
+            CellState::Blocked => Cell::BLOCKED,
+            CellState::Used(n) => {
+                assert!(n <= Cell::MAX_NET, "net id {n} has no occupancy code");
+                Cell(n + 1)
+            }
+        }
+    }
+
+    /// The state `self` codes.
+    #[inline]
+    fn decode(self) -> CellState {
+        match self {
+            Cell::FREE => CellState::Free,
+            Cell::BLOCKED => CellState::Blocked,
+            Cell(c) => CellState::Used(c - 1),
+        }
+    }
+}
+
 /// One plane's occupancy as a packed bitset: bit = 1 ⇔ the cell is
 /// [`CellState::Free`].
 ///
@@ -200,14 +242,18 @@ impl BitPlane {
 /// The bit planes add `h·v/4` bytes to the `O(h·v)` state and one bit
 /// write per plane to each `O(1)` cell update, so the §3.4 bounds
 /// still hold.
+///
+/// Each cell's state is stored as one `u32` per plane ([`Cell`]): 0 is
+/// [`CellState::Free`], `u32::MAX` is [`CellState::Blocked`] and
+/// `n + 1` is [`CellState::Used`]`(n)`, half the bytes of the enum.
 #[derive(Clone, Debug)]
 pub struct GridModel {
     region: Rect,
     h: TrackSet,
     v: TrackSet,
-    /// Occupancy, indexed `[dir][j * nv + i]` where `i` is the vertical
-    /// track index (x) and `j` the horizontal track index (y).
-    state: [Vec<CellState>; 2],
+    /// Occupancy codes, indexed `[dir][j * nv + i]` where `i` is the
+    /// vertical track index (x) and `j` the horizontal track index (y).
+    state: [Vec<Cell>; 2],
     /// Free-bit view of `state`, one plane each, row-major along each
     /// plane's own tracks.
     bits: [BitPlane; 2],
@@ -235,7 +281,7 @@ impl GridModel {
             region,
             h,
             v,
-            state: [vec![CellState::Free; n], vec![CellState::Free; n]],
+            state: [vec![Cell::FREE; n], vec![Cell::FREE; n]],
             bits,
             tbits,
         }
@@ -306,18 +352,19 @@ impl GridModel {
     /// Panics if an index is out of range.
     #[inline]
     pub fn state(&self, dir: Dir, i: usize, j: usize) -> CellState {
-        self.state[dir.index()][self.idx(i, j)]
+        self.state[dir.index()][self.idx(i, j)].decode()
     }
 
     /// Sets occupancy of intersection `(i, j)` on plane `dir`.
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of range.
+    /// Panics if an index is out of range, or if `s` is `Used(n)` with
+    /// `n ≥ u32::MAX − 1`: those ids have no occupancy code.
     #[inline]
     pub fn set_state(&mut self, dir: Dir, i: usize, j: usize, s: CellState) {
         let idx = self.idx(i, j);
-        self.state[dir.index()][idx] = s;
+        self.state[dir.index()][idx] = Cell::encode(s);
         let (row, k) = match dir {
             Dir::Horizontal => (j, i),
             Dir::Vertical => (i, j),
@@ -393,7 +440,8 @@ impl GridModel {
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
+    /// Panics if any index is out of range, or if `net ≥ u32::MAX − 1`
+    /// (see [`GridModel::set_state`]).
     pub fn occupy_run(&mut self, dir: Dir, track: usize, from: usize, to: usize, net: u32) {
         let (lo, hi) = (from.min(to), from.max(to));
         for k in lo..=hi {
@@ -565,13 +613,23 @@ impl GridModel {
                 while busy != 0 {
                     let idx = self.idx(w * 64 + busy.trailing_zeros() as usize, j);
                     busy &= busy - 1;
-                    if self.state[0][idx].is_used() || self.state[1][idx].is_used() {
+                    let [h, v] = &self.state;
+                    if h[idx].decode().is_used() || v[idx].decode().is_used() {
                         used += 1;
                     }
                 }
             }
         }
         (used, congested)
+    }
+
+    /// Bytes held by the occupancy codes of both planes (the bit planes
+    /// not included).
+    pub fn occupancy_bytes(&self) -> usize {
+        self.state
+            .iter()
+            .map(|s| s.len() * std::mem::size_of::<Cell>())
+            .sum()
     }
 
     /// Manhattan distance between two intersections in physical units.
@@ -943,6 +1001,51 @@ mod tests {
         g.set_state(Dir::Horizontal, 64, 64, CellState::Free);
         g.set_state(Dir::Vertical, 63, 65, CellState::Blocked);
         g.set_state(Dir::Vertical, 128, 69, CellState::Used(9));
+        assert_bit_planes_match_state(&g);
+    }
+
+    #[test]
+    fn every_cell_state_round_trips_through_its_code_on_both_planes() {
+        let mut g = grid5();
+        let states = [
+            CellState::Used(0),
+            CellState::Blocked,
+            CellState::Used(u32::MAX - 2),
+            CellState::Free,
+            CellState::Used(7),
+        ];
+        for dir in Dir::BOTH {
+            // Each cell of a diagonal goes through every state, so its
+            // free bits are set and cleared in both directions.
+            for shift in 0..states.len() {
+                for k in 0..5 {
+                    let s = states[(k + shift) % states.len()];
+                    g.set_state(dir, k, 4 - k, s);
+                    assert_eq!(g.state(dir, k, 4 - k), s, "{dir:?} cell {k}");
+                }
+                assert_bit_planes_match_state(&g);
+            }
+        }
+        // The last round left each plane's diagonal in the same states.
+        for k in 0..5 {
+            let s = states[(k + states.len() - 1) % states.len()];
+            for dir in Dir::BOTH {
+                assert_eq!(g.state(dir, k, 4 - k), s, "{dir:?} cell {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn net_ids_without_a_code_panic_and_leave_the_cell_as_it_was() {
+        let mut g = grid5();
+        g.set_state(Dir::Vertical, 1, 2, CellState::Used(3));
+        for id in [u32::MAX - 1, u32::MAX] {
+            let set = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                g.set_state(Dir::Vertical, 1, 2, CellState::Used(id));
+            }));
+            assert!(set.is_err(), "Used({id}) has no code");
+            assert_eq!(g.state(Dir::Vertical, 1, 2), CellState::Used(3));
+        }
         assert_bit_planes_match_state(&g);
     }
 

@@ -15,8 +15,11 @@
 //! `O(area)` grid cells per connection, while the TIG search touches
 //! `O(tracks)` vertices.
 //!
-//! A wave needs a distance and a predecessor per (cell, plane) node of
-//! the whole grid. [`MazeScratch`] keeps those buffers between waves:
+//! A wave needs a distance and a way back per (cell, plane) node of the
+//! whole grid. The way back is a one-byte move code, as in Akers' coded
+//! Lee wave (1967), not a node address: a node's predecessor is always
+//! one of its two neighbours along its plane or the same cell on the
+//! other plane. [`MazeScratch`] keeps those buffers between waves:
 //! the `_with` variants ([`route_maze_with`], [`find_soft_path_with`])
 //! allocate them once per grid size and, after each wave, reset only the
 //! entries it set. The plain calls use a fresh scratch each time.
@@ -127,18 +130,36 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-/// The reusable buffers of the maze wave: a distance and a predecessor
+/// The move that reached a wave node from its predecessor, which names
+/// the predecessor in one byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+enum Move {
+    /// No predecessor: the node is a source, or the wave has not set it.
+    Unset,
+    /// From the cell at `i - 1`, along the horizontal plane.
+    East,
+    /// From the cell at `i + 1`, along the horizontal plane.
+    West,
+    /// From the cell at `j - 1`, along the vertical plane.
+    North,
+    /// From the cell at `j + 1`, along the vertical plane.
+    South,
+    /// From the same cell on the other plane.
+    Via,
+}
+
+/// The reusable buffers of the maze wave: a distance and a move code
 /// per (cell, plane) node of one grid, and the wave's heap.
 ///
-/// Between waves every distance is `Coord::MAX` and every predecessor
-/// unset. A wave records each node whose distance it sets and restores
-/// just those when it ends, on every exit, so the next wave on a grid
-/// of the same size starts without a fill. A grid of another size
-/// reallocates.
+/// Between waves every distance is `Coord::MAX` and every move unset. A
+/// wave records each node whose distance it sets and restores just
+/// those when it ends, on every exit, so the next wave on a grid of the
+/// same size starts without a fill. A grid of another size reallocates.
 #[derive(Clone, Debug, Default)]
 pub struct MazeScratch {
     dist: Vec<Coord>,
-    prev: Vec<u32>,
+    moves: Vec<Move>,
     /// Nodes whose distance the running wave has set.
     touched: Vec<u32>,
     heap: BinaryHeap<QueueEntry>,
@@ -150,16 +171,24 @@ impl MazeScratch {
         MazeScratch::default()
     }
 
-    /// Drops the buffers (about 24 bytes per grid cell).
+    /// Drops the buffers (18 bytes per grid cell: a distance and a move
+    /// code on each plane).
     pub fn release(&mut self) {
         *self = MazeScratch::default();
+    }
+
+    /// Bytes held by the per-node buffers (distances and move codes);
+    /// 0 before the first wave and after [`MazeScratch::release`].
+    pub fn node_bytes(&self) -> usize {
+        self.dist.len() * std::mem::size_of::<Coord>()
+            + self.moves.len() * std::mem::size_of::<Move>()
     }
 
     /// Sizes the buffers for `nodes` wave nodes.
     fn prepare(&mut self, nodes: usize) {
         if self.dist.len() != nodes {
             self.dist = vec![Coord::MAX; nodes];
-            self.prev = vec![u32::MAX; nodes];
+            self.moves = vec![Move::Unset; nodes];
         }
     }
 
@@ -167,7 +196,7 @@ impl MazeScratch {
     fn reset(&mut self) {
         for &k in &self.touched {
             self.dist[k as usize] = Coord::MAX;
-            self.prev[k as usize] = u32::MAX;
+            self.moves[k as usize] = Move::Unset;
         }
         self.touched.clear();
         self.heap.clear();
@@ -420,7 +449,7 @@ fn wave_in(
             goal = Some(node);
             break;
         }
-        let mut relax = |ni: usize, nj: usize, np: usize, step: Coord| {
+        let mut relax = |ni: usize, nj: usize, np: usize, step: Coord, how: Move| {
             let Some(extra) = entry(ni, nj, np) else {
                 return;
             };
@@ -428,7 +457,7 @@ fn wave_in(
             let k = idx(ni, nj, np);
             if nd < scratch.dist[k] {
                 scratch.set_dist(k, nd);
-                scratch.prev[k] = idx(i, j, p) as u32;
+                scratch.moves[k] = how;
                 scratch.heap.push(QueueEntry {
                     priority: nd + h(ni, nj),
                     cost: nd,
@@ -440,37 +469,38 @@ fn wave_in(
             // Horizontal plane: move along x.
             let x = |i: usize| grid.v_tracks().offset(i);
             if i > 0 {
-                relax(i - 1, j, 0, x(i) - x(i - 1));
+                relax(i - 1, j, 0, x(i) - x(i - 1), Move::West);
             }
             if i + 1 < nv {
-                relax(i + 1, j, 0, x(i + 1) - x(i));
+                relax(i + 1, j, 0, x(i + 1) - x(i), Move::East);
             }
         } else {
             // Vertical plane: move along y.
             let y = |j: usize| grid.h_tracks().offset(j);
             if j > 0 {
-                relax(i, j - 1, 1, y(j) - y(j - 1));
+                relax(i, j - 1, 1, y(j) - y(j - 1), Move::South);
             }
             if j + 1 < nh {
-                relax(i, j + 1, 1, y(j + 1) - y(j));
+                relax(i, j + 1, 1, y(j + 1) - y(j), Move::North);
             }
         }
         // Plane change (via).
-        relax(i, j, 1 - p, via_cost);
+        relax(i, j, 1 - p, via_cost, Move::Via);
     }
 
     let goal = goal.ok_or(MazeError::NoPath)?;
     let mut nodes = Vec::new();
-    let mut cur = idx(goal.0, goal.1, goal.2);
+    let (mut i, mut j, mut p) = goal;
     loop {
-        let p = cur % 2;
-        let rest = cur / 2;
-        nodes.push((rest % nv, rest / nv, plane_dir(p)));
-        let pr = scratch.prev[cur];
-        if pr == u32::MAX {
-            break;
+        nodes.push((i, j, plane_dir(p)));
+        match scratch.moves[idx(i, j, p)] {
+            Move::Unset => break,
+            Move::East => i -= 1,
+            Move::West => i += 1,
+            Move::North => j -= 1,
+            Move::South => j += 1,
+            Move::Via => p = 1 - p,
         }
-        cur = pr as usize;
     }
     nodes.reverse();
     Ok(Found {
@@ -774,7 +804,7 @@ mod tests {
     /// Asserts the between-waves invariant of a scratch.
     fn assert_reset(scratch: &MazeScratch) {
         assert!(scratch.dist.iter().all(|&d| d == Coord::MAX));
-        assert!(scratch.prev.iter().all(|&p| p == u32::MAX));
+        assert!(scratch.moves.iter().all(|&m| m == Move::Unset));
         assert!(scratch.touched.is_empty() && scratch.heap.is_empty());
     }
 
@@ -845,8 +875,12 @@ mod tests {
             no_path > 0 && blocked > 0,
             "{no_path} NoPath, {blocked} TerminalBlocked"
         );
+        // The last wave ran on the 7×7 wall grid: a distance and a move
+        // code per cell and plane.
+        assert_eq!(scratch.node_bytes(), 18 * 7 * 7);
         scratch.release();
         assert!(scratch.dist.is_empty());
+        assert_eq!(scratch.node_bytes(), 0);
     }
 
     #[test]

@@ -320,14 +320,18 @@ for threads in 1 ""; do (
 ); done
 rm -rf "$NS_DIR"
 
-echo "==> no panicking macros reachable from external input (crates/io, core ckpt/order, serve journal/intake/net)"
+echo "==> no panicking macros reachable from external input (crates/io, core ckpt/order, serve journal/intake/net) or in the Level B search (crates/grid, maze, core mbfs/pst/cost)"
 # The parsers take untrusted text — ocr-io formats, checkpoint reason
 # tokens and stat names, `order` names from spool and TCP jobs, journal
-# files, spool files and TCP bytes; their non-test code must contain no
+# files, spool files and TCP bytes — and every served chip runs through
+# the grid, the maze wave, the MBFS, path selection and its cost; their
+# non-test code must contain no
 # unwrap/expect/panic!/unreachable!/todo!/unimplemented!. (Everything
 # before the #[cfg(test)] marker.)
 for f in crates/io/src/*.rs crates/core/src/ckpt.rs crates/core/src/order.rs \
-    crates/serve/src/journal.rs crates/serve/src/intake.rs crates/serve/src/net.rs; do
+    crates/serve/src/journal.rs crates/serve/src/intake.rs crates/serve/src/net.rs \
+    crates/grid/src/*.rs crates/maze/src/lib.rs \
+    crates/core/src/mbfs.rs crates/core/src/pst.rs crates/core/src/cost.rs; do
     if sed -n '1,/#\[cfg(test)\]/p' "$f" \
         | grep -n '\.unwrap()\|\.expect(\|panic!(\|unreachable!(\|todo!(\|unimplemented!('; then
         echo "ci: panicking macro in $f non-test code" >&2

@@ -128,6 +128,40 @@ fn selection_work_counters_are_exact_at_any_worker_count() {
     }
 }
 
+/// The occupancy arrays hold 8 bytes per grid cell (a `u32` code per
+/// plane) and the maze buffers 18 (a distance and a move code per
+/// plane), sized by the first maze fallback or rip-up probe.
+fn assert_working_set_gauges(t: &obs::Telemetry) -> [u64; 2] {
+    let [grid, maze] = ["level_b.grid_bytes", "level_b.maze_bytes"].map(|name| {
+        t.counter(name)
+            .unwrap_or_else(|| panic!("missing counter `{name}`"))
+    });
+    assert!(grid > 0 && grid % 8 == 0, "{grid} occupancy bytes");
+    let waves = t
+        .aggregate()
+        .iter()
+        .any(|a| (a.name == "level_b.maze" || a.name == "level_b.probe") && a.count > 0);
+    let want = if waves { grid / 8 * 18 } else { 0 };
+    assert_eq!(maze, want, "maze bytes with {grid} occupancy bytes");
+    [grid, maze]
+}
+
+#[test]
+fn working_set_gauges_are_exact_at_any_worker_count() {
+    let gauges = |threads: usize| {
+        let (_, telemetry) = routes_text(
+            FlowKind::OverCell,
+            FlowOptions::new().telemetry(true),
+            threads,
+        );
+        assert_working_set_gauges(&telemetry.expect("telemetry attached"))
+    };
+    let at_one = gauges(1);
+    for threads in [2, 4] {
+        assert_eq!(gauges(threads), at_one, "{threads} threads");
+    }
+}
+
 /// Two nets contending for one gap in a wall across the die: the second
 /// net's searches fail in every window, its maze fallback fails, and the
 /// rip-up probe names the first net as the victim. That walks every
@@ -195,6 +229,7 @@ fn level_b_sub_spans_and_attempt_counters_are_recorded() {
             "counter `{counter}` never counted"
         );
     }
+    assert_working_set_gauges(&t);
 }
 
 #[test]
