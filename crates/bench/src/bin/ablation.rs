@@ -8,10 +8,14 @@
 //! * **dogleg splitting** in the Level A channel router, beside the
 //!   greedy column sweep and the four-layer layer-pair router on the
 //!   same random channels;
-//! * **maze fallback** — how often the (incomplete) MBFS needs rescue.
+//! * **maze fallback** — how often the (incomplete) MBFS needs rescue;
+//! * **ordering and rip-up under congestion** — the five orderings and
+//!   rip-up on and off on cell-free random instances dense enough that
+//!   nets fail.
 //!
 //! Each Level B ablation reports completion, wire length, corners and
-//! routing vias on the ami33-equivalent; the channel ablation reports
+//! routing vias on the ami33-equivalent; the congestion table reports
+//! failed nets, wire length and rips; the channel ablation reports
 //! tracks used against the density lower bound.
 
 use ocr_bench::rng::Rng;
@@ -21,7 +25,7 @@ use ocr_channel::{
 };
 use ocr_core::{
     config::LevelBConfig, cost::CostWeights, level_b::LevelBRouter, order::NetOrdering,
-    partition_nets, PartitionStrategy,
+    ordering_from_name, partition_nets, PartitionStrategy,
 };
 use ocr_gen::suite;
 use ocr_netlist::RouteMetrics;
@@ -43,6 +47,44 @@ fn level_b_ablation(name: &str, config: LevelBConfig) {
         res.stats.rips,
         res.stats.expanded_vertices,
     );
+}
+
+/// Routes `random_layout(1600, n, 13)` for n = 320 and 640 under each
+/// ordering with the default rip-up budget of 16, and under `longest`
+/// with rip-up off, and prints one row per run. The runs fan out on the
+/// `ocr-exec` pool and print in table order.
+fn congestion_ablation() {
+    let configs = [
+        ("longest", 16),
+        ("shortest", 16),
+        ("congestion", 16),
+        ("criticality", 16),
+        ("shuffle:1", 16),
+        ("longest", 0),
+    ];
+    let runs: Vec<(usize, &str, usize)> = [320, 640]
+        .into_iter()
+        .flat_map(|n| configs.iter().map(move |&(name, budget)| (n, name, budget)))
+        .collect();
+    let rows = ocr_exec::parallel_map(&runs, |&(n, name, budget)| {
+        let (layout, nets) = ocr_bench::random_layout(1600, n, 13);
+        let config = LevelBConfig {
+            ordering: ordering_from_name(name).expect("known ordering"),
+            rip_up_budget: budget,
+            ..LevelBConfig::default()
+        };
+        let mut router = LevelBRouter::new(&layout, &nets, config).expect("router");
+        let res = router.route_all().expect("route_all");
+        let m = RouteMetrics::of(&res.design, &layout);
+        (res.stats.nets_failed, m.wire_length, res.stats.rips)
+    });
+    println!(
+        "{:>5} {:<12} {:>6} {:>6} {:>8} {:>4}",
+        "nets", "order", "rip-up", "failed", "wl", "rips"
+    );
+    for (&(n, name, budget), (failed, wl, rips)) in runs.iter().zip(rows) {
+        println!("{n:>5} {name:<12} {budget:>6} {failed:>6} {wl:>8} {rips:>4}");
+    }
 }
 
 fn main() {
@@ -94,6 +136,10 @@ fn main() {
             ..LevelBConfig::default()
         },
     );
+
+    println!();
+    println!("== Congestion: ordering and rip-up (random_layout(1600, n, 13)) ==");
+    congestion_ablation();
 
     println!();
     println!("== Channel router ablation (random channels, tracks used) ==");

@@ -10,7 +10,7 @@
 //! `crates/bench/golden/budget_sweep.txt`.
 
 use ocr_bench::assert_clean;
-use ocr_core::{OverCellFlow, PartitionStrategy, RunSession};
+use ocr_core::{Flow, PartitionStrategy, RunSession};
 use ocr_exec::RunControl;
 use ocr_gen::suite;
 
@@ -24,11 +24,11 @@ fn main() {
         "budget", "A nets", "B nets", "area", "wl", "vias"
     );
     for budget in [usize::MAX, 24, 12, 6, 3, 0] {
-        let flow = OverCellFlow {
+        let flow = Flow {
             partition: PartitionStrategy::AreaBudget {
                 max_tracks_per_channel: budget,
             },
-            ..OverCellFlow::default()
+            ..Flow::default()
         };
         let res = flow.run(&chip.layout, &chip.placement).expect("flow");
         assert!(res.design.failed.is_empty(), "budget {budget}: failures");
@@ -59,7 +59,7 @@ fn main() {
     );
     for budget in [0u64, 25, 50, 100, 200, 400, u64::MAX] {
         let session = RunSession::with_control(RunControl::new().with_step_budget(budget));
-        let flow = OverCellFlow::default();
+        let flow = Flow::default();
         let res = flow
             .run_controlled(&chip.layout, &chip.placement, &session)
             .expect("a budget trip degrades, it does not error");

@@ -9,7 +9,7 @@
 //! same-direction layer pairs, plus same-layer adjacent-track
 //! parallelism within one pitch).
 
-use ocr_core::{FlowKind, OverCellFlow};
+use ocr_core::{Flow, FlowKind};
 use ocr_gen::suite;
 use ocr_netlist::coupling_report;
 
@@ -26,7 +26,7 @@ fn main() {
         let flows: Vec<(&str, ocr_core::FlowResult)> = vec![
             (
                 "over-cell",
-                OverCellFlow::default()
+                Flow::default()
                     .run(&chip.layout, &chip.placement)
                     .expect("over-cell"),
             ),

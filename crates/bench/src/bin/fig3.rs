@@ -2,7 +2,7 @@
 //! example, written as `fig3_ami33_level_b.svg` in the working
 //! directory (plus `fig3_ami33_full.svg` with Level A included).
 
-use ocr_core::OverCellFlow;
+use ocr_core::Flow;
 use ocr_gen::suite;
 use ocr_netlist::RoutedDesign;
 use ocr_render::render_svg;
@@ -10,7 +10,7 @@ use std::fs;
 
 fn main() {
     let chip = suite::ami33_like();
-    let flow = OverCellFlow::default();
+    let flow = Flow::default();
     let res = flow
         .run(&chip.layout, &chip.placement)
         .expect("over-cell flow routes ami33");

@@ -8,7 +8,7 @@
 //! Wall-clock time is perfbench's to measure.
 
 use ocr_bench::assert_clean;
-use ocr_core::{ordering_from_name, FlowKind, FlowOptions, OverCellFlow, RunSession};
+use ocr_core::{ordering_from_name, Flow, FlowKind, FlowOptions, RunSession};
 use ocr_exec::RunControl;
 use ocr_gen::suite;
 
@@ -39,9 +39,9 @@ fn main() {
             let steps = session.control.steps();
             println!("  {strategy:>14} {unrouted:>9} {steps:>9}");
         }
-        let flow = OverCellFlow {
+        let flow = Flow {
             options: FlowOptions::new().salvage(true),
-            ..OverCellFlow::default()
+            ..Flow::default()
         };
         let (res, report) = flow
             .run_portfolio(&chip.layout, &chip.placement, 4)

@@ -14,43 +14,13 @@
 //! `crates/bench/golden/scaling.txt`); perfbench times Level B on the
 //! suite chips.
 
+use ocr_bench::{fresh_point, random_layout};
 use ocr_core::steiner::rectilinear_mst_length;
 use ocr_core::{config::LevelBConfig, level_b::LevelBRouter};
 use ocr_gen::rng::Rng;
 use ocr_geom::{Layer, Point, Rect};
 use ocr_netlist::{Layout, NetClass, NetId};
 use std::collections::HashSet;
-
-/// Draws a point on the 10-unit lattice of `0..=side` not in `used`.
-fn fresh_point(rng: &mut Rng, side: i64, used: &mut HashSet<Point>) -> Point {
-    loop {
-        let p = Point::new(
-            rng.gen_range(0..=side / 10) * 10,
-            rng.gen_range(0..=side / 10) * 10,
-        );
-        if used.insert(p) {
-            return p;
-        }
-    }
-}
-
-/// A layout with `nets` random two-terminal nets on a `side`×`side` die.
-fn random_layout(side: i64, nets: usize, seed: u64) -> (Layout, Vec<NetId>) {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut layout = Layout::new(Rect::new(0, 0, side, side));
-    let mut used = HashSet::new();
-    let ids = (0..nets)
-        .map(|k| {
-            let net = layout.add_net(format!("n{k}"), NetClass::Signal);
-            for _ in 0..2 {
-                let p = fresh_point(&mut rng, side, &mut used);
-                layout.add_pin(net, None, p, Layer::Metal2);
-            }
-            net
-        })
-        .collect();
-    (layout, ids)
-}
 
 /// A layout with one `pins`-terminal net on a 2000×2000 die.
 fn fanout_layout(pins: usize, seed: u64) -> (Layout, NetId, Vec<Point>) {

@@ -4,23 +4,8 @@
 //! `crates/bench/golden/stress.txt`); perfbench's `scale8` workload
 //! times the ×8 chip.
 
-use ocr_core::OverCellFlow;
-use ocr_gen::{generate, BenchmarkSpec};
-
-fn spec(scale: usize) -> BenchmarkSpec {
-    BenchmarkSpec {
-        name: format!("ami33x{scale}"),
-        cells: 33 * scale,
-        rows: 5 * scale.min(4),
-        nets_level_a: 4 * scale,
-        avg_pins_level_a: 44.25,
-        nets_level_b: 119 * scale,
-        avg_pins_level_b: 2.55,
-        obstacles: 8 * scale,
-        locality: 0.15,
-        seed: 0xA3133 + scale as u64,
-    }
-}
+use ocr_core::Flow;
+use ocr_gen::{generate, suite};
 
 fn main() {
     println!(
@@ -28,8 +13,8 @@ fn main() {
         "chip", "cells", "nets", "pins", "area", "wl", "vias"
     );
     for scale in [1usize, 2, 4] {
-        let chip = generate(&spec(scale));
-        let res = OverCellFlow::default()
+        let chip = generate(&suite::stress(scale));
+        let res = Flow::default()
             .run(&chip.layout, &chip.placement)
             .expect("flow");
         assert!(res.design.failed.is_empty(), "{}: failures", chip.spec.name);

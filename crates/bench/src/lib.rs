@@ -26,8 +26,10 @@
 pub use ocr_gen::rng;
 
 use ocr_core::{run_analytic_four_layer_estimate, FlowKind, FlowResult};
-use ocr_gen::GeneratedChip;
-use ocr_netlist::RouteMetrics;
+use ocr_gen::{GeneratedChip, Rng};
+use ocr_geom::{Layer, Point, Rect};
+use ocr_netlist::{Layout, NetClass, NetId, RouteMetrics};
+use std::collections::HashSet;
 
 /// The three flows' results on one chip.
 #[derive(Debug)]
@@ -109,6 +111,39 @@ pub fn table2_row(name: &str, over: &RouteMetrics, base: &RouteMetrics) -> Strin
         "{name:<8} {:>10.1}% {:>10.1}% {:>10.1}%",
         red.layout_area, red.wire_length, red.vias
     )
+}
+
+/// Draws a point on the 10-unit lattice of `0..=side` not in `used`.
+pub fn fresh_point(rng: &mut Rng, side: i64, used: &mut HashSet<Point>) -> Point {
+    loop {
+        let p = Point::new(
+            rng.gen_range(0..=side / 10) * 10,
+            rng.gen_range(0..=side / 10) * 10,
+        );
+        if used.insert(p) {
+            return p;
+        }
+    }
+}
+
+/// A layout with `nets` random two-terminal nets on a `side`×`side` die
+/// with no cells: a bare Level B instance (the `scaling` work sweeps and
+/// the `ablation` congestion table).
+pub fn random_layout(side: i64, nets: usize, seed: u64) -> (Layout, Vec<NetId>) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut layout = Layout::new(Rect::new(0, 0, side, side));
+    let mut used = HashSet::new();
+    let ids = (0..nets)
+        .map(|k| {
+            let net = layout.add_net(format!("n{k}"), NetClass::Signal);
+            for _ in 0..2 {
+                let p = fresh_point(&mut rng, side, &mut used);
+                layout.add_pin(net, None, p, Layer::Metal2);
+            }
+            net
+        })
+        .collect();
+    (layout, ids)
 }
 
 /// The paper's Figure 1 instance (reconstructed): a 6×4-track Level B

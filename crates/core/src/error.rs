@@ -51,6 +51,10 @@ pub enum RouteError {
     /// net is attempted, so a bad config can never silently reorder the
     /// candidate ranking mid-run.
     InvalidWeights(crate::cost::WeightsError),
+    /// A Level B-only operation (the ordering
+    /// [portfolio](crate::portfolio)) was asked of a channel baseline,
+    /// which has no Level B stage.
+    NoLevelB(crate::flow::FlowKind),
 }
 
 impl fmt::Display for RouteError {
@@ -71,6 +75,7 @@ impl fmt::Display for RouteError {
             RouteError::Interrupted => f.write_str("routing interrupted by run control"),
             RouteError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             RouteError::InvalidWeights(e) => write!(f, "invalid cost weights: {e}"),
+            RouteError::NoLevelB(kind) => write!(f, "the {kind} flow has no Level B stage"),
         }
     }
 }

@@ -1,23 +1,26 @@
 //! Complete routing flows: the paper's proposed two-level over-cell
 //! methodology and the channel-only baselines it is compared against.
 //!
-//! Every flow implements the [`Flow`] trait and is named by a
-//! [`FlowKind`], so drivers dispatch generically — *any flow × any
-//! chip* — instead of matching on concrete types:
+//! There is one flow type, [`Flow`], named by a [`FlowKind`], so drivers
+//! dispatch generically — *any flow × any chip* — instead of matching on
+//! concrete types:
 //!
 //! ```
 //! # use ocr_core::flow::FlowKind;
 //! let flow = FlowKind::from_name("channel2").expect("known flow").build();
 //! ```
 //!
-//! * [`OverCellFlow`] (`"overcell"`) — the proposed router: net
-//!   partitioning, Level A channel routing on metal1/metal2, then Level
-//!   B over-cell routing on metal3/metal4 over the fixed topology.
-//! * [`ChannelFlow`] — the all-channel comparators: every net routed
-//!   through channels by one [`ChannelRouterKind`]. [`FlowKind::Channel2`]
-//!   is the Table 2 two-layer baseline, [`FlowKind::Channel3`] the HVH
-//!   comparator and [`FlowKind::Channel4`] the Table 3 real comparator
-//!   (the four-layer layer-pair decomposition).
+//! Every kind runs the same stage path: partition, then Level A channel routing with the kind's [`ChannelRouterKind`].
+//!
+//! * [`FlowKind::OverCell`] (`"overcell"`, the [`Flow::default`]) — the
+//!   proposed router: net partitioning, Level A on the two-layer
+//!   metal1/metal2 channel router, then Level B over-cell routing on
+//!   metal3/metal4 over the fixed topology.
+//! * The all-channel comparators put every net in set A and stop after
+//!   Level A. [`FlowKind::Channel2`] is the Table 2 two-layer baseline,
+//!   [`FlowKind::Channel3`] the HVH comparator and [`FlowKind::Channel4`]
+//!   the Table 3 real comparator (the four-layer layer-pair
+//!   decomposition).
 //! * [`run_analytic_four_layer_estimate`] — the paper's own Table 3
 //!   comparator: the two-layer result re-laid-out under the "optimistic
 //!   assumption" of half the tracks at the coarser four-layer pitch.
@@ -156,61 +159,21 @@ impl FlowOptions {
     }
 }
 
-/// A complete routing flow: given a layout and a row placement, produce
-/// a routed design with metrics (and optionally an oracle report).
-///
-/// Both concrete flows implement this, so drivers hold a
-/// `Box<dyn Flow>` built from a [`FlowKind`] instead of matching on
-/// concrete types.
-pub trait Flow: Send + Sync {
-    /// Runs the flow on a layout and row placement: a
-    /// [`Flow::run_controlled`] under [`RunSession::default`], which
-    /// never trips, writes no checkpoint and resumes nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the flow's routing errors (channel failures, Level B
-    /// setup errors).
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        self.run_controlled(layout, placement, &RunSession::default())
-    }
-
-    /// Runs the flow under a [`RunSession`]: the session's
-    /// [`RunControl`](ocr_exec::RunControl) is installed as the ambient
-    /// control for the whole run (cancellation, step budget, deadline),
-    /// checkpoints are written when the session asks for them, and a
-    /// checkpointed resume is honored by the stages that support it
-    /// (Level B). A run whose control trips returns `Ok` with every
-    /// unfinished net declared failed and reported in
-    /// [`FlowResult::degradation`] — never a partial, silent result.
-    ///
-    /// # Errors
-    ///
-    /// The same routing errors as [`Flow::run`], plus
-    /// [`RouteError::Checkpoint`] when a checkpoint cannot be written or
-    /// the resume state is inconsistent with this run.
-    fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError>;
-}
-
-/// The four flow implementations by name, for generic dispatch from
-/// CLIs, tests and benchmarks.
+/// The four flows by name, for generic dispatch from CLIs, tests and
+/// benchmarks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FlowKind {
-    /// The proposed over-cell flow ([`OverCellFlow`], `"overcell"`).
+    /// The proposed over-cell flow (`"overcell"`): Level A on the
+    /// two-layer channel router, then Level B.
     OverCell,
-    /// Two-layer all-channel baseline ([`ChannelFlow`] with
-    /// [`ChannelRouterKind::TwoLayer`], `"channel2"`).
+    /// Two-layer all-channel baseline ([`ChannelRouterKind::TwoLayer`],
+    /// `"channel2"`).
     Channel2,
-    /// Three-layer HVH comparator ([`ChannelFlow`] with
-    /// [`ChannelRouterKind::ThreeLayer`], `"channel3"`).
+    /// Three-layer HVH comparator ([`ChannelRouterKind::ThreeLayer`],
+    /// `"channel3"`).
     Channel3,
-    /// Four-layer HV+HV comparator ([`ChannelFlow`] with
-    /// [`ChannelRouterKind::FourLayer`], `"channel4"`).
+    /// Four-layer HV+HV comparator ([`ChannelRouterKind::FourLayer`],
+    /// `"channel4"`).
     Channel4,
 }
 
@@ -245,26 +208,29 @@ impl FlowKind {
         }
     }
 
-    /// The channel router of an all-channel flow (`None` for the
-    /// over-cell flow).
-    fn channel_router(self) -> Option<ChannelRouterKind> {
+    /// The Level A channel router. The over-cell flow uses the
+    /// two-layer metal1/metal2 router: metal3/metal4 belong to Level B.
+    fn channel_router(self) -> ChannelRouterKind {
         match self {
-            FlowKind::OverCell => None,
-            FlowKind::Channel2 => Some(ChannelRouterKind::TwoLayer),
-            FlowKind::Channel3 => Some(ChannelRouterKind::ThreeLayer),
-            FlowKind::Channel4 => Some(ChannelRouterKind::FourLayer),
+            FlowKind::OverCell | FlowKind::Channel2 => ChannelRouterKind::TwoLayer,
+            FlowKind::Channel3 => ChannelRouterKind::ThreeLayer,
+            FlowKind::Channel4 => ChannelRouterKind::FourLayer,
         }
     }
 
     /// Builds the flow with default configuration and options.
-    pub fn build(self) -> Box<dyn Flow> {
+    pub fn build(self) -> Flow {
         self.build_with(FlowOptions::default())
     }
 
     /// Builds the flow with default configuration and the given shared
     /// options.
-    pub fn build_with(self, options: FlowOptions) -> Box<dyn Flow> {
-        self.build_with_level_b(options, LevelBConfig::default())
+    pub fn build_with(self, options: FlowOptions) -> Flow {
+        Flow {
+            kind: self,
+            options,
+            ..Flow::default()
+        }
     }
 
     /// Builds the flow with the given shared options and, for the
@@ -276,31 +242,12 @@ impl FlowKind {
         self,
         options: FlowOptions,
         ordering: Option<crate::order::NetOrdering>,
-    ) -> Box<dyn Flow> {
-        let mut level_b = LevelBConfig::default();
+    ) -> Flow {
+        let mut flow = self.build_with(options);
         if let Some(ordering) = ordering {
-            level_b.ordering = ordering;
+            flow.level_b.ordering = ordering;
         }
-        self.build_with_level_b(options, level_b)
-    }
-
-    /// Builds the flow with the given shared options and, for the
-    /// over-cell flow, a full Level B configuration (cost weights,
-    /// ordering, window policy, …). Channel flows have no Level B stage,
-    /// so `level_b` is ignored for them — callers that must reject the
-    /// combination validate before building.
-    pub fn build_with_level_b(self, options: FlowOptions, level_b: LevelBConfig) -> Box<dyn Flow> {
-        match self.channel_router() {
-            None => Box::new(OverCellFlow {
-                options,
-                level_b,
-                ..OverCellFlow::default()
-            }),
-            Some(router) => Box::new(ChannelFlow {
-                options,
-                ..ChannelFlow::new(router)
-            }),
-        }
+        flow
     }
 }
 
@@ -473,21 +420,35 @@ fn partition_sets(
     }
 }
 
-/// The proposed two-level flow. Level A is always the two-layer
-/// metal1/metal2 channel router: metal3/metal4 belong to Level B.
+/// A complete routing flow: given a layout and a row placement, produce
+/// a routed design with metrics (and optionally an oracle report).
+///
+/// Every flow runs the same stages — partition, Level A channels, then,
+/// for the over-cell flow only, Level B over the expanded layout. The
+/// channel baselines are the paper's own methodology with every net in
+/// set A and no Level B stage, so for them `partition` and `level_b`
+/// are ignored. The default is the over-cell flow.
 #[derive(Clone, Debug)]
-pub struct OverCellFlow {
-    /// How to split nets into sets A and B.
+pub struct Flow {
+    /// Which flow: the over-cell flow or a channel baseline.
+    pub kind: FlowKind,
+    /// How to split nets into sets A and B (over-cell flow only; the
+    /// baselines put every net in set A).
     pub partition: PartitionStrategy,
-    /// Level B router configuration.
+    /// Level B router configuration (over-cell flow only).
     pub level_b: LevelBConfig,
-    /// Shared flow options (oracle verification).
+    /// Shared flow options (oracle, telemetry, salvage).
     pub options: FlowOptions,
 }
 
-impl Default for OverCellFlow {
+/// The former name of [`Flow`]. It exists only because `perfbench/`
+/// names it, until ROADMAP item 17 removes it.
+pub type OverCellFlow = Flow;
+
+impl Default for Flow {
     fn default() -> Self {
-        OverCellFlow {
+        Flow {
+            kind: FlowKind::OverCell,
             partition: PartitionStrategy::ByClass,
             level_b: LevelBConfig::default(),
             options: FlowOptions::default(),
@@ -495,8 +456,10 @@ impl Default for OverCellFlow {
     }
 }
 
-impl OverCellFlow {
-    /// Runs the flow on a layout and row placement — see [`Flow::run`].
+impl Flow {
+    /// Runs the flow on a layout and row placement: a
+    /// [`Flow::run_controlled`] under [`RunSession::default`], which
+    /// never trips, writes no checkpoint and resumes nothing.
     ///
     /// # Errors
     ///
@@ -507,12 +470,20 @@ impl OverCellFlow {
         self.run_controlled(layout, placement, &RunSession::default())
     }
 
-    /// [`OverCellFlow::run`] under a [`RunSession`] — see
-    /// [`Flow::run_controlled`].
+    /// Runs the flow under a [`RunSession`]: the session's
+    /// [`RunControl`](ocr_exec::RunControl) is installed as the ambient
+    /// control for the whole run (cancellation, step budget, deadline),
+    /// checkpoints are written when the session asks for them, and a
+    /// checkpointed resume is honored by Level B. A run whose control
+    /// trips returns `Ok` with every unfinished net declared failed and
+    /// reported in [`FlowResult::degradation`] — never a partial, silent
+    /// result.
     ///
     /// # Errors
     ///
-    /// As [`OverCellFlow::run`], plus [`RouteError::Checkpoint`].
+    /// The same routing errors as [`Flow::run`], plus
+    /// [`RouteError::Checkpoint`] when a checkpoint cannot be written or
+    /// the resume state is inconsistent with this run.
     pub fn run_controlled(
         &self,
         layout: &Layout,
@@ -521,29 +492,22 @@ impl OverCellFlow {
     ) -> Result<FlowResult, RouteError> {
         run_with_telemetry(self.options, || {
             ocr_exec::with_control(&session.control, || {
-                self.run_inner(layout, placement, session)
+                self.run_stages(layout, placement, session, |expanded, set_b, config| {
+                    let _span = ocr_obs::span("flow.level_b");
+                    LevelBRouter::new(expanded, set_b, config)?.route_all_with(session)
+                })
             })
         })
     }
 
-    /// One [`LevelBRouter`] run under the session's control.
-    fn run_inner(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        self.run_stages(layout, placement, session, |expanded, set_b, config| {
-            let _span = ocr_obs::span("flow.level_b");
-            LevelBRouter::new(expanded, set_b, config)?.route_all_with(session)
-        })
-    }
-
-    /// The over-cell stage path: partition, Level A, then `level_b` over
-    /// the expanded layout with set B and the flow's Level B
-    /// configuration (salvage folded in), then merge and assemble. A
-    /// plain run passes one [`LevelBRouter`] run; the
-    /// [portfolio](crate::portfolio) passes its roster fan-out.
+    /// The one stage path: partition, Level A with the kind's channel
+    /// router, then — over-cell flow only — `level_b` over the expanded
+    /// layout with set B and the flow's Level B configuration (salvage
+    /// folded in), then merge and assemble. A plain run passes one
+    /// [`LevelBRouter`] run; the [portfolio](crate::portfolio) passes
+    /// its roster fan-out. A channel baseline never calls `level_b`: it
+    /// leaves a header-only checkpoint behind when the session asks for
+    /// one and returns.
     pub(crate) fn run_stages(
         &self,
         layout: &Layout,
@@ -554,18 +518,22 @@ impl OverCellFlow {
         if session.control.is_tripped() {
             return interrupted_result(layout, placement, self.options, session);
         }
-        let (set_a, set_b) = partition_sets(&self.partition, layout, placement)?;
-        // Level A: channels on metal1/metal2; fixes the topology. A
-        // tripped control abandons the whole stage (partial channel
-        // heights are unusable), so the run degrades to all-failed.
+        let over_cell = self.kind == FlowKind::OverCell;
+        let partition = if over_cell {
+            &self.partition
+        } else {
+            &PartitionStrategy::AllA
+        };
+        let (set_a, set_b) = partition_sets(partition, layout, placement)?;
+        // Level A: channels; fixes the topology. A tripped control
+        // abandons the whole stage (partial channel heights are
+        // unusable), so the run degrades to all-failed.
         let mut a = {
             let _span = ocr_obs::span("flow.level_a");
-            match ocr_channel::route_chip_channels(
-                layout,
-                placement,
-                &set_a,
-                ChipChannelOptions::default(),
-            ) {
+            let opts = ChipChannelOptions {
+                router: self.kind.channel_router(),
+            };
+            match ocr_channel::route_chip_channels(layout, placement, &set_a, opts) {
                 Ok(a) => a,
                 Err(ocr_channel::ChannelError::Interrupted) => {
                     return interrupted_result(layout, placement, self.options, session);
@@ -573,136 +541,32 @@ impl OverCellFlow {
                 Err(e) => return Err(e.into()),
             }
         };
-        // Level B: over the entire (expanded) layout area.
-        let mut config = self.level_b.clone();
-        config.salvage = config.salvage || self.options.salvage;
-        let salvage = config.salvage;
-        let b = level_b(&a.expanded, &set_b, config)?;
-        // A tripped run always reports its degradation, salvage or not —
-        // budget/cancel trips must never look like a complete result.
-        let tripped = session.control.is_tripped();
-        let degradation = (salvage || tripped).then_some(b.degraded);
-        a.design.merge(b.design);
+        let (stats, degradation) = if over_cell {
+            // Level B: over the entire (expanded) layout area.
+            let mut config = self.level_b.clone();
+            config.salvage = config.salvage || self.options.salvage;
+            let salvage = config.salvage;
+            let b = level_b(&a.expanded, &set_b, config)?;
+            a.design.merge(b.design);
+            // A tripped run always reports its degradation, salvage or
+            // not — budget/cancel trips must never look like a complete
+            // result.
+            let tripped = session.control.is_tripped();
+            (Some(b.stats), (salvage || tripped).then_some(b.degraded))
+        } else {
+            write_header_checkpoint(layout, self.options, session)?;
+            // Channel-only flows have no Level B stage to degrade, so a
+            // salvage run reports an empty (complete) degradation.
+            (None, self.options.salvage.then(Degradation::default))
+        };
         Ok(assemble_result(
             a,
             set_a,
             set_b,
-            Some(b.stats),
+            stats,
             self.options,
             degradation,
         ))
-    }
-}
-
-impl Flow for OverCellFlow {
-    fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        OverCellFlow::run_controlled(self, layout, placement, session)
-    }
-}
-
-/// An all-channel comparator flow: every net routed through the
-/// channels by one channel router — two-layer (the Table 2 baseline),
-/// three-layer HVH (the kind of multi-layer channel router the paper's
-/// related work, Chen & Liu and Bruell & Sun, provided) or four-layer
-/// HV+HV (the Table 3 real comparator).
-#[derive(Clone, Debug)]
-pub struct ChannelFlow {
-    /// Chip-channel options: the channel router.
-    pub channel: ChipChannelOptions,
-    /// Shared flow options (oracle verification).
-    pub options: FlowOptions,
-}
-
-impl ChannelFlow {
-    /// A channel flow with the given router and default options.
-    pub fn new(router: ChannelRouterKind) -> Self {
-        ChannelFlow {
-            channel: ChipChannelOptions { router },
-            options: FlowOptions::default(),
-        }
-    }
-
-    /// Runs the comparator on a layout and placement — see
-    /// [`Flow::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates channel routing errors.
-    pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        self.run_controlled(layout, placement, &RunSession::default())
-    }
-
-    /// [`ChannelFlow::run`] under a [`RunSession`] — see
-    /// [`Flow::run_controlled`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ChannelFlow::run`], plus [`RouteError::Checkpoint`].
-    pub fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            ocr_exec::with_control(&session.control, || {
-                self.run_inner(layout, placement, session)
-            })
-        })
-    }
-
-    /// Partitions everything into set A, routes the chip channels and
-    /// assembles. A pre-tripped control or an interrupted channel stage
-    /// produces the all-failed [`interrupted_result`]; a completed run
-    /// leaves a header-only checkpoint behind when the session asks for
-    /// one.
-    fn run_inner(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        if session.control.is_tripped() {
-            return interrupted_result(layout, placement, self.options, session);
-        }
-        let (set_a, _) = partition_nets(layout, &PartitionStrategy::AllA)?;
-        let a = {
-            let _span = ocr_obs::span("flow.channels");
-            match ocr_channel::route_chip_channels(layout, placement, &set_a, self.channel) {
-                Ok(a) => a,
-                Err(ocr_channel::ChannelError::Interrupted) => {
-                    return interrupted_result(layout, placement, self.options, session);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        write_header_checkpoint(layout, self.options, session)?;
-        // Channel-only flows have no Level B stage to degrade, so a
-        // salvage run reports an empty (complete) degradation.
-        Ok(assemble_result(
-            a,
-            set_a,
-            Vec::new(),
-            None,
-            self.options,
-            self.options.salvage.then(Degradation::default),
-        ))
-    }
-}
-
-impl Flow for ChannelFlow {
-    fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        ChannelFlow::run_controlled(self, layout, placement, session)
     }
 }
 
@@ -781,14 +645,14 @@ mod tests {
     }
 
     /// The two-layer baseline.
-    fn two_layer() -> ChannelFlow {
-        ChannelFlow::new(ChannelRouterKind::TwoLayer)
+    fn two_layer() -> Flow {
+        FlowKind::Channel2.build()
     }
 
     #[test]
     fn over_cell_flow_routes_everything() {
         let (l, p) = chip();
-        let res = OverCellFlow::default().run(&l, &p).expect("flow");
+        let res = Flow::default().run(&l, &p).expect("flow");
         assert_eq!(res.level_a_nets.len(), 1);
         assert_eq!(res.level_b_nets.len(), 2);
         assert_eq!(res.metrics.failed_nets, 0);
@@ -809,9 +673,7 @@ mod tests {
     #[test]
     fn four_layer_baseline_routes_everything() {
         let (l, p) = chip();
-        let res = ChannelFlow::new(ChannelRouterKind::FourLayer)
-            .run(&l, &p)
-            .expect("flow");
+        let res = FlowKind::Channel4.build().run(&l, &p).expect("flow");
         assert_eq!(res.metrics.routed_nets, 3);
         let report = ocr_verify::verify(&res.layout, &res.design);
         assert!(report.is_clean(), "{report}");
@@ -820,7 +682,7 @@ mod tests {
     #[test]
     fn over_cell_flow_shrinks_area_vs_two_layer() {
         let (l, p) = chip();
-        let over = OverCellFlow::default().run(&l, &p).expect("over-cell");
+        let over = Flow::default().run(&l, &p).expect("over-cell");
         let two = two_layer().run(&l, &p).expect("two-layer");
         assert!(
             over.metrics.layout_area <= two.metrics.layout_area,
@@ -857,9 +719,9 @@ mod tests {
     #[test]
     fn verify_flag_attaches_a_clean_report() {
         let (l, p) = chip();
-        let res = OverCellFlow {
+        let res = Flow {
             options: FlowOptions::new().verify(true),
-            ..OverCellFlow::default()
+            ..Flow::default()
         }
         .run(&l, &p)
         .expect("flow");
@@ -886,10 +748,9 @@ mod tests {
     #[test]
     fn all_b_partition_eliminates_channel_growth() {
         let (l, p) = chip();
-        let res = OverCellFlow {
+        let res = Flow {
             partition: PartitionStrategy::AllB,
-            level_b: LevelBConfig::default(),
-            options: FlowOptions::default(),
+            ..Flow::default()
         }
         .run(&l, &p)
         .expect("flow");
@@ -898,5 +759,29 @@ mod tests {
         assert_eq!(res.metrics.routed_nets, 3);
         let report = ocr_verify::verify(&res.layout, &res.design);
         assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn channel_kinds_ignore_the_partition_strategy() {
+        let (l, p) = chip();
+        let routes = |flow: Flow| {
+            let res = flow.run(&l, &p).expect("flow");
+            ocr_io::write_routes(&res.layout, &res.design)
+        };
+        let all_b = Flow {
+            kind: FlowKind::Channel2,
+            partition: PartitionStrategy::AllB,
+            ..Flow::default()
+        };
+        assert_eq!(routes(all_b), routes(FlowKind::Channel2.build()));
+    }
+
+    #[test]
+    fn portfolio_on_a_channel_kind_is_an_error() {
+        let (l, p) = chip();
+        for kind in [FlowKind::Channel2, FlowKind::Channel3, FlowKind::Channel4] {
+            let err = kind.build().run_portfolio(&l, &p, 2).unwrap_err();
+            assert_eq!(err, RouteError::NoLevelB(kind), "{kind}");
+        }
     }
 }

@@ -33,7 +33,7 @@
 use crate::ckpt::RunSession;
 use crate::config::LevelBConfig;
 use crate::error::RouteError;
-use crate::flow::{run_with_telemetry, FlowResult, OverCellFlow};
+use crate::flow::{run_with_telemetry, Flow, FlowKind, FlowResult};
 use crate::level_b::{LevelBResult, LevelBRouter};
 use crate::order::NetOrdering;
 use ocr_exec::RunControl;
@@ -91,7 +91,7 @@ impl PortfolioReport {
     }
 }
 
-impl OverCellFlow {
+impl Flow {
     /// Runs `k` ordering strategies and returns the winning result
     /// with the per-strategy report — see the [module docs](self) for
     /// the winner rule and the determinism argument. The flow's own
@@ -103,14 +103,20 @@ impl OverCellFlow {
     ///
     /// # Errors
     ///
-    /// Propagates Level A channel errors and Level B setup errors
-    /// (setup is ordering-independent, so every attempt fails alike).
+    /// [`RouteError::NoLevelB`] for a channel baseline, which has no
+    /// Level B stage to order. Otherwise propagates Level A channel
+    /// errors and Level B setup errors (setup is ordering-independent,
+    /// so every attempt fails alike), and [`RouteError::Interrupted`]
+    /// if an ambient control the caller installed stops Level A.
     pub fn run_portfolio(
         &self,
         layout: &Layout,
         placement: &RowPlacement,
         k: usize,
     ) -> Result<(FlowResult, PortfolioReport), RouteError> {
+        if self.kind != FlowKind::OverCell {
+            return Err(RouteError::NoLevelB(self.kind));
+        }
         let mut report = None;
         let result = run_with_telemetry(self.options, || {
             let _span = ocr_obs::span("order.portfolio");
@@ -127,7 +133,7 @@ impl OverCellFlow {
                 },
             )
         })?;
-        Ok((result, report.expect("inner run sets the report on Ok")))
+        Ok((result, report.ok_or(RouteError::Interrupted)?))
     }
 }
 

@@ -68,6 +68,27 @@ pub fn ex3_like() -> GeneratedChip {
     })
 }
 
+/// The spec of the `stress` family's ×`scale` chip (`ami33x{scale}`):
+/// the ami33 statistics scaled by `scale`, in `5·min(scale, 4)` rows,
+/// with spec seed `0xA3133 + scale`. The `stress` table routes ×1, ×2
+/// and ×4; ×8 (264 cells, 984 nets, 20 rows, seed `0xA313B`) is the chip
+/// perfbench's `scale8` workload times. `ocr generate stress --scale N`
+/// writes it.
+pub fn stress(scale: usize) -> BenchmarkSpec {
+    BenchmarkSpec {
+        name: format!("ami33x{scale}"),
+        cells: 33 * scale,
+        rows: 5 * scale.min(4),
+        nets_level_a: 4 * scale,
+        avg_pins_level_a: 44.25,
+        nets_level_b: 119 * scale,
+        avg_pins_level_b: 2.55,
+        obstacles: 8 * scale,
+        locality: 0.15,
+        seed: 0xA3133 + scale as u64,
+    }
+}
+
 /// All three suite chips in the paper's order.
 pub fn all() -> Vec<GeneratedChip> {
     vec![ami33_like(), xerox_like(), ex3_like()]

@@ -321,7 +321,7 @@ mod tests {
                   {"name":"flow.level_b","count":1,"total_ns":30,"min_ns":30,"max_ns":30}],
          "counters":[{"name":"level_b.retries","value":0},{"name":"level_b.rips","value":2}]},
         {"chip":"ami33","flow":"channel2",
-         "spans":[{"name":"flow.channels","count":1,"total_ns":5,"min_ns":5,"max_ns":5}],
+         "spans":[{"name":"flow.level_a","count":1,"total_ns":5,"min_ns":5,"max_ns":5}],
          "counters":[]}
     ]}"#;
 

@@ -8,7 +8,7 @@
 //! cargo run --release --example macro_cell_chip
 //! ```
 
-use overcell_router::core::{run_analytic_four_layer_estimate, FlowKind, OverCellFlow};
+use overcell_router::core::{run_analytic_four_layer_estimate, Flow, FlowKind};
 use overcell_router::gen::suite;
 use overcell_router::netlist::RouteMetrics;
 use overcell_router::verify::verify;
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         chip.layout.total_pins()
     );
 
-    let over = OverCellFlow::default().run(&chip.layout, &chip.placement)?;
+    let over = Flow::default().run(&chip.layout, &chip.placement)?;
     let two = FlowKind::Channel2
         .build()
         .run(&chip.layout, &chip.placement)?;

@@ -7,7 +7,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use overcell_router::core::{OverCellFlow, PartitionStrategy};
+use overcell_router::core::{Flow, PartitionStrategy};
 use overcell_router::geom::{Layer, Point, Rect};
 use overcell_router::netlist::{Layout, NetClass, Row, RowPlacement};
 use overcell_router::verify::verify;
@@ -54,9 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper's flow: critical/timing nets to channels, everything
     // else over-cell.
-    let flow = OverCellFlow {
+    let flow = Flow {
         partition: PartitionStrategy::ByClass,
-        ..OverCellFlow::default()
+        ..Flow::default()
     };
     let result = flow.run(&layout, &placement)?;
 

@@ -49,13 +49,26 @@ for threads in 1 ""; do (
 ); done
 rm -rf "$GOLDEN_DIR"
 
+echo "==> fig3 (writes the two Figure 3 SVGs; each must be non-empty)"
+# fig3 has no golden: its output is SVG files, not table text. Run it
+# from a scratch directory so the files stay out of the tree.
+ROOT="$(pwd)"
+FIG_DIR="$(mktemp -d)"
+(cd "$FIG_DIR" && "$ROOT/target/release/fig3") >/dev/null
+for svg in fig3_ami33_level_b.svg fig3_ami33_full.svg; do
+    [ -s "$FIG_DIR/$svg" ] || {
+        echo "ci: fig3 did not write a non-empty $svg" >&2
+        exit 1
+    }
+done
+rm -rf "$FIG_DIR"
+
 echo "==> examples (each asserts an oracle-clean result)"
 # The examples check their own results with the ocr-verify oracle. Run
 # them from a scratch directory so the files they write stay out of the
 # tree.
 cargo build -q --release --examples
 EX_DIR="$(mktemp -d)"
-ROOT="$(pwd)"
 for example in examples/*.rs; do
     name="$(basename "$example" .rs)"
     (cd "$EX_DIR" && "$ROOT/target/release/examples/$name") >/dev/null

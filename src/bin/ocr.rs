@@ -1,7 +1,7 @@
 //! `ocr` — command-line driver for the over-cell router.
 //!
 //! ```text
-//! ocr generate <ami33|xerox|ex3|random> [--seed N] [-o chip.ocr]
+//! ocr generate <ami33|xerox|ex3|random|stress> [--seed N] [--scale N] [-o chip.ocr]
 //! ocr route <chip.ocr> [--flow overcell|channel2|channel3|channel4]
 //!                      [--order NAME|portfolio[:K]]
 //!                      [--svg out.svg] [--routes out.txt] [--salvage]
@@ -19,7 +19,7 @@
 
 use overcell_router::core::{
     ordering_from_name, resume_from_doc, CheckpointSpec, CostWeights, FlowKind, FlowOptions,
-    FlowResult, LevelBConfig, NetOrdering, OverCellFlow, RunSession,
+    FlowResult, NetOrdering, RunSession,
 };
 use overcell_router::exec::RunControl;
 use overcell_router::fault;
@@ -37,9 +37,13 @@ const USAGE: &str = "\
 ocr — multi-layer over-cell router (Katsadas & Shen, DAC 1990)
 
 USAGE:
-  ocr generate <ami33|xerox|ex3|random> [--seed N] [-o FILE]
+  ocr generate <ami33|xerox|ex3|random|stress> [--seed N] [--scale N]
+               [-o FILE]
       Generate a benchmark chip and write it as .ocr text (stdout by
-      default).
+      default). --seed picks the `random` chip; --scale N (1 to 64,
+      default 1) picks the `stress` family's ami33xN chip, the ami33
+      statistics scaled by N (8 is the chip perfbench's scale8 workload
+      routes).
   ocr route <chip.ocr> [--flow overcell|channel2|channel3|channel4]
                        [--order longest|shortest|congestion|criticality|
                                 shuffle[:SEED]|portfolio[:K]]
@@ -213,7 +217,7 @@ struct ArgSpec {
 
 const GENERATE_SPEC: ArgSpec = ArgSpec {
     command: "generate",
-    value_flags: &["--seed", "-o"],
+    value_flags: &["--seed", "--scale", "-o"],
     switch_flags: &[],
 };
 
@@ -396,6 +400,10 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The largest `ocr generate stress --scale`: ×64 is 2,112 cells and
+/// 7,872 nets, eight times perfbench's ×8 chip.
+const MAX_STRESS_SCALE: usize = 64;
+
 fn generate(args: &[String]) -> Result<(), String> {
     let flags = GENERATE_SPEC.parse(&args[1..])?;
     let which = *flags
@@ -408,6 +416,16 @@ fn generate(args: &[String]) -> Result<(), String> {
         "xerox" => suite::xerox_like(),
         "ex3" => suite::ex3_like(),
         "random" => small_random(8, 3, 4, 20, seed),
+        "stress" => {
+            // Bounded so a typo cannot ask for millions of cells.
+            let scale: usize = flags.parsed_or("--scale", 1)?;
+            if !(1..=MAX_STRESS_SCALE).contains(&scale) {
+                return Err(format!(
+                    "generate: bad --scale: must be 1 to {MAX_STRESS_SCALE}"
+                ));
+            }
+            overcell_router::gen::generate(&suite::stress(scale))
+        }
         other => return Err(format!("unknown benchmark `{other}`")),
     };
     let text = write_chip(&chip.layout, &chip.placement);
@@ -683,24 +701,19 @@ fn route(args: &[String]) -> Result<(), String> {
             kind.name()
         ));
     }
-    let mut level_b = LevelBConfig::default();
-    if let Some(w) = weights {
-        level_b.weights = w;
-    }
     let options = FlowOptions::new()
         .telemetry(telemetry.wanted())
         // A checkpointed salvage run resumes as a salvage run even if
         // --salvage is not repeated on the resume command line.
         .salvage(flags.has("--salvage") || session.resume.as_ref().is_some_and(|r| r.salvage));
+    let mut flow = kind.build_with(options);
+    if let Some(w) = weights {
+        flow.level_b.weights = w;
+    }
     let (result, portfolio) = match order {
         Some(OrderChoice::Portfolio(k)) => {
             // The portfolio clones `level_b` per strategy, so CLI
             // weights apply to every ordering it runs.
-            let flow = OverCellFlow {
-                options,
-                level_b,
-                ..OverCellFlow::default()
-            };
             let (result, report) = flow
                 .run_portfolio(&layout, &placement, k)
                 .map_err(|e| e.to_string())?;
@@ -708,10 +721,9 @@ fn route(args: &[String]) -> Result<(), String> {
         }
         strategy => {
             if let Some(OrderChoice::Strategy(ordering)) = strategy {
-                level_b.ordering = ordering;
+                flow.level_b.ordering = ordering;
             }
-            let result = kind
-                .build_with_level_b(options, level_b)
+            let result = flow
                 .run_controlled(&layout, &placement, &session)
                 .map_err(|e| e.to_string())?;
             (result, None)
@@ -1334,7 +1346,7 @@ fn stats(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::{
-        parse_order, run, OrderChoice, CHAOS_SPEC, GENERATE_SPEC, ROUTE_SPEC, SERVE_SPEC,
+        fnv1a_64, parse_order, run, OrderChoice, CHAOS_SPEC, GENERATE_SPEC, ROUTE_SPEC, SERVE_SPEC,
         SUBMIT_SPEC, VERIFY_SPEC,
     };
 
@@ -1365,6 +1377,23 @@ mod tests {
         assert_eq!(flags.value("--flow"), Some("channel2"));
         assert!(flags.has("--strict"));
         assert!(!flags.has("--suite"));
+    }
+
+    /// `ocr generate stress --scale 8` writes the chip perfbench's
+    /// `scale8` workload routes: its text hashes to the `ami33x8` pin
+    /// of `tests/determinism.rs`.
+    #[test]
+    fn generate_stress_scale8_writes_the_pinned_chip() {
+        let path = std::env::temp_dir().join(format!("ocr-stress8-{}.ocr", std::process::id()));
+        let out = path.to_str().expect("utf-8 temp path");
+        run(&argv(&["generate", "stress", "--scale", "8", "-o", out])).expect("generates");
+        let text = std::fs::read_to_string(&path).expect("written");
+        std::fs::remove_file(&path).expect("removed");
+        assert_eq!(fnv1a_64(&text), 0xe86f_9b47_07ce_1c68);
+        for scale in ["0", "65"] {
+            let err = run(&argv(&["generate", "stress", "--scale", scale])).unwrap_err();
+            assert_eq!(err, "generate: bad --scale: must be 1 to 64");
+        }
     }
 
     #[test]

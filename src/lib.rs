@@ -46,11 +46,11 @@
 //! compare it against the two-layer channel baseline:
 //!
 //! ```
-//! use overcell_router::core::{FlowKind, OverCellFlow};
+//! use overcell_router::core::{Flow, FlowKind};
 //! use overcell_router::gen::random::small_random;
 //!
 //! let chip = small_random(6, 2, 3, 10, 42);
-//! let over = OverCellFlow::default().run(&chip.layout, &chip.placement)?;
+//! let over = Flow::default().run(&chip.layout, &chip.placement)?;
 //! let base = FlowKind::Channel2.build().run(&chip.layout, &chip.placement)?;
 //! assert!(over.metrics.layout_area <= base.metrics.layout_area);
 //! # Ok::<(), overcell_router::core::RouteError>(())

@@ -109,26 +109,6 @@ fn sequential_and_parallel_runs_are_bit_identical_on_the_suite() {
     }
 }
 
-/// The `stress` family's ×`scale` chip (the ami33 statistics scaled by
-/// `scale`) with its row count and spec seed given explicitly: the
-/// `stress` binary uses `rows: 5·min(scale, 4)` and seed
-/// `0xA3133 + scale`, the perfbench `scale8` chip 20 rows and seed
-/// `0xA313B`.
-fn stress_spec(scale: usize, rows: usize, seed: u64) -> BenchmarkSpec {
-    BenchmarkSpec {
-        name: format!("ami33x{scale}"),
-        cells: 33 * scale,
-        rows,
-        nets_level_a: 4 * scale,
-        avg_pins_level_a: 44.25,
-        nets_level_b: 119 * scale,
-        avg_pins_level_b: 2.55,
-        obstacles: 8 * scale,
-        locality: 0.15,
-        seed,
-    }
-}
-
 /// Routes a stress chip with the over-cell flow and checks its routes
 /// against a pinned FNV-1a hash. These chips exercise what the suite
 /// barely does: clipped and full-die MBFS failures, the maze fallback
@@ -154,9 +134,9 @@ fn assert_stress_pin(spec: &BenchmarkSpec, want: u64) {
 #[test]
 fn generated_chips_match_their_pinned_hash() {
     let mut chips = suite::all();
-    chips.push(generate(&stress_spec(2, 10, 0xA3133 + 2)));
-    chips.push(generate(&stress_spec(4, 20, 0xA3133 + 4)));
-    chips.push(generate(&stress_spec(8, 20, 0xA313B)));
+    chips.push(generate(&suite::stress(2)));
+    chips.push(generate(&suite::stress(4)));
+    chips.push(generate(&suite::stress(8)));
     for seed in [1, 2, 7, 42] {
         chips.push(small_random(8, 3, 4, 20, seed));
     }
@@ -184,13 +164,13 @@ fn generated_chips_match_their_pinned_hash() {
 
 #[test]
 fn stress_x2_routes_match_their_pinned_hash() {
-    assert_stress_pin(&stress_spec(2, 10, 0xA3133 + 2), 0xd3a5_436e_931a_fd7b);
+    assert_stress_pin(&suite::stress(2), 0xd3a5_436e_931a_fd7b);
 }
 
 /// The perfbench `scale8` chip (264 cells, 984 nets).
 #[test]
 fn scale8_routes_match_their_pinned_hash() {
-    assert_stress_pin(&stress_spec(8, 20, 0xA313B), 0x06a8_9403_4039_98c5);
+    assert_stress_pin(&suite::stress(8), 0x06a8_9403_4039_98c5);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! validated for electrical correctness, plus cross-flow invariants.
 
 use overcell_router::core::{
-    run_analytic_four_layer_estimate, FlowKind, FlowOptions, OverCellFlow, PartitionStrategy,
+    run_analytic_four_layer_estimate, Flow, FlowKind, FlowOptions, PartitionStrategy,
 };
 use overcell_router::gen::random::small_random;
 use overcell_router::gen::suite;
@@ -47,7 +47,7 @@ fn three_layer_flow_between_two_and_four_layer_tracks() {
 fn over_cell_never_larger_than_two_layer_baseline() {
     for seed in [1, 3, 5, 8] {
         let chip = small_random(8, 2, 4, 16, seed);
-        let over = OverCellFlow::default()
+        let over = Flow::default()
             .run(&chip.layout, &chip.placement)
             .expect("over-cell");
         let two = FlowKind::Channel2
@@ -66,12 +66,12 @@ fn over_cell_never_larger_than_two_layer_baseline() {
 #[test]
 fn all_b_partition_minimizes_channels() {
     let chip = small_random(6, 2, 3, 12, 2);
-    let default = OverCellFlow::default()
+    let default = Flow::default()
         .run(&chip.layout, &chip.placement)
         .expect("default");
-    let all_b = OverCellFlow {
+    let all_b = Flow {
         partition: PartitionStrategy::AllB,
-        ..OverCellFlow::default()
+        ..Flow::default()
     }
     .run(&chip.layout, &chip.placement)
     .expect("all-B");
@@ -94,10 +94,10 @@ fn analytic_estimate_is_positive_and_bounded_by_real_two_layer_height() {
 #[test]
 fn flows_are_deterministic() {
     let chip = suite::ami33_like();
-    let a = OverCellFlow::default()
+    let a = Flow::default()
         .run(&chip.layout, &chip.placement)
         .expect("run 1");
-    let b = OverCellFlow::default()
+    let b = Flow::default()
         .run(&chip.layout, &chip.placement)
         .expect("run 2");
     assert_eq!(a.metrics, b.metrics);
@@ -110,7 +110,7 @@ fn suite_chips_route_fully_with_all_flows() {
     // flow and validates cleanly. (Table 2/3 shapes are asserted in
     // `paper_reproduction.rs`.)
     for chip in suite::all() {
-        let over = OverCellFlow::default()
+        let over = Flow::default()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{}: {e}", chip.spec.name));
         assert!(over.design.failed.is_empty(), "{}", chip.spec.name);
@@ -142,7 +142,7 @@ fn suite_chips_pass_the_independent_oracle_in_all_flows() {
 #[test]
 fn level_a_and_level_b_nets_partition_the_netlist() {
     let chip = small_random(6, 2, 3, 12, 9);
-    let res = OverCellFlow::default()
+    let res = Flow::default()
         .run(&chip.layout, &chip.placement)
         .expect("flow");
     let mut all: Vec<u32> = res
@@ -162,11 +162,11 @@ fn area_budget_partitioning_is_monotone() {
     let chip = small_random(6, 2, 3, 12, 6);
     let mut last_area = i128::MAX;
     for budget in [usize::MAX, 4, 0] {
-        let res = OverCellFlow {
+        let res = Flow {
             partition: PartitionStrategy::AreaBudget {
                 max_tracks_per_channel: budget,
             },
-            ..OverCellFlow::default()
+            ..Flow::default()
         }
         .run(&chip.layout, &chip.placement)
         .unwrap_or_else(|e| panic!("budget {budget}: {e}"));

@@ -1,7 +1,7 @@
 //! Round-trip tests: serialized chips must parse back identically and
 //! route to identical results.
 
-use overcell_router::core::OverCellFlow;
+use overcell_router::core::Flow;
 use overcell_router::gen::random::small_random;
 use overcell_router::gen::suite;
 use overcell_router::io::{parse_chip, parse_routes, write_chip, write_routes};
@@ -27,10 +27,10 @@ fn routing_a_parsed_chip_matches_routing_the_original() {
     let text = write_chip(&chip.layout, &chip.placement);
     let (layout, placement) = parse_chip(&text).expect("parses");
 
-    let original = OverCellFlow::default()
+    let original = Flow::default()
         .run(&chip.layout, &chip.placement)
         .expect("routes original");
-    let reloaded = OverCellFlow::default()
+    let reloaded = Flow::default()
         .run(&layout, &placement)
         .expect("routes reloaded");
     assert_eq!(original.metrics, reloaded.metrics);
@@ -39,7 +39,7 @@ fn routing_a_parsed_chip_matches_routing_the_original() {
 #[test]
 fn routed_geometry_round_trips() {
     let chip = small_random(6, 2, 3, 10, 7);
-    let res = OverCellFlow::default()
+    let res = Flow::default()
         .run(&chip.layout, &chip.placement)
         .expect("routes");
     let text = write_routes(&res.layout, &res.design);

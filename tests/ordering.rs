@@ -12,7 +12,7 @@
 //!   `longest`, the paper's default, on any suite chip.
 
 use overcell_router::core::{
-    ordering_from_name, portfolio_roster, FlowKind, FlowOptions, NetOrdering, OverCellFlow,
+    ordering_from_name, portfolio_roster, Flow, FlowKind, FlowOptions, NetOrdering,
     PortfolioReport, RunSession, StrategyOutcome,
 };
 use overcell_router::exec::{with_threads, RunControl};
@@ -30,9 +30,9 @@ fn route_with(chip: &overcell_router::gen::GeneratedChip, ordering: NetOrdering)
 }
 
 fn race(chip: &overcell_router::gen::GeneratedChip, k: usize) -> (String, PortfolioReport) {
-    let flow = OverCellFlow {
+    let flow = Flow {
         options: FlowOptions::new().salvage(true),
-        ..OverCellFlow::default()
+        ..Flow::default()
     };
     let (result, report) = flow
         .run_portfolio(&chip.layout, &chip.placement, k)

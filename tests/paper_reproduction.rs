@@ -2,7 +2,7 @@
 //! Tables 1–3 and the Figure 1 walk-through must hold on the synthetic
 //! benchmark suite. (Absolute magnitudes differ — see EXPERIMENTS.md.)
 
-use overcell_router::core::{run_analytic_four_layer_estimate, FlowKind, OverCellFlow};
+use overcell_router::core::{run_analytic_four_layer_estimate, Flow, FlowKind};
 use overcell_router::gen::suite;
 use overcell_router::netlist::{coupling_report, ChipMetrics};
 
@@ -37,7 +37,7 @@ fn table1_statistics_match() {
 fn table2_shape_over_cell_beats_two_layer() {
     for chip in suite::all() {
         let name = &chip.spec.name;
-        let over = OverCellFlow::default()
+        let over = Flow::default()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let two = FlowKind::Channel2
@@ -63,7 +63,7 @@ fn table2_shape_over_cell_beats_two_layer() {
 fn table3_shape_over_cell_beats_four_layer_channels() {
     for chip in suite::all() {
         let name = &chip.spec.name;
-        let over = OverCellFlow::default()
+        let over = Flow::default()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let two = FlowKind::Channel2
@@ -102,7 +102,7 @@ fn table3_shape_over_cell_beats_four_layer_channels() {
 #[test]
 fn mbfs_expansion_stays_track_bounded() {
     let chip = suite::ami33_like();
-    let over = OverCellFlow::default()
+    let over = Flow::default()
         .run(&chip.layout, &chip.placement)
         .expect("flow");
     let stats = over.stats.expect("level B ran");
@@ -130,7 +130,7 @@ fn mbfs_expansion_stays_track_bounded() {
 fn crosstalk_shape_channel_flows_stack_wires() {
     let chip = suite::ami33_like();
     let pitch = chip.layout.rules.over_cell_pitch();
-    let over = OverCellFlow::default()
+    let over = Flow::default()
         .run(&chip.layout, &chip.placement)
         .expect("over-cell");
     let three = FlowKind::Channel3
