@@ -173,6 +173,15 @@ fn scale8_routes_match_their_pinned_hash() {
     assert_stress_pin(&suite::stress(8), 0x06a8_9403_4039_98c5);
 }
 
+/// The ×16 stress chip, whose maze waves cross the most wave-buffer
+/// tiles. Ignored by the plain `cargo test` runs, which build without
+/// optimisation; CI runs it in release with `--ignored`.
+#[test]
+#[ignore]
+fn stress_x16_routes_match_their_pinned_hash() {
+    assert_stress_pin(&suite::stress(16), 0xec84_6696_ad7c_f5c2);
+}
+
 #[test]
 fn strict_verification_is_thread_count_independent() {
     let chip = small_random(8, 3, 4, 20, 42);
