@@ -4,7 +4,7 @@
 //!   (w1 = 1, w2x = 1), the dense recommendation (w2x ↑) and a
 //!   wire-length-only selector;
 //! * **net ordering** — longest-distance-first (paper) vs
-//!   shortest-first vs criticality;
+//!   shortest-first vs `criticality-hpwl`;
 //! * **dogleg splitting** in the Level A channel router, beside the
 //!   greedy column sweep and the four-layer layer-pair router on the
 //!   same random channels;
@@ -104,7 +104,7 @@ fn main() {
     for (name, ordering) in [
         ("longest first (paper)", NetOrdering::LongestFirst),
         ("shortest first", NetOrdering::ShortestFirst),
-        ("criticality", NetOrdering::Criticality),
+        ("criticality-hpwl", NetOrdering::Criticality),
     ] {
         level_b_ablation(
             name,

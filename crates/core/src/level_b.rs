@@ -277,8 +277,9 @@ impl<'a> LevelBRouter<'a> {
     /// byte-identical to an uninterrupted one.
     pub fn route_all_with(&mut self, session: &RunSession) -> Result<LevelBResult, RouteError> {
         let result = self.route_queue(session);
-        // The maze buffers scale with the die (6.7 MB on the ×8 chip); a
-        // router kept alive after the run should not hold them.
+        // The maze tile pool grows to the run's largest wave, and a
+        // rip-up probe's flood reaches the whole die; a router kept alive
+        // after the run should not hold it.
         ocr_obs::count_max("level_b.maze_bytes", self.scratch.maze.node_bytes() as u64);
         self.scratch.maze.release();
         result
